@@ -6,11 +6,16 @@ tuned specs in configs/tuned/, and emits the robustness / scan /
 train-toy configs that reference them.  Everything is deterministic, so
 rerunning this script must reproduce the tree byte for byte.
 
-Usage: python3 scripts/make_bundles.py [--workers N]
+Usage: python3 scripts/make_bundles.py [--check]
+
+--check regenerates into a temporary directory and compares it with
+configs/ byte for byte instead of writing there; it exits 1 and lists
+every file that differs, is missing or is extra.
 """
 from __future__ import annotations
 
 import argparse
+import filecmp
 import json
 import shutil
 import sys
@@ -55,7 +60,7 @@ def write_json(path: Path, doc: dict) -> None:
         fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def tune_configs() -> list[Path]:
+def tune_configs(configs: Path) -> list[Path]:
     paths = []
     for function, task in TASKS.items():
         for family in FAMILIES:
@@ -67,31 +72,21 @@ def tune_configs() -> list[Path]:
                     "family": family,
                     "update_rule": kind,
                 }
-                path = CONFIGS / "tune" / f"{function}-{family}-{kind}.json"
+                path = configs / "tune" / f"{function}-{family}-{kind}.json"
                 write_json(path, doc)
                 paths.append(path)
     return paths
 
 
-def tuned_specs(tune_paths: list[Path], workers: int) -> None:
+def tuned_specs(configs: Path, tune_paths: list[Path]) -> None:
     out_root = Path(tempfile.mkdtemp(prefix="optbench-tune-"))
     try:
         for config in tune_paths:
             out_dir = out_root / config.stem
-            code = cli_main(
-                [
-                    "tune",
-                    "--config",
-                    str(config),
-                    "--out",
-                    str(out_dir),
-                    "--parallelism",
-                    str(workers),
-                ]
-            )
+            code = cli_main(["tune", "--config", str(config), "--out", str(out_dir)])
             if code != 0:
                 raise SystemExit(f"tuning {config.name} failed with exit code {code}")
-            target = CONFIGS / "tuned" / f"{config.stem}.json"
+            target = configs / "tuned" / f"{config.stem}.json"
             target.parent.mkdir(parents=True, exist_ok=True)
             shutil.copyfile(out_dir / "best.json", target)
             print(f"tuned {config.stem}", file=sys.stderr)
@@ -99,7 +94,7 @@ def tuned_specs(tune_paths: list[Path], workers: int) -> None:
         shutil.rmtree(out_root, ignore_errors=True)
 
 
-def robustness_configs() -> None:
+def robustness_configs(configs: Path) -> None:
     for function in TASKS:
         dist = distribution_to_dict(default_eval_distribution(function))
         for family in FAMILIES:
@@ -113,10 +108,10 @@ def robustness_configs() -> None:
                     "n": 100,
                     "seed": ROBUSTNESS_SEED,
                 }
-                write_json(CONFIGS / "robustness" / f"{name}.json", doc)
+                write_json(configs / "robustness" / f"{name}.json", doc)
 
 
-def scan_configs() -> None:
+def scan_configs(configs: Path) -> None:
     for function, task in TASKS.items():
         for kind in ("additive", "hybrid"):
             name = f"{function}-sgd-{kind}"
@@ -127,10 +122,10 @@ def scan_configs() -> None:
                 "optimizer": {"path": f"../tuned/{name}.json"},
                 "grid_size": 25,
             }
-            write_json(CONFIGS / "scan" / f"{name}.json", doc)
+            write_json(configs / "scan" / f"{name}.json", doc)
 
 
-def train_toy_configs() -> None:
+def train_toy_configs(configs: Path) -> None:
     for kind in UPDATE_KINDS:
         doc = {
             "schema_version": 1,
@@ -140,20 +135,51 @@ def train_toy_configs() -> None:
             "n_configs": 10,
             "master_seed": TRAIN_TOY_MASTER_SEED,
         }
-        write_json(CONFIGS / "train-toy" / f"sgd-{kind}.json", doc)
+        write_json(configs / "train-toy" / f"sgd-{kind}.json", doc)
 
 
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--workers", type=int, default=4, help="parallelism for the tuning runs")
+def generate(configs: Path) -> None:
+    tune_paths = tune_configs(configs)
+    robustness_configs(configs)
+    scan_configs(configs)
+    train_toy_configs(configs)
+    tuned_specs(configs, tune_paths)
+
+
+def differences(expected: Path, actual: Path) -> list[str]:
+    """Relative paths of files that differ between two trees, or exist in
+    only one of them."""
+    names = {
+        str(p.relative_to(root)) for root in (expected, actual) for p in root.rglob("*") if p.is_file()
+    }
+    return sorted(
+        name
+        for name in names
+        if not (expected / name).is_file()
+        or not (actual / name).is_file()
+        or not filecmp.cmp(expected / name, actual / name, shallow=False)
+    )
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument(
+        "--check", action="store_true", help="compare a fresh regeneration with configs/ instead of writing"
+    )
     args = parser.parse_args()
-    tune_paths = tune_configs()
-    robustness_configs()
-    scan_configs()
-    train_toy_configs()
-    tuned_specs(tune_paths, args.workers)
-    print(f"wrote {len(list(CONFIGS.rglob('*.json')))} configs under {CONFIGS}", file=sys.stderr)
+    if not args.check:
+        generate(CONFIGS)
+        print(f"wrote {len(list(CONFIGS.rglob('*.json')))} configs under {CONFIGS}", file=sys.stderr)
+        return 0
+    with tempfile.TemporaryDirectory(prefix="optbench-bundles-") as tmp:
+        fresh = Path(tmp) / "configs"
+        generate(fresh)
+        diff = differences(CONFIGS, fresh)
+    for name in diff:
+        print(f"differs: configs/{name}", file=sys.stderr)
+    print(f"{len(diff)} bundled config(s) differ from a fresh regeneration", file=sys.stderr)
+    return 1 if diff else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -3,8 +3,9 @@
 Every command reads one JSON config (see the config module for the
 schema), writes its results under an output directory, and is fully
 deterministic: rerunning the same config and seed reproduces every output
-byte for byte, at any --parallelism level.  Existing output files are
-never replaced unless --overwrite is passed.
+byte for byte, at any --parallelism level (only train-toy uses workers;
+the 2-D commands run each batch of trials as one vectorized population).
+Existing output files are never replaced unless --overwrite is passed.
 
 Exit codes: 0 on success, 2 for malformed configs or refused overwrites,
 3 when a tuning run diverged at every grid point.
@@ -45,10 +46,9 @@ EXIT_ALL_DIVERGED = 3
 
 @dataclass
 class RunManifest:
-    """Resolved invocation: what ran, from which config, into which directory."""
+    """Resolved invocation: where outputs go, the fallback seed and the
+    worker count (used by train-toy only)."""
 
-    command: str
-    config_path: Path
     output_dir: Path
     seed: int
     parallelism: int
@@ -69,7 +69,12 @@ def _write_text(path: Path, text: str) -> None:
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write_text(path, json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
+
+
+def _finite_or_none(x: float) -> float | None:
+    """JSON has no inf or NaN; such values are written as null."""
+    return x if math.isfinite(x) else None
 
 
 def _prepare_output(out_dir: Path, names: list[str], overwrite: bool) -> None:
@@ -133,7 +138,6 @@ def cmd_tune(plan: TunePlan, manifest: RunManifest, overwrite: bool) -> int:
         plan.update_kind,
         grids=plan.grids,
         mix=plan.mix,
-        workers=manifest.parallelism,
     )
     n_diverged = sum(1 for _, d in result.leaderboard if math.isinf(d))
     write_leaderboard_csv(manifest.output_dir / "leaderboard.csv", result)
@@ -146,9 +150,7 @@ def cmd_tune(plan: TunePlan, manifest: RunManifest, overwrite: bool) -> int:
             "update_rule": plan.update_kind,
             "task": task_to_dict(plan.task),
             "optimizer": spec_to_dict(result.best_spec),
-            "final_distance": (
-                None if math.isinf(result.best_final_distance) else result.best_final_distance
-            ),
+            "final_distance": _finite_or_none(result.best_final_distance),
             "grid_points": len(result.leaderboard),
             "n_diverged": n_diverged,
         },
@@ -170,9 +172,9 @@ def cmd_trial(plan: TrialPlan, manifest: RunManifest, overwrite: bool) -> int:
             "command": "trial",
             "task": task_to_dict(plan.task),
             "optimizer": spec_to_dict(plan.spec),
-            "initial_distance": record.initial_distance,
-            "final_distance": None if record.diverged else record.final_distance,
-            "score": None if record.diverged else record.score,
+            "initial_distance": _finite_or_none(record.initial_distance),
+            "final_distance": _finite_or_none(record.final_distance),
+            "score": _finite_or_none(record.score),
             "diverged": record.diverged,
             "iterations_run": record.iterations_run,
         },
@@ -183,9 +185,7 @@ def cmd_trial(plan: TrialPlan, manifest: RunManifest, overwrite: bool) -> int:
 def cmd_robustness(plan: RobustnessPlan, manifest: RunManifest, overwrite: bool) -> int:
     _prepare_output(manifest.output_dir, ["scores.csv", "stats.json"], overwrite)
     seed = plan.seed if plan.seed is not None else manifest.seed
-    stats = evaluate_robustness(
-        plan.distribution, plan.spec, plan.n, seed, workers=manifest.parallelism
-    )
+    stats = evaluate_robustness(plan.distribution, plan.spec, plan.n, seed)
     write_scores_csv(manifest.output_dir / "scores.csv", stats)
     _write_json(
         manifest.output_dir / "stats.json",
@@ -195,8 +195,8 @@ def cmd_robustness(plan: RobustnessPlan, manifest: RunManifest, overwrite: bool)
             "optimizer": spec_to_dict(plan.spec),
             "seed": seed,
             "total_trials": plan.n,
-            "mean_score": None if math.isinf(stats.mean) else stats.mean,
-            "std_score": stats.std,
+            "mean_score": _finite_or_none(stats.mean),
+            "std_score": _finite_or_none(stats.std),
             "n": stats.n,
             "n_diverged": stats.n_diverged,
             "std_estimator": "sample (ddof=1), 0 when n <= 1",
@@ -213,7 +213,6 @@ def cmd_scan(plan: ScanPlan, manifest: RunManifest, overwrite: bool) -> int:
         x0_range=plan.x0_range,
         x1_range=plan.x1_range,
         grid_size=plan.grid_size,
-        workers=manifest.parallelism,
     )
     write_surface_csv(manifest.output_dir / "surface.csv", grid)
     return EXIT_OK
@@ -301,7 +300,9 @@ def _build_parser() -> argparse.ArgumentParser:
             help=f"output directory (default: ${OUTPUT_ROOT_ENV}/<config stem> or ./runs/<config stem>)",
         )
         p.add_argument("--seed", type=int, default=0, help="fallback seed when the config has none")
-        p.add_argument("--parallelism", type=int, default=1, help="worker processes")
+        p.add_argument(
+            "--parallelism", type=int, default=1, help="worker processes (train-toy only)"
+        )
         p.add_argument("--overwrite", action="store_true", help="replace existing output files")
     return parser
 
@@ -331,8 +332,6 @@ def main(argv: list[str] | None = None) -> int:
         print("error: --parallelism must be >= 1", file=sys.stderr)
         return EXIT_CONFIG
     manifest = RunManifest(
-        command=args.command,
-        config_path=Path(args.config),
         output_dir=_resolve_out(args),
         seed=args.seed,
         parallelism=args.parallelism,

@@ -10,6 +10,7 @@ previous tuning run's output.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -59,7 +60,15 @@ def _get(d: dict, key: str, path: str, required: bool = True, default=None):
 def _as_number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(path, f"expected a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    # Python's JSON reader accepts NaN, Infinity and integers of any size;
+    # no field takes a value that is not a finite float.
+    if not math.isfinite(number):
+        raise ConfigError(path, f"expected a finite number, got {number}")
+    return number
 
 
 def _as_int(value, path: str) -> int:
@@ -268,11 +277,14 @@ def parse_distribution(d, path: str) -> EvalDistribution:
     x0 = _as_list(_get(d, "x0", path), f"{path}.x0")
     if len(x0) != 2:
         raise ConfigError(f"{path}.x0", f"expected two samplers, got {len(x0)}")
+    beta = parse_sampler(_get(d, "beta", path), f"{path}.beta")
+    if beta.std == 0.0 and beta.mean <= 0.0:
+        raise ConfigError(f"{path}.beta", f"a fixed beta must be positive, got {beta.mean}")
     return EvalDistribution(
         function=_as_str(_get(d, "function", path), f"{path}.function", FUNCTIONS),
         x0=(parse_sampler(x0[0], f"{path}.x0[0]"), parse_sampler(x0[1], f"{path}.x0[1]")),
         alpha=parse_sampler(_get(d, "alpha", path), f"{path}.alpha"),
-        beta=parse_sampler(_get(d, "beta", path), f"{path}.beta"),
+        beta=beta,
         iterations=parse_sampler(_get(d, "iterations", path), f"{path}.iterations"),
     )
 
@@ -535,6 +547,8 @@ def load_json(path: Path | str) -> dict:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError("", f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+    except ValueError as exc:  # an integer literal beyond Python's digit limit
+        raise ConfigError("", f"{path}: {exc}") from None
 
 
 def load_plan(path: Path | str, expected_command: str | None = None):

@@ -46,16 +46,28 @@ class TaskConfig:
 
 @dataclass(frozen=True)
 class Objective:
+    """One benchmark function with fixed (alpha, beta).
+
+    The parameters may also be (N,) arrays, one task per row: gradient
+    then takes an (N, 2) population of points and minimum holds two (N,)
+    arrays, which is how the harness runs many trials at once.  evaluate
+    always takes a single point.
+    """
+
     name: str
     evaluate: Callable[[np.ndarray], float]
     gradient: Callable[[np.ndarray], np.ndarray]
     minimum: tuple[float, float]
 
 
-def convex2d(alpha: float, beta: float) -> Objective:
-    """beta*(x1-alpha)^2 + 10*beta*(x2-alpha)^2, minimized at (alpha, alpha)."""
-    if beta <= 0.0:
+def _check_beta(beta) -> None:
+    if not np.all(beta > 0.0):
         raise InvalidConfigError(f"beta must be positive, got {beta}")
+
+
+def convex2d(alpha, beta) -> Objective:
+    """beta*(x1-alpha)^2 + 10*beta*(x2-alpha)^2, minimized at (alpha, alpha)."""
+    _check_beta(beta)
 
     def evaluate(x):
         x = np.asarray(x, dtype=float)
@@ -63,15 +75,17 @@ def convex2d(alpha: float, beta: float) -> Objective:
 
     def gradient(x):
         x = np.asarray(x, dtype=float)
-        return np.array([2.0 * beta * (x[0] - alpha), 20.0 * beta * (x[1] - alpha)])
+        g = np.empty_like(x)
+        g[..., 0] = 2.0 * beta * (x[..., 0] - alpha)
+        g[..., 1] = 20.0 * beta * (x[..., 1] - alpha)
+        return g
 
     return Objective("convex2d", evaluate, gradient, (alpha, alpha))
 
 
-def rosenbrock(alpha: float, beta: float) -> Objective:
+def rosenbrock(alpha, beta) -> Objective:
     """(alpha-x1)^2 + beta*(x2-x1^2)^2, minimized at (alpha, alpha^2)."""
-    if beta <= 0.0:
-        raise InvalidConfigError(f"beta must be positive, got {beta}")
+    _check_beta(beta)
 
     def evaluate(x):
         x = np.asarray(x, dtype=float)
@@ -79,22 +93,34 @@ def rosenbrock(alpha: float, beta: float) -> Objective:
 
     def gradient(x):
         x = np.asarray(x, dtype=float)
-        valley = x[1] - x[0] ** 2
-        return np.array([-2.0 * (alpha - x[0]) - 4.0 * beta * x[0] * valley, 2.0 * beta * valley])
+        # float_power squares through pow(), as a scalar ** 2 does; the
+        # array ** 2 shortcut (x * x) can differ in the last bit.
+        valley = x[..., 1] - np.float_power(x[..., 0], 2.0)
+        g = np.empty_like(x)
+        g[..., 0] = -2.0 * (alpha - x[..., 0]) - 4.0 * beta * x[..., 0] * valley
+        g[..., 1] = 2.0 * beta * valley
+        return g
 
-    return Objective("rosenbrock", evaluate, gradient, (alpha, alpha**2))
+    return Objective("rosenbrock", evaluate, gradient, (alpha, np.float_power(alpha, 2.0)))
+
+
+OBJECTIVES = {"convex2d": convex2d, "rosenbrock": rosenbrock}
 
 
 def make_objective(task: TaskConfig) -> Objective:
-    if task.function == "convex2d":
-        return convex2d(task.alpha, task.beta)
-    return rosenbrock(task.alpha, task.beta)
+    return OBJECTIVES[task.function](task.alpha, task.beta)
 
 
-def distance_to_minimum(x: np.ndarray, objective: Objective) -> float:
-    """Euclidean distance from x to the objective's minimizer."""
-    x = np.asarray(x, dtype=float)
-    return float(np.linalg.norm(x - np.asarray(objective.minimum)))
+def distance_to_minimum(x: np.ndarray, objective: Objective) -> float | np.ndarray:
+    """Euclidean distance from x to the objective's minimizer.
+
+    x may be one point or an (N, 2) population against an objective with
+    per-row parameters; a population gives an (N,) array.  The dot product
+    goes through matmul, which runs the same BLAS dot as np.linalg.norm, so
+    a row of a population gets the same bits as the point on its own.
+    """
+    d = np.asarray(x, dtype=float) - np.stack(objective.minimum, axis=-1)
+    return np.sqrt(np.matmul(d[..., None, :], d[..., :, None])[..., 0, 0])
 
 
 def finite_difference_grad(objective: Objective, x: np.ndarray, h: float = 1e-6) -> np.ndarray:

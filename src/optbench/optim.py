@@ -15,6 +15,7 @@ convex blend of the two.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,8 +105,8 @@ class AdaptiveRule:
             raise ValueError(f"unknown adaptive kind {self.kind!r}")
         if self.kind == "ema" and not 0.0 <= self.beta2 < 1.0:
             raise InvalidRateError(f"beta2 must be in [0, 1), got {self.beta2}")
-        if self.eps <= 0.0:
-            raise InvalidRateError(f"eps must be positive, got {self.eps}")
+        if not 0.0 < self.eps < math.inf:
+            raise InvalidRateError(f"eps must be finite and positive, got {self.eps}")
 
 
 @dataclass(frozen=True)
@@ -127,18 +128,33 @@ class UpdateRule:
         if self.kind not in UPDATE_KINDS:
             raise ValueError(f"unknown update kind {self.kind!r}")
         if self.kind in ("additive", "hybrid"):
-            if self.lr is None or self.lr < 0.0:
-                raise InvalidRateError(f"lr must be a non-negative real, got {self.lr}")
+            _check_lr(self.lr)
         if self.kind in ("multiplicative", "hybrid"):
-            if self.lr_inner is None or self.lr_inner <= 0.0:
-                raise InvalidRateError(f"lr_inner must be positive, got {self.lr_inner}")
-            if self.lr_outer is None or not 0.0 < self.lr_outer <= 1.0:
-                raise InvalidRateError(f"lr_outer must be in (0, 1], got {self.lr_outer}")
+            _check_multiplicative_rates(self.lr_inner, self.lr_outer)
         if self.kind == "hybrid":
             if self.mix is None:
                 object.__setattr__(self, "mix", DEFAULT_MIX)
-            elif not 0.0 <= self.mix <= 1.0:
-                raise InvalidRateError(f"mix must be in [0, 1], got {self.mix}")
+            else:
+                _check_mix(self.mix)
+
+
+# Each check is written so that NaN fails it.
+
+def _check_lr(lr) -> None:
+    if lr is None or not 0.0 <= lr < math.inf:
+        raise InvalidRateError(f"lr must be a finite non-negative real, got {lr}")
+
+
+def _check_multiplicative_rates(lr_inner, lr_outer) -> None:
+    if lr_inner is None or not 0.0 < lr_inner < math.inf:
+        raise InvalidRateError(f"lr_inner must be finite and positive, got {lr_inner}")
+    if lr_outer is None or not 0.0 < lr_outer <= 1.0:
+        raise InvalidRateError(f"lr_outer must be in (0, 1], got {lr_outer}")
+
+
+def _check_mix(mix) -> None:
+    if not 0.0 <= mix <= 1.0:
+        raise InvalidRateError(f"mix must be in [0, 1], got {mix}")
 
 
 @dataclass(frozen=True)
@@ -230,16 +246,17 @@ def _check_same_shape(*arrays: np.ndarray) -> None:
         raise DimensionMismatchError(f"mismatched shapes: {sorted(shapes)}")
 
 
-def momentum(rule: MomentumRule, state: OptimizerState, g: np.ndarray) -> np.ndarray:
-    """Step direction for the current gradient; mutates state.m once for 'ema'.
-
-    Requires state.t to already count this step (t >= 1), because the EMA
-    startup-bias correction divides by 1 - beta1**t.
-    """
-    g = np.asarray(g, dtype=float)
+def _check_started(state: OptimizerState) -> None:
     if state.t < 1:
         raise ValueError("state.t must be >= 1; increment the counter before the rules run")
-    _check_finite_gradient(g)
+
+
+# The underscored rule functions below are the unchecked math shared by the
+# public checked functions, step() and the batched trial kernel in the
+# harness.  They are elementwise, so every argument may be a single vector
+# or an (N, dim) population; rates may be scalars or (N, 1) columns.
+
+def _direction(rule: MomentumRule, state: OptimizerState, g: np.ndarray) -> np.ndarray:
     if rule.kind == "identity":
         return g
     state.m *= rule.beta1
@@ -247,12 +264,7 @@ def momentum(rule: MomentumRule, state: OptimizerState, g: np.ndarray) -> np.nda
     return state.m / (1.0 - rule.beta1 ** state.t)
 
 
-def adaptive_rate(rule: AdaptiveRule, state: OptimizerState, g: np.ndarray) -> np.ndarray:
-    """Per-coordinate rate multiplier; mutates state.v once unless 'identity'."""
-    g = np.asarray(g, dtype=float)
-    if state.t < 1:
-        raise ValueError("state.t must be >= 1; increment the counter before the rules run")
-    _check_finite_gradient(g)
+def _rate(rule: AdaptiveRule, state: OptimizerState, g: np.ndarray) -> np.ndarray:
     if rule.kind == "identity":
         return np.ones_like(g)
     if rule.kind == "accumulate":
@@ -264,13 +276,48 @@ def adaptive_rate(rule: AdaptiveRule, state: OptimizerState, g: np.ndarray) -> n
     return 1.0 / (np.sqrt(v_hat) + rule.eps)
 
 
+def _additive(m, l, lr):
+    return lr * (m * l)
+
+
+def _multiplicative(theta, m, l, lr_inner, lr_outer):
+    return np.abs(theta) * np.tanh(lr_inner * (m * l)) * lr_outer
+
+
+def _hybrid(theta, m, l, lr, lr_inner, lr_outer, mix):
+    add = _additive(m, l, lr)
+    mult = _multiplicative(theta, m, l, lr_inner, lr_outer)
+    # The endpoints select the pure rules exactly; the blend alone would
+    # not (0 * inf is nan).
+    return np.where(mix == 0.0, add, np.where(mix == 1.0, mult, mix * mult + (1.0 - mix) * add))
+
+
+def momentum(rule: MomentumRule, state: OptimizerState, g: np.ndarray) -> np.ndarray:
+    """Step direction for the current gradient; mutates state.m once for 'ema'.
+
+    Requires state.t to already count this step (t >= 1), because the EMA
+    startup-bias correction divides by 1 - beta1**t.
+    """
+    g = np.asarray(g, dtype=float)
+    _check_started(state)
+    _check_finite_gradient(g)
+    return _direction(rule, state, g)
+
+
+def adaptive_rate(rule: AdaptiveRule, state: OptimizerState, g: np.ndarray) -> np.ndarray:
+    """Per-coordinate rate multiplier; mutates state.v once unless 'identity'."""
+    g = np.asarray(g, dtype=float)
+    _check_started(state)
+    _check_finite_gradient(g)
+    return _rate(rule, state, g)
+
+
 def additive_update(theta: np.ndarray, m: np.ndarray, l: np.ndarray, lr: float) -> np.ndarray:
     """Classical step lr * m * l (theta only participates in the shape check)."""
     theta, m, l = (np.asarray(a, dtype=float) for a in (theta, m, l))
     _check_same_shape(theta, m, l)
-    if lr < 0.0:
-        raise InvalidRateError(f"lr must be non-negative, got {lr}")
-    return lr * (m * l)
+    _check_lr(lr)
+    return _additive(m, l, lr)
 
 
 def multiplicative_update(
@@ -284,11 +331,8 @@ def multiplicative_update(
     """
     theta, m, l = (np.asarray(a, dtype=float) for a in (theta, m, l))
     _check_same_shape(theta, m, l)
-    if lr_inner <= 0.0:
-        raise InvalidRateError(f"lr_inner must be positive, got {lr_inner}")
-    if not 0.0 < lr_outer <= 1.0:
-        raise InvalidRateError(f"lr_outer must be in (0, 1], got {lr_outer}")
-    return np.abs(theta) * np.tanh(lr_inner * (m * l)) * lr_outer
+    _check_multiplicative_rates(lr_inner, lr_outer)
+    return _multiplicative(theta, m, l, lr_inner, lr_outer)
 
 
 def hybrid_update(
@@ -302,27 +346,44 @@ def hybrid_update(
 ) -> np.ndarray:
     """Convex blend: mix * multiplicative + (1 - mix) * additive.
 
-    The endpoints short-circuit to the pure rules, so mix = 0 and mix = 1
-    reproduce them exactly.
+    The endpoints select the pure rules, so mix = 0 and mix = 1 reproduce
+    them exactly.
     """
-    if not 0.0 <= mix <= 1.0:
-        raise InvalidRateError(f"mix must be in [0, 1], got {mix}")
-    if mix == 0.0:
-        return additive_update(theta, m, l, lr)
-    if mix == 1.0:
-        return multiplicative_update(theta, m, l, lr_inner, lr_outer)
-    mult = multiplicative_update(theta, m, l, lr_inner, lr_outer)
-    add = additive_update(theta, m, l, lr)
-    return mix * mult + (1.0 - mix) * add
+    theta, m, l = (np.asarray(a, dtype=float) for a in (theta, m, l))
+    _check_same_shape(theta, m, l)
+    _check_lr(lr)
+    _check_multiplicative_rates(lr_inner, lr_outer)
+    _check_mix(mix)
+    return _hybrid(theta, m, l, lr, lr_inner, lr_outer, mix)
 
 
 def apply_update(rule: UpdateRule, theta: np.ndarray, m: np.ndarray, l: np.ndarray) -> np.ndarray:
-    """Dispatch to the update function selected by rule.kind."""
+    """Dispatch to the update math selected by rule.kind.
+
+    The rates are read from the rule unchecked (an UpdateRule validates
+    them on construction).  Any object with kind/lr/lr_inner/lr_outer/mix
+    attributes works, which lets the batched trial kernel pass per-row
+    (N, 1) rate columns.
+    """
     if rule.kind == "additive":
-        return additive_update(theta, m, l, rule.lr)
+        return _additive(m, l, rule.lr)
     if rule.kind == "multiplicative":
-        return multiplicative_update(theta, m, l, rule.lr_inner, rule.lr_outer)
-    return hybrid_update(theta, m, l, rule.lr, rule.lr_inner, rule.lr_outer, rule.mix)
+        return _multiplicative(theta, m, l, rule.lr_inner, rule.lr_outer)
+    return _hybrid(theta, m, l, rule.lr, rule.lr_inner, rule.lr_outer, rule.mix)
+
+
+def advance(spec: OptimizerSpec, state: OptimizerState, theta: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Unchecked core of step(): bump the counter, run both rules and
+    return the new parameters, which may be non-finite.
+
+    theta and g may be one parameter vector or an (N, dim) population
+    whose rows share the step counter; spec.update may then carry (N, 1)
+    rate columns (see apply_update).
+    """
+    state.t += 1
+    m = _direction(spec.momentum, state, g)
+    l = _rate(spec.adaptive, state, g)
+    return theta - apply_update(spec.update, theta, m, l)
 
 
 def step(
@@ -339,14 +400,10 @@ def step(
     g = np.asarray(g, dtype=float)
     _check_same_shape(theta, g)
     _check_finite_gradient(g)
-    state.t += 1
     # Overflow here is the signal we are about to report as DivergenceError,
     # so keep numpy from warning about it.
     with np.errstate(over="ignore", invalid="ignore"):
-        m = momentum(spec.momentum, state, g)
-        l = adaptive_rate(spec.adaptive, state, g)
-        delta = apply_update(spec.update, theta, m, l)
-        new_theta = theta - delta
+        new_theta = advance(spec, state, theta, g)
     if not np.isfinite(new_theta).all():
         raise DivergenceError(f"non-finite parameter after step {state.t}", iteration=state.t)
     return new_theta, state

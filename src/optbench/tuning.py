@@ -11,11 +11,12 @@ import math
 from dataclasses import dataclass
 from itertools import product
 
-from .harness import run_trials
+from .harness import (
+    run_batch,
+    run_trials,  # noqa: F401  (kept importable: bench/tracer.py wraps tuning.run_trials)
+)
 from .objectives import TaskConfig
-from .optim import OptimizerSpec, UpdateRule, make_spec
-
-DEFAULT_MIX = 0.5
+from .optim import DEFAULT_MIX, OptimizerSpec, UpdateRule, make_spec
 
 
 class InvalidGridError(ValueError):
@@ -165,14 +166,15 @@ def grid_search(
     """Try every grid point and rank by final distance.
 
     The leaderboard covers the full Cartesian grid; diverged points stay
-    in it with distance = inf.
+    in it with distance = inf.  workers is accepted for compatibility and
+    has no effect: the whole grid runs as one vectorized population.
     """
     if grids is None:
         grids = default_grids(update_kind)
     rules = _candidate_rules(update_kind, grids, mix)
     specs = [make_spec(family, rule) for rule in rules]
-    records = run_trials([(task, s) for s in specs], workers=workers)
-    leaderboard = sorted(zip(specs, (r.final_distance for r in records)), key=_sort_key)
+    finals = run_batch([(task, s) for s in specs]).final_distance.tolist()
+    leaderboard = sorted(zip(specs, finals), key=_sort_key)
     best_spec, best_distance = leaderboard[0]
     return TuneResult(
         best_spec=best_spec, best_final_distance=best_distance, leaderboard=leaderboard

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import time
 
 import pytest
 
@@ -78,6 +79,18 @@ def test_trial_diverged_summary_uses_nulls(tmp_path):
     assert summary["final_distance"] is None
     assert summary["score"] is None
     assert summary["iterations_run"] < 100
+
+
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_rate_is_rejected_with_path(tmp_path, capsys, constant):
+    text = json.dumps(_trial_doc()).replace('"lr": 0.001', f'"lr": {constant}')
+    assert constant in text
+    config = tmp_path / "trial.json"
+    config.write_text(text)
+    out = tmp_path / "out"
+    assert main(["trial", "--config", str(config), "--out", str(out)]) == EXIT_CONFIG
+    assert "optimizer.update.lr" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def _tune_doc(grids=None):
@@ -185,6 +198,28 @@ def test_robustness_cli_seed_is_fallback(tmp_path):
     a = (out_a / "scores.csv").read_bytes()
     assert a == (out_b / "scores.csv").read_bytes()
     assert a != (out_c / "scores.csv").read_bytes()
+
+
+def test_fixed_nonpositive_beta_is_rejected_at_parse_time(tmp_path, capsys):
+    doc = _robustness_doc()
+    doc["distribution"]["beta"] = -1.0
+    config = _write_config(tmp_path, "rob.json", doc)
+    started = time.monotonic()
+    assert main(["robustness", "--config", str(config), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert time.monotonic() - started < 5.0
+    assert "distribution.beta" in capsys.readouterr().err
+
+
+def test_beta_distribution_without_positive_draws_stops(tmp_path, capsys):
+    doc = _robustness_doc()
+    doc["distribution"]["beta"] = {"mean": -100.0, "std": 1.0}
+    config = _write_config(tmp_path, "rob.json", doc)
+    out = tmp_path / "o"
+    started = time.monotonic()
+    assert main(["robustness", "--config", str(config), "--out", str(out)]) == EXIT_CONFIG
+    assert time.monotonic() - started < 5.0
+    assert "beta" in capsys.readouterr().err
+    assert not (out / "stats.json").exists()
 
 
 def test_scores_csv_format(tmp_path):

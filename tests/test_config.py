@@ -184,6 +184,14 @@ def test_load_plan_reports_json_position(tmp_path):
         load_plan(p)
 
 
+def test_load_plan_rejects_oversized_integer(tmp_path):
+    # Python refuses to convert integer literals past 4,300 digits.
+    p = tmp_path / "huge.json"
+    p.write_text('{"schema_version": 1, "command": "trial", "n": ' + "9" * 5000 + "}")
+    with pytest.raises(ConfigError, match="huge.json"):
+        load_plan(p)
+
+
 def test_load_plan_rejects_non_object(tmp_path):
     p = tmp_path / "arr.json"
     p.write_text("[1, 2, 3]")

@@ -4,19 +4,31 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from optbench import optim
 from optbench.harness import (
     EvalDistribution,
     Sampler,
     default_eval_distribution,
     default_scan_ranges,
     evaluate_robustness,
+    run_batch,
     run_trial,
     run_trials,
     sample_eval_config,
     surface_scan,
 )
-from optbench.objectives import InvalidConfigError, TaskConfig, make_objective
-from optbench.optim import UpdateRule, default_update_rule, make_spec, init_state, step
+from optbench.objectives import InvalidConfigError, TaskConfig, distance_to_minimum, make_objective
+from optbench.optim import (
+    FAMILIES,
+    UPDATE_KINDS,
+    DivergenceError,
+    NonFiniteGradientError,
+    UpdateRule,
+    default_update_rule,
+    init_state,
+    make_spec,
+    step,
+)
 
 CONVEX = TaskConfig("convex2d", alpha=1.0, beta=20.0, x0=(50.0, 50.0), iterations=100)
 
@@ -273,3 +285,144 @@ def test_surface_scan_parallel_matches_serial():
     a = surface_scan(task, _sgd(1e-3), grid_size=4, workers=1)
     b = surface_scan(task, _sgd(1e-3), grid_size=4, workers=2)
     assert np.array_equal(a.scores, b.scores)
+
+
+# ------------------------------------------------------ kernel oracle
+
+def _reference_trial(task, spec):
+    """The scalar loop the batched kernel replaces, built only from
+    step(), Objective.gradient and distance_to_minimum: one step() per
+    iteration, stopping at the first non-finite gradient, parameter or
+    distance.  Returns the distance trajectory and the stop reason."""
+    objective = make_objective(task)
+    theta = np.array(task.x0)
+    state = init_state(2)
+    distances = [distance_to_minimum(theta, objective)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(task.iterations):
+            try:
+                theta, state = step(spec, state, theta, objective.gradient(theta))
+            except NonFiniteGradientError:
+                return distances, "gradient"
+            except DivergenceError:
+                return distances, "parameter"
+            d = distance_to_minimum(theta, objective)
+            if not math.isfinite(d):
+                return distances, "distance"
+            distances.append(d)
+    return distances, None
+
+
+def _random_rule(rng, kind):
+    lr = float(10.0 ** rng.uniform(-5.0, 0.0))
+    lr_inner = float(10.0 ** rng.uniform(-1.0, 1.5))
+    lr_outer = float(rng.uniform(0.01, 0.99))
+    if kind == "additive":
+        return UpdateRule("additive", lr=lr)
+    if kind == "multiplicative":
+        return UpdateRule("multiplicative", lr_inner=lr_inner, lr_outer=lr_outer)
+    mix = float(rng.choice([0.0, 1.0, rng.uniform(0.0, 1.0)]))
+    return UpdateRule("hybrid", lr=lr, lr_inner=lr_inner, lr_outer=lr_outer, mix=mix)
+
+
+def _oracle_pairs():
+    """Every task x family x update rule, with random tasks, rates and
+    ragged budgets, a row started at the minimum, and rows that diverge on
+    the gradient, the parameter and the distance."""
+    rng = np.random.default_rng(2307)
+    pairs = []
+    for function in ("convex2d", "rosenbrock"):
+        for family in FAMILIES:
+            for kind in UPDATE_KINDS:
+                for _ in range(6):
+                    x0 = (50.0, 50.0) if function == "convex2d" else (0.5, 3.0)
+                    task = TaskConfig(
+                        function,
+                        alpha=float(rng.normal(1.0, 0.3)),
+                        beta=float(rng.uniform(5.0, 60.0)),
+                        x0=tuple(float(v) for v in rng.normal(x0, 0.2 * np.abs(x0))),
+                        iterations=int(rng.integers(1, 80)),
+                    )
+                    pairs.append((task, make_spec(family, _random_rule(rng, kind))))
+                minimum = (2.0, 2.0) if function == "convex2d" else (2.0, 4.0)
+                at_minimum = TaskConfig(function, alpha=2.0, beta=20.0, x0=minimum, iterations=7)
+                pairs.append((at_minimum, make_spec(family, _random_rule(rng, kind))))
+    bowl = dict(function="convex2d", alpha=1.0, x0=(50.0, 50.0))
+    pairs += [
+        # 20 * beta * 49 overflows: the first gradient is infinite.  With the
+        # multiplicative rule tanh saturates, so the parameter and the
+        # distance stay finite and only the gradient check stops the row.
+        (TaskConfig(**bowl, beta=1e307, iterations=10), _sgd(1e-3)),
+        (
+            TaskConfig(**bowl, beta=1e307, iterations=10),
+            make_spec("sgd", UpdateRule("multiplicative", lr_inner=1.0, lr_outer=0.5)),
+        ),
+        # lr * gradient overflows: the first step leaves a finite gradient
+        # but an infinite parameter.
+        (TaskConfig(**bowl, beta=20.0, iterations=10), _sgd(1e306)),
+        # The stiff coordinate doubles in size every step, so its square
+        # overflows long before the parameter or the gradient does.
+        (TaskConfig(**bowl, beta=20.0, iterations=600), _sgd(0.0075)),
+    ]
+    return pairs
+
+
+def test_kernel_matches_scalar_reference_bitwise():
+    pairs = _oracle_pairs()
+    records = run_trials(pairs)
+    batch = run_batch(pairs)
+    reasons = set()
+    for i, ((task, spec), record) in enumerate(zip(pairs, records)):
+        distances, reason = _reference_trial(task, spec)
+        reasons.add(reason)
+        where = f"row {i}: {task} {spec}"
+        assert record.distances == distances, where
+        assert record.iterations_run == len(distances) - 1 == batch.iterations_run[i], where
+        assert record.diverged == (reason is not None) == batch.diverged[i], where
+        initial, final = distances[0], distances[-1]
+        if reason is not None:
+            final = score = math.inf
+        elif initial > 0.0:
+            score = final / initial
+        else:
+            score = 0.0 if final == 0.0 else math.inf
+        assert record.initial_distance == initial == batch.initial_distance[i], where
+        assert record.final_distance == final == batch.final_distance[i], where
+        assert record.score == score == batch.score[i], where
+    assert reasons == {None, "gradient", "parameter", "distance"}
+    assert len({task.iterations for task, _ in pairs}) > 20
+    assert any(r.initial_distance == 0.0 and r.score == 0.0 for r in records)
+
+
+def test_batched_multiplicative_population_keeps_signs_and_bound(monkeypatch):
+    """Every update the kernel applies to a multiplicative population stays
+    within lr_outer * |theta| per row and coordinate and flips no sign."""
+    rng = np.random.default_rng(6)
+    pairs = []
+    for function, x0 in (("convex2d", (50.0, 50.0)), ("rosenbrock", (0.5, 3.0))):
+        for family in FAMILIES:
+            for _ in range(20):
+                task = TaskConfig(
+                    function,
+                    alpha=1.0,
+                    beta=20.0,
+                    x0=tuple(float(v) for v in rng.normal(x0, 2.0)),
+                    iterations=int(rng.integers(50, 100)),
+                )
+                pairs.append((task, make_spec(family, _random_rule(rng, "multiplicative"))))
+    rows_checked = []
+    apply_update = optim.apply_update
+
+    def checked(rule, theta, m, l):
+        delta = apply_update(rule, theta, m, l)
+        assert theta.ndim == 2 and rule.lr_outer.shape == (theta.shape[0], 1)
+        assert np.all(np.abs(delta) <= rule.lr_outer * np.abs(theta))
+        moved = theta - delta
+        assert np.array_equal(np.sign(moved), np.sign(theta))
+        rows_checked.append(theta.shape[0])
+        return delta
+
+    monkeypatch.setattr(optim, "apply_update", checked)
+    batch = run_batch(pairs)
+    assert sum(rows_checked) == int(batch.iterations_run.sum() + batch.diverged.sum())
+    assert max(rows_checked) == 20

@@ -66,6 +66,38 @@ def test_distance_to_minimum():
     assert distance_to_minimum([0.5, 3.0], rosen) == pytest.approx(math.sqrt(4.25), rel=1e-14)
 
 
+@pytest.mark.parametrize("factory", [convex2d, rosenbrock])
+def test_population_rows_match_single_points_bitwise(factory):
+    """Per-row (alpha, beta) with an (N, 2) population gives each row the
+    bits of the one-point call, and the one-point distance is exactly
+    np.linalg.norm."""
+    rng = np.random.default_rng(5)
+    n = 2_000
+    alpha = rng.normal(1.0, 1.0, n)
+    beta = rng.uniform(1.0, 100.0, n)
+    x = rng.normal(0.0, 1.0, (n, 2)) * 10.0 ** rng.uniform(-3.0, 3.0, (n, 1))
+    population = factory(alpha, beta)
+    grads = population.gradient(x)
+    dists = distance_to_minimum(x, population)
+    assert grads.shape == (n, 2) and dists.shape == (n,)
+    for i in range(0, n, 7):
+        one = factory(float(alpha[i]), float(beta[i]))
+        assert np.array_equal(grads[i], one.gradient(x[i]))
+        assert dists[i] == distance_to_minimum(x[i], one)
+        assert dists[i] == np.linalg.norm(x[i] - np.array(one.minimum))
+
+
+def test_rosenbrock_gradient_squares_like_a_scalar():
+    # x ** 2 on an array multiplies, a numpy scalar ** 2 calls pow(); the
+    # two differ in the last bit for some x, and the gradient follows pow().
+    rng = np.random.default_rng(8)
+    obj = rosenbrock(alpha=1.0, beta=60.0)
+    for x in rng.normal(0.0, 3.0, (20_000, 2)):
+        valley = x[1] - x[0] ** 2
+        expected = [-2.0 * (1.0 - x[0]) - 4.0 * 60.0 * x[0] * valley, 2.0 * 60.0 * valley]
+        assert np.array_equal(obj.gradient(x), expected)
+
+
 def test_task_config_validation():
     good = dict(function="convex2d", alpha=1.0, beta=20.0, x0=(50, 50), iterations=100)
     task = TaskConfig(**good)

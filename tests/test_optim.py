@@ -234,6 +234,28 @@ def test_update_rule_constructor_validation():
     assert UpdateRule("hybrid", lr=0.1, lr_inner=1.0, lr_outer=0.5).mix == 0.5
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "kind, field",
+    [
+        ("additive", "lr"),
+        ("hybrid", "lr"),
+        ("multiplicative", "lr_inner"),
+        ("hybrid", "lr_inner"),
+        ("multiplicative", "lr_outer"),
+        ("hybrid", "mix"),
+    ],
+)
+def test_update_rule_rejects_non_finite_rates(kind, field, bad):
+    valid = {
+        "additive": {"lr": 0.1},
+        "multiplicative": {"lr_inner": 1.0, "lr_outer": 0.5},
+        "hybrid": {"lr": 0.1, "lr_inner": 1.0, "lr_outer": 0.5, "mix": 0.5},
+    }
+    with pytest.raises(InvalidRateError, match=field):
+        UpdateRule(kind, **{**valid[kind], field: bad})
+
+
 # ---------------------------------------------------------------- step
 
 def test_step_sgd_additive_hand_example():
