@@ -3,8 +3,10 @@
 Every command reads one JSON config (see the config module for the
 schema), writes its results under an output directory, and is fully
 deterministic: rerunning the same config and seed reproduces every output
-byte for byte, at any --parallelism level (only train-toy uses workers;
-the 2-D commands run each batch of trials as one vectorized population).
+byte for byte.  Every command runs in one process: the 2-D commands run
+each batch of trials as one vectorized population and train-toy trains
+its sampled configs as one population of networks, so --parallelism is
+accepted for compatibility and has no effect.
 Existing output files are never replaced unless --overwrite is passed.
 
 Exit codes: 0 on success, 2 for malformed configs or refused overwrites,
@@ -32,7 +34,7 @@ from .config import (
     task_to_dict,
 )
 from .harness import ScoreStats, TrialRecord, evaluate_robustness, run_trial, surface_scan
-from .nn import train_sampled_configs
+from .nn import mean_std, train_sampled_configs
 from .objectives import InvalidConfigError
 from .optim import InvalidRateError
 from .tuning import InvalidGridError, TuneResult, grid_search
@@ -46,12 +48,10 @@ EXIT_ALL_DIVERGED = 3
 
 @dataclass
 class RunManifest:
-    """Resolved invocation: where outputs go, the fallback seed and the
-    worker count (used by train-toy only)."""
+    """Resolved invocation: where outputs go and the fallback seed."""
 
     output_dir: Path
     seed: int
-    parallelism: int
 
 
 def _sci(x: float) -> str:
@@ -223,11 +223,7 @@ def cmd_train_toy(plan: TrainToyPlan, manifest: RunManifest, overwrite: bool) ->
     _prepare_output(manifest.output_dir, names, overwrite)
     master_seed = plan.master_seed if plan.master_seed is not None else manifest.seed
     configs, results = train_sampled_configs(
-        plan.settings,
-        plan.optimizer,
-        plan.n_configs,
-        master_seed,
-        workers=manifest.parallelism,
+        plan.settings, plan.optimizer, plan.n_configs, master_seed
     )
     run_rows = []
     for i, (config, result) in enumerate(zip(configs, results)):
@@ -249,16 +245,8 @@ def cmd_train_toy(plan: TrainToyPlan, manifest: RunManifest, overwrite: bool) ->
                 "diverged": result.diverged,
             }
         )
-
-    def _agg(values):
-        mean = sum(values) / len(values)
-        if len(values) <= 1:
-            return mean, 0.0
-        var = sum((v - mean) ** 2 for v in values) / (len(values) - 1)
-        return mean, math.sqrt(var)
-
-    e5_mean, e5_std = _agg([r["epoch5_val_accuracy"] for r in run_rows])
-    fin_mean, fin_std = _agg([r["final_val_accuracy"] for r in run_rows])
+    e5_mean, e5_std = mean_std([r["epoch5_val_accuracy"] for r in run_rows])
+    fin_mean, fin_std = mean_std([r["final_val_accuracy"] for r in run_rows])
     _write_json(
         manifest.output_dir / "summary.json",
         {
@@ -301,7 +289,10 @@ def _build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--seed", type=int, default=0, help="fallback seed when the config has none")
         p.add_argument(
-            "--parallelism", type=int, default=1, help="worker processes (train-toy only)"
+            "--parallelism",
+            type=int,
+            default=1,
+            help="accepted for compatibility; has no effect (everything runs in one process)",
         )
         p.add_argument("--overwrite", action="store_true", help="replace existing output files")
     return parser
@@ -331,11 +322,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.parallelism < 1:
         print("error: --parallelism must be >= 1", file=sys.stderr)
         return EXIT_CONFIG
-    manifest = RunManifest(
-        output_dir=_resolve_out(args),
-        seed=args.seed,
-        parallelism=args.parallelism,
-    )
+    manifest = RunManifest(output_dir=_resolve_out(args), seed=args.seed)
     try:
         return _COMMANDS[args.command][0](plan, manifest, args.overwrite)
     except (ConfigError, InvalidConfigError, InvalidGridError, InvalidRateError) as exc:

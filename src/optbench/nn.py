@@ -3,25 +3,25 @@
 The network is a plain multi-layer perceptron with relu or tanh hidden
 activations and a softmax cross-entropy head.  Gradients come from a
 hand-written backward pass (checked against finite differences in the
-test suite).  Every weight matrix and bias vector is optimized as its own
-flat parameter vector with its own optimizer state, so any update rule
-from the optim module can drive training.
+test suite).  All parameters of a network live in one flat vector and
+every weight matrix and bias vector is a reshaped view of it, so a single
+optimizer state drives all tensors with any update rule from the optim
+module.  Same-shaped networks train together as a population: a (C, P)
+buffer of C flat vectors, stepped by stacked forward and backward passes
+and one optimizer call per minibatch.  A single model is the C = 1 case.
 """
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .optim import (
-    DivergenceError,
-    NonFiniteGradientError,
-    OptimizerSpec,
     OptimizerState,
-    init_state,
-    step,
+    OptimizerSpec,
+    advance,
+    step,  # noqa: F401  (kept importable: bench/tracer.py wraps nn.step)
 )
 
 ACTIVATIONS = ("relu", "tanh")
@@ -56,18 +56,110 @@ def xavier_init(
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
+    """Softmax over the last axis."""
+    shifted = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _log_softmax(logits: np.ndarray) -> np.ndarray:
+    """Log-softmax over the last axis, via log-sum-exp so that large logits
+    cannot overflow."""
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+
+def _mean_nll(log_probs: np.ndarray, labels: np.ndarray) -> float:
+    return float(-log_probs[np.arange(len(labels)), labels].mean())
 
 
 def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
-    """Mean softmax cross-entropy, computed via log-sum-exp so that large
-    logits cannot overflow."""
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    n = logits.shape[0]
-    return float(-log_probs[np.arange(n), labels].mean())
+    """Mean softmax cross-entropy of (n, classes) logits."""
+    return _mean_nll(_log_softmax(logits), labels)
+
+
+def _losses(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Mean cross-entropy of each network of (C, n, classes) logits.
+
+    Each mean is taken over a 1-D row, in the summation order a single
+    network's cross_entropy uses."""
+    return np.array([_mean_nll(lp, labels) for lp in _log_softmax(logits)])
+
+
+def _accuracies(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    return (logits.argmax(axis=-1) == labels).mean(axis=-1)
+
+
+# The stacked passes below run C networks at once.  Weights are
+# (C, n_in, n_out) and biases (C, 1, n_out); activations are (C, batch,
+# width).  Stacked matmul runs the same gemm on each network's slice as a
+# 2-D product, so every network gets the bits it would get alone.
+
+def _param_count(layer_sizes: list[int]) -> int:
+    return sum((n_in + 1) * n_out for n_in, n_out in zip(layer_sizes[:-1], layer_sizes[1:]))
+
+
+def _views(buffer: np.ndarray, layer_sizes: list[int]) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Per-layer weight and bias views of a (C, P) buffer laid out
+    [W1, b1, W2, b2, ...]."""
+    c = buffer.shape[0]
+    weights, biases = [], []
+    offset = 0
+    for n_in, n_out in zip(layer_sizes[:-1], layer_sizes[1:]):
+        weights.append(buffer[:, offset : offset + n_in * n_out].reshape(c, n_in, n_out))
+        offset += n_in * n_out
+        biases.append(buffer[:, offset : offset + n_out].reshape(c, 1, n_out))
+        offset += n_out
+    return weights, biases
+
+
+def _act(z: np.ndarray, activation: str) -> np.ndarray:
+    if activation == "relu":
+        return np.maximum(z, 0.0)
+    return np.tanh(z)
+
+
+def _forward(
+    weights: list[np.ndarray], biases: list[np.ndarray], x: np.ndarray, activation: str
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """(inputs, pre): the input and the pre-activation of every layer for a
+    (C, batch, n_in) or shared (batch, n_in) input; pre[-1] is the logits."""
+    a = x
+    inputs, pre = [a], []
+    last = len(weights) - 1
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        z = a @ w + b
+        pre.append(z)
+        if i < last:
+            a = _act(z, activation)
+            inputs.append(a)
+    return inputs, pre
+
+
+def _backward(
+    weights: list[np.ndarray],
+    inputs: list[np.ndarray],
+    pre: list[np.ndarray],
+    labels: np.ndarray,
+    activation: str,
+    grad_w: list[np.ndarray],
+    grad_b: list[np.ndarray],
+) -> None:
+    """Write the mean cross-entropy gradients of (C, batch) labels into the
+    grad_w/grad_b views."""
+    c, n = labels.shape
+    delta = softmax(pre[-1])
+    delta[np.arange(c)[:, None], np.arange(n), labels] -= 1.0
+    delta /= n
+    for i in range(len(weights) - 1, -1, -1):
+        grad_w[i][...] = inputs[i].swapaxes(1, 2) @ delta
+        grad_b[i][...] = delta.sum(axis=1, keepdims=True)
+        if i > 0:
+            da = delta @ weights[i].swapaxes(1, 2)
+            if activation == "relu":
+                delta = da * (pre[i - 1] > 0.0)
+            else:
+                delta = da * (1.0 - inputs[i] ** 2)
 
 
 @dataclass
@@ -81,7 +173,9 @@ class ForwardCache:
 
 class MLP:
     """Fully connected network: layer_sizes like [2, 16, 2], hidden
-    activations applied to every layer except the last (the logits)."""
+    activations applied to every layer except the last (the logits).
+
+    flat holds every parameter; weights and biases are views of it."""
 
     def __init__(
         self,
@@ -98,11 +192,14 @@ class MLP:
         rng = np.random.default_rng(0) if rng is None else rng
         self.layer_sizes = list(layer_sizes)
         self.activation = activation
-        self.weights = [
-            xavier_init(n_in, n_out, gain, rng, fan_mode)
-            for n_in, n_out in zip(layer_sizes[:-1], layer_sizes[1:])
-        ]
-        self.biases = [np.full(n_out, BIAS_INIT) for n_out in layer_sizes[1:]]
+        self.flat = np.empty(_param_count(self.layer_sizes))
+        self._stacked = _views(self.flat[None], self.layer_sizes)
+        self.weights = [w[0] for w in self._stacked[0]]
+        self.biases = [b[0, 0] for b in self._stacked[1]]
+        for w, (n_in, n_out) in zip(self.weights, zip(layer_sizes[:-1], layer_sizes[1:])):
+            w[...] = xavier_init(n_in, n_out, gain, rng, fan_mode)
+        for b in self.biases:
+            b[...] = BIAS_INIT
 
     def parameters(self) -> list[np.ndarray]:
         """All trainable tensors, interleaved [W1, b1, W2, b2, ...]."""
@@ -112,25 +209,16 @@ class MLP:
             out.append(b)
         return out
 
-    def _act(self, z: np.ndarray) -> np.ndarray:
-        if self.activation == "relu":
-            return np.maximum(z, 0.0)
-        return np.tanh(z)
-
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
         """Return (logits, cache) for a (batch, n_in) input."""
         a = np.asarray(x, dtype=float)
         if a.ndim != 2 or a.shape[1] != self.layer_sizes[0]:
             raise ValueError(f"expected (batch, {self.layer_sizes[0]}) input, got {a.shape}")
-        inputs = [a]
-        pre = []
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = a @ w + b
-            pre.append(z)
-            if i < len(self.weights) - 1:
-                a = self._act(z)
-                inputs.append(a)
-        return pre[-1], ForwardCache(inputs=inputs, pre=pre, n_layers=len(self.weights))
+        inputs, pre = _forward(*self._stacked, a[None], self.activation)
+        cache = ForwardCache(
+            inputs=[v[0] for v in inputs], pre=[v[0] for v in pre], n_layers=len(self.weights)
+        )
+        return cache.pre[-1], cache
 
     def backward(self, cache: ForwardCache, labels: np.ndarray) -> list[np.ndarray]:
         """Mean cross-entropy gradients for every tensor, in parameters() order."""
@@ -140,33 +228,26 @@ class MLP:
         n = cache.inputs[0].shape[0]
         if labels.shape != (n,):
             raise ValueError(f"expected {n} labels, got shape {labels.shape}")
-        probs = softmax(cache.pre[-1])
-        delta = probs
-        delta[np.arange(n), labels] -= 1.0
-        delta /= n
-        grads_w = [None] * len(self.weights)
-        grads_b = [None] * len(self.weights)
-        for i in range(len(self.weights) - 1, -1, -1):
-            grads_w[i] = cache.inputs[i].T @ delta
-            grads_b[i] = delta.sum(axis=0)
-            if i > 0:
-                da = delta @ self.weights[i].T
-                if self.activation == "relu":
-                    delta = da * (cache.pre[i - 1] > 0.0)
-                else:
-                    delta = da * (1.0 - cache.inputs[i] ** 2)
+        grad_w, grad_b = _views(np.empty((1, self.flat.size)), self.layer_sizes)
+        _backward(
+            self._stacked[0],
+            [v[None] for v in cache.inputs],
+            [v[None] for v in cache.pre],
+            labels[None],
+            self.activation,
+            grad_w,
+            grad_b,
+        )
         out = []
-        for gw, gb in zip(grads_w, grads_b):
-            out.append(gw)
-            out.append(gb)
+        for gw, gb in zip(grad_w, grad_b):
+            out.append(gw[0])
+            out.append(gb[0, 0])
         return out
 
     def evaluate(self, x: np.ndarray, labels: np.ndarray) -> tuple[float, float]:
         """(mean loss, accuracy) on a labeled batch."""
         logits, _ = self.forward(x)
-        loss = cross_entropy(logits, labels)
-        accuracy = float((logits.argmax(axis=1) == labels).mean())
-        return loss, accuracy
+        return cross_entropy(logits, labels), float(_accuracies(logits, labels))
 
 
 @dataclass
@@ -272,68 +353,152 @@ class TrainResult:
         return self.metrics[min(epoch, len(self.metrics)) - 1]
 
 
-def train(model: MLP, dataset: SyntheticDataset, config: TrainingConfig) -> TrainResult:
-    """Mini-batch training of the model on the dataset's train split.
+class _Population:
+    """The still-training rows of a population: parameters, gradient and
+    optimizer buffers as (C, P) arrays, with per-row bookkeeping."""
 
-    One OptimizerState per tensor; batch order is reshuffled every epoch
-    from the config seed, so the whole run is reproducible.  If any step
-    diverges, the run is truncated and flagged rather than raised.
+    def __init__(self, theta: np.ndarray, configs: list[TrainingConfig], layer_sizes: list[int]):
+        c = len(configs)
+        self.layer_sizes = layer_sizes
+        self.rows = np.arange(c)  # index of each live row in the caller's list
+        self.epochs = np.array([config.epochs for config in configs])
+        self.rngs = [np.random.default_rng(config.seed) for config in configs]
+        self.state = OptimizerState(t=0, m=np.zeros_like(theta), v=np.zeros_like(theta))
+        self.initial_signs = np.sign(theta)
+        self.flips = np.zeros(c, dtype=int)
+        self._set_theta(theta)
+
+    def _set_theta(self, theta: np.ndarray) -> None:
+        self.theta = theta
+        self.grad = np.empty_like(theta)
+        self.weights, self.biases = _views(theta, self.layer_sizes)
+        self.grad_w, self.grad_b = _views(self.grad, self.layer_sizes)
+
+    def flipped(self) -> np.ndarray:
+        """Per row, the coordinates whose sign differs from a nonzero
+        initial sign."""
+        signs = self.initial_signs
+        return ((np.sign(self.theta) != signs) & (signs != 0.0)).sum(axis=1)
+
+    def keep(self, keep: np.ndarray) -> None:
+        """Drop every row where keep is False."""
+        self.rows, self.epochs = self.rows[keep], self.epochs[keep]
+        self.rngs = [rng for rng, k in zip(self.rngs, keep) if k]
+        self.state.m, self.state.v = self.state.m[keep], self.state.v[keep]
+        self.initial_signs, self.flips = self.initial_signs[keep], self.flips[keep]
+        self._set_theta(self.theta[keep])
+
+
+def train_population(
+    models: list[MLP], dataset: SyntheticDataset, configs: list[TrainingConfig]
+) -> list[TrainResult]:
+    """Mini-batch training of same-shaped models, one config each, as one
+    (C, P) population.
+
+    The configs must share the optimizer and the batch size; every model
+    keeps its own epoch count and shuffles with its own
+    default_rng(config.seed) stream, so each result equals that model's
+    solo run.  A step whose gradient or new parameters are non-finite in a
+    row is rejected for that row as a whole: its parameters stay at the
+    last committed step and the run is flagged diverged and stops, as it
+    does when an end-of-epoch train loss is non-finite.  Every model is
+    left holding its last committed parameters.
     """
-    if config.optimizer is None:
+    if len(models) != len(configs) or not models:
+        raise ValueError("need one config per model, and at least one model")
+    layer_sizes, activation = models[0].layer_sizes, models[0].activation
+    if any(m.layer_sizes != layer_sizes or m.activation != activation for m in models):
+        raise ValueError("the models of a population must share layer sizes and activation")
+    spec, batch_size = configs[0].optimizer, configs[0].batch_size
+    if any(c.optimizer is None for c in configs):
         raise ValueError("config.optimizer must be set before training")
+    if any(c.optimizer != spec or c.batch_size != batch_size for c in configs):
+        raise ValueError("the configs of a population must share the optimizer and batch size")
     x_train = dataset.features[dataset.train_idx]
     y_train = dataset.labels[dataset.train_idx]
     x_val = dataset.features[dataset.val_idx]
     y_val = dataset.labels[dataset.val_idx]
-    params = model.parameters()
-    states = [init_state(p.size) for p in params]
-    initial_signs = [np.sign(p) for p in params]
-    rng = np.random.default_rng(config.seed)
-    metrics: list[EpochMetrics] = []
-    sign_flips = 0
-    diverged = False
     n_train = len(y_train)
+    final = np.stack([m.flat for m in models])  # each row's last committed parameters
+    pop = _Population(final.copy(), configs, layer_sizes)
+    metrics: list[list[EpochMetrics]] = [[] for _ in models]
+    sign_flips = np.zeros(len(models), dtype=int)
+    diverged = np.zeros(len(models), dtype=bool)
+
+    def evaluate(weights, biases) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Train loss, train accuracy and validation accuracy per row."""
+        logits = _forward(weights, biases, x_train, activation)[1][-1]
+        val_logits = _forward(weights, biases, x_val, activation)[1][-1]
+        return _losses(logits, y_train), _accuracies(logits, y_train), _accuracies(val_logits, y_val)
+
+    def retire(stop: np.ndarray) -> None:
+        final[pop.rows[stop]] = pop.theta[stop]
+        sign_flips[pop.rows[stop]] = pop.flips[stop]
+        pop.keep(~stop)
+
     with np.errstate(over="ignore", invalid="ignore"):
-        for epoch in range(1, config.epochs + 1):
-            order = rng.permutation(n_train)
-            for start in range(0, n_train, config.batch_size):
-                batch = order[start : start + config.batch_size]
-                _, cache = model.forward(x_train[batch])
-                grads = model.backward(cache, y_train[batch])
-                try:
-                    for p, g, st in zip(params, grads, states):
-                        new_flat, _ = step(config.optimizer, st, p.ravel(), g.ravel())
-                        p[...] = new_flat.reshape(p.shape)
-                except (NonFiniteGradientError, DivergenceError):
-                    diverged = True
+        epoch = 0
+        while pop.rows.size:
+            epoch += 1
+            order = np.stack([rng.permutation(n_train) for rng in pop.rngs])
+            for start in range(0, n_train, batch_size):
+                batch = order[:, start : start + batch_size]
+                inputs, pre = _forward(pop.weights, pop.biases, x_train[batch], activation)
+                _backward(pop.weights, inputs, pre, y_train[batch], activation, pop.grad_w, pop.grad_b)
+                new_theta = advance(spec, pop.state, pop.theta, pop.grad)
+                ok = np.isfinite(pop.grad).all(axis=1) & np.isfinite(new_theta).all(axis=1)
+                if ok.all():
+                    pop.theta[...] = new_theta
+                    pop.flips += pop.flipped()
+                    continue
+                pop.theta[ok] = new_theta[ok]
+                pop.flips[ok] += pop.flipped()[ok]
+                diverged[pop.rows[~ok]] = True
+                order = order[ok]
+                retire(~ok)
+                if pop.rows.size == 0:
                     break
-                for p, s0 in zip(params, initial_signs):
-                    sign_flips += int(((np.sign(p) != s0) & (s0 != 0.0)).sum())
-            if diverged:
+            if pop.rows.size == 0:
                 break
-            train_loss, train_acc = model.evaluate(x_train, y_train)
-            _, val_acc = model.evaluate(x_val, y_val)
-            if not math.isfinite(train_loss):
-                diverged = True
-                break
-            metrics.append(
-                EpochMetrics(
-                    epoch=epoch,
-                    train_accuracy=train_acc,
-                    val_accuracy=val_acc,
-                    train_loss=train_loss,
-                )
-            )
-    if not metrics:
-        # Diverged before finishing the first epoch: record the untrained model.
-        train_loss, train_acc = model.evaluate(x_train, y_train)
-        _, val_acc = model.evaluate(x_val, y_val)
-        if not math.isfinite(train_loss):
-            train_loss, train_acc, val_acc = math.inf, 0.0, 0.0
-        metrics = [EpochMetrics(0, train_acc, val_acc, train_loss)]
-    return TrainResult(
-        metrics=metrics, sign_flips=sign_flips, diverged=diverged, epochs_run=len(metrics)
-    )
+            train_loss, train_acc, val_acc = evaluate(pop.weights, pop.biases)
+            bad = ~np.isfinite(train_loss)
+            for row, loss, t_acc, v_acc, b in zip(
+                pop.rows.tolist(), train_loss.tolist(), train_acc.tolist(), val_acc.tolist(), bad
+            ):
+                if not b:
+                    metrics[row].append(EpochMetrics(epoch, t_acc, v_acc, loss))
+            diverged[pop.rows[bad]] = True
+            stop = bad | (pop.epochs == epoch)
+            if stop.any():
+                retire(stop)
+        # A run that diverged before finishing its first epoch records the
+        # model as of its last committed step.
+        unfinished = [i for i, m in enumerate(metrics) if not m]
+        if unfinished:
+            train_loss, train_acc, val_acc = evaluate(*_views(final[unfinished], layer_sizes))
+            for i, loss, t_acc, v_acc in zip(
+                unfinished, train_loss.tolist(), train_acc.tolist(), val_acc.tolist()
+            ):
+                if not math.isfinite(loss):
+                    loss, t_acc, v_acc = math.inf, 0.0, 0.0
+                metrics[i] = [EpochMetrics(0, t_acc, v_acc, loss)]
+    for model, theta in zip(models, final):
+        model.flat[...] = theta
+    return [
+        TrainResult(metrics=m, sign_flips=int(f), diverged=bool(d), epochs_run=len(m))
+        for m, f, d in zip(metrics, sign_flips, diverged)
+    ]
+
+
+def train(model: MLP, dataset: SyntheticDataset, config: TrainingConfig) -> TrainResult:
+    """Mini-batch training of the model on the dataset's train split: the
+    C = 1 case of train_population.
+
+    Batch order is reshuffled every epoch from the config seed, so the
+    whole run is reproducible.  If a step diverges, the run is truncated
+    and flagged rather than raised.
+    """
+    return train_population([model], dataset, [config])[0]
 
 
 @dataclass(frozen=True)
@@ -349,20 +514,6 @@ class ProtocolSettings:
     fan_mode: str = "product"
 
 
-def _train_one(args: tuple[ProtocolSettings, TrainingConfig]) -> TrainResult:
-    settings, config = args
-    dataset = make_dataset(settings.dataset_n, settings.dataset_noise, settings.dataset_seed)
-    sizes = [2, *settings.hidden, 2]
-    model = MLP(
-        sizes,
-        activation=settings.activation,
-        gain=config.gain,
-        rng=np.random.default_rng(config.seed),
-        fan_mode=config.fan_mode,
-    )
-    return train(model, dataset, config)
-
-
 def train_sampled_configs(
     settings: ProtocolSettings,
     optimizer: OptimizerSpec,
@@ -371,7 +522,11 @@ def train_sampled_configs(
     workers: int = 1,
 ) -> tuple[list[TrainingConfig], list[TrainResult]]:
     """Run the randomized protocol: n_configs draws of (gain, epochs, seed),
-    each trained from scratch with the given optimizer."""
+    each trained from scratch with the given optimizer, all as one
+    population.
+
+    workers is accepted for compatibility and has no effect.
+    """
     configs = [
         replace(
             sample_training_config(master_seed, i, batch_size=settings.batch_size),
@@ -380,11 +535,25 @@ def train_sampled_configs(
         )
         for i in range(n_configs)
     ]
-    jobs = [(settings, c) for c in configs]
-    if workers <= 1 or len(jobs) <= 1:
-        results = [_train_one(j) for j in jobs]
-    else:
-        chunk = max(1, len(jobs) // (workers * 4))
-        with ProcessPoolExecutor(max_workers=workers) as ex:
-            results = list(ex.map(_train_one, jobs, chunksize=chunk))
-    return configs, results
+    dataset = make_dataset(settings.dataset_n, settings.dataset_noise, settings.dataset_seed)
+    models = [
+        MLP(
+            [2, *settings.hidden, 2],
+            activation=settings.activation,
+            gain=c.gain,
+            rng=np.random.default_rng(c.seed),
+            fan_mode=c.fan_mode,
+        )
+        for c in configs
+    ]
+    return configs, train_population(models, dataset, configs)
+
+
+def mean_std(values: list[float]) -> tuple[float, float]:
+    """Mean and sample standard deviation (ddof=1, 0 for one value) of a
+    protocol's per-run metric, summed in list order."""
+    mean = sum(values) / len(values)
+    if len(values) <= 1:
+        return mean, 0.0
+    var = sum((v - mean) ** 2 for v in values) / (len(values) - 1)
+    return mean, math.sqrt(var)

@@ -1,4 +1,6 @@
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,17 +9,29 @@ from numpy.testing import assert_allclose
 from optbench.nn import (
     BIAS_INIT,
     MLP,
+    EpochMetrics,
     ProtocolSettings,
     TrainingConfig,
+    TrainResult,
     cross_entropy,
     make_dataset,
+    mean_std,
     sample_training_config,
     softmax,
     train,
+    train_population,
     train_sampled_configs,
     xavier_init,
 )
-from optbench.optim import UpdateRule, default_update_rule, init_state, make_spec, step
+from optbench.optim import (
+    DivergenceError,
+    NonFiniteGradientError,
+    UpdateRule,
+    default_update_rule,
+    init_state,
+    make_spec,
+    step,
+)
 
 
 def test_xavier_std_scales_with_gain():
@@ -342,3 +356,335 @@ def test_train_sampled_configs_parallel_matches_serial():
         assert a.metrics == b.metrics
         assert a.sign_flips == b.sign_flips
         assert a.diverged == b.diverged
+
+
+# ------------------------------------------------- population trainer oracle
+
+
+def _reference_train(layer_sizes, activation, dataset, config):
+    """The per-tensor training loop the population trainer replaced: 2-D
+    forward and backward passes and one OptimizerState and step() per
+    weight matrix and bias vector.  Returns (TrainResult, parameters)."""
+    rng = np.random.default_rng(config.seed)
+    pairs = list(zip(layer_sizes[:-1], layer_sizes[1:]))
+    weights = [xavier_init(n_in, n_out, config.gain, rng, config.fan_mode) for n_in, n_out in pairs]
+    biases = [np.full(n_out, BIAS_INIT) for _, n_out in pairs]
+    params = [p for wb in zip(weights, biases) for p in wb]
+
+    def forward(x):
+        a, inputs, pre = x, [x], []
+        for i, (w, b) in enumerate(zip(weights, biases)):
+            z = a @ w + b
+            pre.append(z)
+            if i < len(weights) - 1:
+                a = np.maximum(z, 0.0) if activation == "relu" else np.tanh(z)
+                inputs.append(a)
+        return inputs, pre
+
+    def backward(inputs, pre, labels):
+        n = len(labels)
+        shifted = pre[-1] - pre[-1].max(axis=1, keepdims=True)
+        e = np.exp(shifted)
+        delta = e / e.sum(axis=1, keepdims=True)
+        delta[np.arange(n), labels] -= 1.0
+        delta /= n
+        grads = [None] * len(params)
+        for i in range(len(weights) - 1, -1, -1):
+            grads[2 * i] = inputs[i].T @ delta
+            grads[2 * i + 1] = delta.sum(axis=0)
+            if i > 0:
+                da = delta @ weights[i].T
+                if activation == "relu":
+                    delta = da * (pre[i - 1] > 0.0)
+                else:
+                    delta = da * (1.0 - inputs[i] ** 2)
+        return grads
+
+    def evaluate(x, labels):
+        logits = forward(x)[1][-1]
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+        loss = float(-log_probs[np.arange(len(labels)), labels].mean())
+        return loss, float((logits.argmax(axis=1) == labels).mean())
+
+    x_train, y_train = dataset.features[dataset.train_idx], dataset.labels[dataset.train_idx]
+    x_val, y_val = dataset.features[dataset.val_idx], dataset.labels[dataset.val_idx]
+    states = [init_state(p.size) for p in params]
+    initial_signs = [np.sign(p) for p in params]
+    shuffle = np.random.default_rng(config.seed)
+    metrics, sign_flips, diverged = [], 0, False
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(1, config.epochs + 1):
+            order = shuffle.permutation(len(y_train))
+            for start in range(0, len(y_train), config.batch_size):
+                batch = order[start : start + config.batch_size]
+                inputs, pre = forward(x_train[batch])
+                grads = backward(inputs, pre, y_train[batch])
+                try:
+                    for p, g, st in zip(params, grads, states):
+                        new_flat, _ = step(config.optimizer, st, p.ravel(), g.ravel())
+                        p[...] = new_flat.reshape(p.shape)
+                except (NonFiniteGradientError, DivergenceError):
+                    diverged = True
+                    break
+                for p, s0 in zip(params, initial_signs):
+                    sign_flips += int(((np.sign(p) != s0) & (s0 != 0.0)).sum())
+            if diverged:
+                break
+            train_loss, train_acc = evaluate(x_train, y_train)
+            _, val_acc = evaluate(x_val, y_val)
+            if not math.isfinite(train_loss):
+                diverged = True
+                break
+            metrics.append(EpochMetrics(epoch, train_acc, val_acc, train_loss))
+        if not metrics:
+            train_loss, train_acc = evaluate(x_train, y_train)
+            _, val_acc = evaluate(x_val, y_val)
+            if not math.isfinite(train_loss):
+                train_loss, train_acc, val_acc = math.inf, 0.0, 0.0
+            metrics = [EpochMetrics(0, train_acc, val_acc, train_loss)]
+    result = TrainResult(metrics, sign_flips, diverged, len(metrics))
+    return result, np.concatenate([p.ravel() for p in params])
+
+
+def _assert_same_run(got, want):
+    assert got.metrics == want.metrics
+    assert got.sign_flips == want.sign_flips
+    assert got.diverged == want.diverged
+    assert got.epochs_run == want.epochs_run
+
+
+def _population(settings, configs):
+    dataset = make_dataset(settings.dataset_n, settings.dataset_noise, settings.dataset_seed)
+    sizes = [2, *settings.hidden, 2]
+    models = [
+        MLP(sizes, settings.activation, c.gain, np.random.default_rng(c.seed), c.fan_mode)
+        for c in configs
+    ]
+    return dataset, sizes, models, train_population(models, dataset, configs)
+
+
+def _check_against_reference(settings, configs):
+    dataset, sizes, _, results = _population(settings, configs)
+    for config, result in zip(configs, results):
+        want, _ = _reference_train(sizes, settings.activation, dataset, config)
+        _assert_same_run(result, want)
+    return results
+
+
+@pytest.mark.parametrize("kind", ["additive", "multiplicative", "hybrid"])
+@pytest.mark.parametrize("master_seed", [1, 7, 99, 2024, 12345])
+def test_sampled_protocol_matches_per_tensor_reference(master_seed, kind):
+    # The bundled protocol's draws, all ten configs, on a smaller dataset
+    # (48 training points: a full and a short minibatch per epoch).
+    settings = ProtocolSettings(dataset_n=60)
+    spec = make_spec("sgd", default_update_rule("sgd", kind))
+    configs, results = train_sampled_configs(settings, spec, n_configs=10, master_seed=master_seed)
+    dataset = make_dataset(settings.dataset_n, settings.dataset_noise, settings.dataset_seed)
+    for config, result in zip(configs, results):
+        want, _ = _reference_train([2, 16, 2], "relu", dataset, config)
+        _assert_same_run(result, want)
+
+
+def _configs(spec, batch_size, epochs=(3, 5, 2, 4), gains=(1.0, 2.5, 0.3, 6.0), seeds=(11, 12, 13, 14)):
+    return [
+        TrainingConfig(gain=g, epochs=e, batch_size=batch_size, seed=s, optimizer=spec)
+        for g, e, s in zip(gains, epochs, seeds)
+    ]
+
+
+@pytest.mark.parametrize(
+    "family,kind",
+    [
+        ("sgd", "additive"),
+        ("adagrad", "additive"),
+        ("adam", "additive"),
+        ("rmsprop", "additive"),
+        ("adagrad", "multiplicative"),
+        ("rmsprop", "multiplicative"),
+        ("adagrad", "hybrid"),
+        ("rmsprop", "hybrid"),
+    ],
+)
+def test_population_matches_reference_for_every_family(family, kind):
+    spec = make_spec(family, default_update_rule(family, kind))
+    _check_against_reference(ProtocolSettings(dataset_n=120), _configs(spec, 16))
+
+
+@pytest.mark.parametrize(
+    "settings,batch_size",
+    [
+        (ProtocolSettings(dataset_n=120, activation="tanh"), 16),
+        (ProtocolSettings(dataset_n=120, hidden=(8, 5)), 16),
+        (ProtocolSettings(dataset_n=120, hidden=(3, 4, 5), activation="tanh"), 16),
+        (ProtocolSettings(dataset_n=257), 20),  # a short last minibatch
+        (ProtocolSettings(dataset_n=20), 1),
+        (ProtocolSettings(dataset_n=40), 64),  # one minibatch holds the whole train split
+        (ProtocolSettings(dataset_n=120, fan_mode="sum"), 16),
+    ],
+)
+def test_population_matches_reference_across_shapes(settings, batch_size):
+    for kind in ("additive", "multiplicative"):
+        spec = make_spec("sgd", default_update_rule("sgd", kind))
+        configs = [replace(c, fan_mode=settings.fan_mode) for c in _configs(spec, batch_size)]
+        _check_against_reference(settings, configs)
+
+
+@pytest.mark.parametrize("n_configs", [1, 4])
+def test_population_of_one_and_four_match_reference(n_configs):
+    spec = make_spec("adam", default_update_rule("adam", "additive"))
+    _check_against_reference(ProtocolSettings(dataset_n=120), _configs(spec, 16)[:n_configs])
+
+
+@pytest.mark.parametrize("kind", ["additive", "hybrid"])
+@pytest.mark.parametrize("lr", [1e2, 1e10, 1e100, 1e300])
+def test_population_matches_reference_when_runs_diverge(kind, lr):
+    rule = default_update_rule("sgd", kind)
+    spec = make_spec("sgd", replace(rule, lr=lr))
+    configs = _configs(spec, 16, epochs=(4, 4, 3, 5), gains=(1.0, 1e3, 1e154, 1e156))
+    results = _check_against_reference(ProtocolSettings(dataset_n=120), configs)
+    assert any(r.diverged for r in results)
+
+
+# ------------------------------------------ row independence and divergence
+
+# With sgd additive at lr = 1 and seeds 12 and 13, gain 1e156 diverges on
+# the first step and 2e154 after some committed steps of the first epoch;
+# gains near 1 train normally.
+_SIBLING_GAINS = (1.0, 1e156, 2e154, 2.0)
+
+
+def test_each_row_equals_its_solo_run_when_a_sibling_diverges():
+    settings = ProtocolSettings(dataset_n=120)
+    spec = make_spec("sgd", UpdateRule("additive", lr=1.0))
+    configs = _configs(spec, 16, epochs=(4, 3, 5, 2), gains=_SIBLING_GAINS)
+    dataset, sizes, models, results = _population(settings, configs)
+    assert [r.diverged for r in results] == [False, True, True, False]
+    assert results[1].metrics[0].epoch == results[2].metrics[0].epoch == 0  # gone in epoch 1
+    assert [r.epochs_run for r in results] == [4, 1, 1, 2]
+    for model, config, result in zip(models, configs, results):
+        solo = MLP(sizes, gain=config.gain, rng=np.random.default_rng(config.seed))
+        _assert_same_run(result, train(solo, dataset, config))
+        assert np.array_equal(model.flat, solo.flat)
+
+
+def test_sampled_rows_equal_their_solo_runs():
+    settings = ProtocolSettings(dataset_n=100)
+    spec = make_spec("sgd", default_update_rule("sgd", "hybrid"))
+    configs, results = train_sampled_configs(settings, spec, n_configs=4, master_seed=5)
+    dataset = make_dataset(settings.dataset_n, settings.dataset_noise, settings.dataset_seed)
+    for config, result in zip(configs, results):
+        solo = MLP([2, 16, 2], gain=config.gain, rng=np.random.default_rng(config.seed))
+        _assert_same_run(result, train(solo, dataset, config))
+
+
+def _last_committed_parameters(model, dataset, config):
+    """Replay training with one flat parameter vector and one optimizer
+    state; stop at the first step whose gradient or result is non-finite
+    and return the parameters before it."""
+    flat = model.flat.copy()
+    probe = MLP(model.layer_sizes, model.activation, rng=np.random.default_rng(0))
+    state = init_state(flat.size)
+    x = dataset.features[dataset.train_idx]
+    y = dataset.labels[dataset.train_idx]
+    shuffle = np.random.default_rng(config.seed)
+    for _ in range(config.epochs):
+        order = shuffle.permutation(len(y))
+        for start in range(0, len(y), config.batch_size):
+            batch = order[start : start + config.batch_size]
+            probe.flat[...] = flat
+            with np.errstate(over="ignore", invalid="ignore"):
+                _, cache = probe.forward(x[batch])
+                grads = probe.backward(cache, y[batch])
+            try:
+                flat, _ = step(config.optimizer, state, flat, np.concatenate([g.ravel() for g in grads]))
+            except (NonFiniteGradientError, DivergenceError):
+                return flat
+    return flat
+
+
+@pytest.mark.parametrize(
+    "lr,gain",
+    [
+        (1.0, 2e154),  # some committed steps, then a non-finite gradient
+        (1.0, 1e156),  # a non-finite gradient on the first step
+        (1e308, 10.0),  # a finite gradient whose step overflows some coordinates
+    ],
+)
+def test_diverged_run_keeps_its_last_committed_parameters(lr, gain):
+    dataset = make_dataset(120, 0.15, seed=0)
+    spec = make_spec("sgd", UpdateRule("additive", lr=lr))
+    config = TrainingConfig(gain=gain, epochs=3, batch_size=16, seed=12, optimizer=spec)
+    model = MLP([2, 16, 2], gain=gain, rng=np.random.default_rng(12))
+    expected = _last_committed_parameters(model, dataset, config)
+    result = train(model, dataset, config)
+    assert result.diverged
+    assert np.isfinite(model.flat).all()
+    assert np.array_equal(model.flat, expected)
+
+
+def test_a_rejected_step_leaves_no_tensor_updated():
+    # On the first step W1's update is finite and W2's overflows.  The
+    # per-tensor loop kept the update of W1; the flat population rejects
+    # the whole step.
+    dataset = make_dataset(120, 0.15, seed=0)
+    spec = make_spec("sgd", UpdateRule("additive", lr=1e308))
+    config = TrainingConfig(gain=10.0, epochs=3, batch_size=16, seed=13, optimizer=spec)
+    model = MLP([2, 16, 2], gain=10.0, rng=np.random.default_rng(13))
+    initial = model.flat.copy()
+    result = train(model, dataset, config)
+    reference, partly_stepped = _reference_train([2, 16, 2], "relu", dataset, config)
+    assert result.diverged and reference.diverged
+    assert np.array_equal(model.flat, initial)
+    assert not np.array_equal(partly_stepped, initial)
+
+
+def test_early_divergence_leaks_no_warnings():
+    dataset = make_dataset(100, 0.15, seed=0)
+    spec = make_spec("sgd", UpdateRule("additive", lr=1e150))
+    config = TrainingConfig(gain=1.0, epochs=3, batch_size=16, seed=1, optimizer=spec)
+    model = MLP([2, 16, 2], rng=np.random.default_rng(1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = train(model, dataset, config)
+    assert result.diverged
+    assert result.metrics == [EpochMetrics(0, 0.0, 0.0, math.inf)]
+
+
+def test_parameters_are_views_of_one_flat_vector():
+    model = MLP([2, 8, 5, 2], rng=np.random.default_rng(0))
+    params = model.parameters()
+    assert sum(p.size for p in params) == model.flat.size
+    assert np.array_equal(np.concatenate([p.ravel() for p in params]), model.flat)
+    for p in params:
+        assert np.shares_memory(p, model.flat)
+    model.flat[...] = 0.0
+    assert all(not p.any() for p in params)
+
+
+def test_train_population_rejects_mixed_populations():
+    dataset = make_dataset(40, 0.15, seed=0)
+    sgd = make_spec("sgd", default_update_rule("sgd", "additive"))
+    adam = make_spec("adam", default_update_rule("adam", "additive"))
+    config = TrainingConfig(gain=1.0, epochs=1, batch_size=8, seed=0, optimizer=sgd)
+    a = MLP([2, 4, 2], rng=np.random.default_rng(0))
+    b = MLP([2, 4, 2], rng=np.random.default_rng(1))
+    with pytest.raises(ValueError):
+        train_population([a, b], dataset, [config, replace(config, optimizer=adam)])
+    with pytest.raises(ValueError):
+        train_population([a, b], dataset, [config, replace(config, batch_size=4)])
+    with pytest.raises(ValueError):
+        train_population([a, MLP([2, 5, 2])], dataset, [config, config])
+    with pytest.raises(ValueError):
+        train_population([a, MLP([2, 4, 2], activation="tanh")], dataset, [config, config])
+    with pytest.raises(ValueError):
+        train_population([a], dataset, [config, config])
+
+
+def test_mean_std_is_the_sample_statistic():
+    assert mean_std([0.5]) == (0.5, 0.0)
+    mean, std = mean_std([0.8, 0.9, 1.0])
+    assert mean == pytest.approx(0.9)
+    assert std == pytest.approx(0.1)
+    values = [0.1 * i for i in range(1, 8)]
+    assert mean_std(values) == pytest.approx((np.mean(values), np.std(values, ddof=1)))
