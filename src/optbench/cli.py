@@ -37,7 +37,7 @@ from .harness import ScoreStats, TrialRecord, evaluate_robustness, run_trial, su
 from .nn import mean_std, train_sampled_configs
 from .objectives import InvalidConfigError
 from .optim import InvalidRateError
-from .tuning import InvalidGridError, TuneResult, grid_search
+from .tuning import RATE_AXES, InvalidGridError, TuneResult, grid_search
 
 OUTPUT_ROOT_ENV = "OPTBENCH_OUT"
 
@@ -89,15 +89,8 @@ def _prepare_output(out_dir: Path, names: list[str], overwrite: bool) -> None:
 
 # ------------------------------------------------------------------- writers
 
-_RATE_COLUMNS = {
-    "additive": ("lr",),
-    "multiplicative": ("lr_inner", "lr_outer"),
-    "hybrid": ("lr", "lr_inner", "lr_outer"),
-}
-
-
 def write_leaderboard_csv(path: Path, result: TuneResult) -> None:
-    columns = _RATE_COLUMNS[result.best_spec.update.kind]
+    columns = RATE_AXES[result.best_spec.update.kind]
     lines = [",".join([*columns, "final_distance", "diverged"])]
     for spec, distance in result.leaderboard:
         rates = [_lit(getattr(spec.update, c)) for c in columns]
@@ -313,14 +306,14 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         _, plan = load_plan(args.config, expected_command=args.command)
-    except FileNotFoundError:
-        print(f"error: config file not found: {args.config}", file=sys.stderr)
-        return EXIT_CONFIG
     except (ConfigError, InvalidConfigError, InvalidGridError, InvalidRateError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     if args.parallelism < 1:
         print("error: --parallelism must be >= 1", file=sys.stderr)
+        return EXIT_CONFIG
+    if args.seed < 0:
+        print("error: --seed must be >= 0", file=sys.stderr)
         return EXIT_CONFIG
     manifest = RunManifest(output_dir=_resolve_out(args), seed=args.seed)
     try:

@@ -1,26 +1,44 @@
 """JSON config schema shared by all CLI commands.
 
-Every config carries schema_version and command fields, and validation is
-strict: unknown keys, missing keys, and out-of-range values all raise
-ConfigError with a dotted field path so the CLI can point at the exact
-problem.  Optimizer specifications round-trip losslessly through this
-format, and may also be pulled in by reference ({"path": ...}) from a
-previous tuning run's output.
+Every config carries schema_version and command fields.  Each config
+object has one field table: the three optimizer rules, the task, a
+sampler, the evaluation distribution, a grid axis and the five command
+plans.  A Table lists the object's Fields and the callable that builds
+the object.  A Field names a JSON key, the reader that checks its value's
+type and any bound the CLI adds, and whether the key may be left out;
+an optional key that is absent or null is left to the builder's default.
+
+One reader, Table.read, checks a JSON object against its table and
+builds the object.  Any ValueError raised while building it becomes a
+ConfigError at that object's dotted path, so a range that a domain type
+already checks on construction (UpdateRule, TaskConfig, Sampler,
+GridSpec) is not stated again here.  One writer, to_json, serializes
+objects from the same tables.  The fields each optimizer rule kind
+carries come from the rules' FIELDS tables in optim.
+
+Validation is strict: unknown keys, missing keys, wrong types, non-finite
+numbers and out-of-range values all raise ConfigError with a dotted field
+path so the CLI can point at the exact problem.  MAX_ITERATIONS bounds
+every iteration budget and MAX_TRIALS every trial count; train-toy sizes
+and the product of trials and iterations are not bounded.  Optimizer specifications
+round-trip losslessly through this format, and may also be pulled in by
+reference ({"path": ...}) from a previous tuning run's output.
 """
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
+from typing import Callable, NamedTuple
 
-from .harness import EvalDistribution, Sampler
-from .nn import ACTIVATIONS, ProtocolSettings
+from .harness import MAX_ITERATIONS, EvalDistribution, Sampler
+from .nn import ACTIVATIONS, MIN_BATCH_SIZE, MIN_NOISE, MIN_SAMPLES, ProtocolSettings
 from .objectives import FUNCTIONS, TaskConfig
 from .optim import (
-    ADAPTIVE_KINDS,
+    DEFAULT_MIX,
     FAMILIES,
-    MOMENTUM_KINDS,
     UPDATE_KINDS,
     AdaptiveRule,
     MomentumRule,
@@ -29,10 +47,14 @@ from .optim import (
     default_update_rule,
     make_spec,
 )
-from .tuning import GridSpec, RateGrids, build_grid, default_grids
+from .tuning import RATE_AXES, GridSpec, RateGrids, build_grid, default_grids
 
 SCHEMA_VERSION = 1
 COMMANDS = ("tune", "trial", "robustness", "scan", "train-toy")
+
+# The most trials one command runs as a population: robustness draws, tune
+# grid points, and scan start points (grid_size squared).
+MAX_TRIALS = 100_000
 
 
 class ConfigError(ValueError):
@@ -43,21 +65,14 @@ class ConfigError(ValueError):
         self.field_path = path
 
 
-def _check_keys(d: dict, allowed: set[str], path: str) -> None:
-    unknown = sorted(set(d) - allowed)
-    if unknown:
-        raise ConfigError(f"{path}.{unknown[0]}" if path else unknown[0], "unknown key")
+def _join(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
 
 
-def _get(d: dict, key: str, path: str, required: bool = True, default=None):
-    if key not in d:
-        if required:
-            raise ConfigError(f"{path}.{key}" if path else key, "missing required key")
-        return default
-    return d[key]
+# ------------------------------------------------------------------ readers
+# A reader takes (value, path) and returns the checked Python value.
 
-
-def _as_number(value, path: str) -> float:
+def _number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(path, f"expected a number, got {value!r}")
     try:
@@ -71,280 +86,259 @@ def _as_number(value, path: str) -> float:
     return number
 
 
-def _as_int(value, path: str) -> int:
+def _integer(value, path: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(path, f"expected an integer, got {value!r}")
     return value
 
 
-def _as_str(value, path: str, choices: tuple[str, ...] | None = None) -> str:
+def _string(value, path: str) -> str:
     if not isinstance(value, str):
         raise ConfigError(path, f"expected a string, got {value!r}")
-    if choices is not None and value not in choices:
-        raise ConfigError(path, f"must be one of {list(choices)}, got {value!r}")
     return value
 
 
-def _as_dict(value, path: str) -> dict:
+def _object(value, path: str) -> dict:
     if not isinstance(value, dict):
         raise ConfigError(path, f"expected an object, got {value!r}")
     return value
 
 
-def _as_list(value, path: str) -> list:
-    if not isinstance(value, list):
-        raise ConfigError(path, f"expected a list, got {value!r}")
-    return value
+def _choice(choices: tuple[str, ...]):
+    def read(value, path):
+        value = _string(value, path)
+        if value not in choices:
+            raise ConfigError(path, f"must be one of {list(choices)}, got {value!r}")
+        return value
+
+    return read
 
 
-def _wrap(path: str, exc: ValueError) -> ConfigError:
-    return ConfigError(path, str(exc))
+def _check(read, ok: Callable, rule: str):
+    """read, then require ok(value); rule says in words what ok requires."""
+
+    def checked(value, path):
+        x = read(value, path)
+        if not ok(x):
+            raise ConfigError(path, f"must be {rule}, got {x!r}")
+        return x
+
+    return checked
 
 
-# ---------------------------------------------------------------- optimizer
-
-def parse_momentum(d, path: str) -> MomentumRule:
-    d = _as_dict(d, path)
-    kind = _as_str(_get(d, "kind", path), f"{path}.kind", MOMENTUM_KINDS)
-    allowed = {"kind"} | ({"beta1"} if kind == "ema" else set())
-    _check_keys(d, allowed, path)
-    try:
-        if kind == "ema" and "beta1" in d:
-            return MomentumRule("ema", beta1=_as_number(d["beta1"], f"{path}.beta1"))
-        return MomentumRule(kind)
-    except ValueError as exc:
-        raise _wrap(path, exc) from None
+def _bounded(read, lo=None, hi=None):
+    if hi is None:
+        return _check(read, lambda x: x >= lo, f">= {lo}")
+    if lo is None:
+        return _check(read, lambda x: x <= hi, f"<= {hi}")
+    return _check(read, lambda x: lo <= x <= hi, f"in [{lo}, {hi}]")
 
 
-def parse_adaptive(d, path: str) -> AdaptiveRule:
-    d = _as_dict(d, path)
-    kind = _as_str(_get(d, "kind", path), f"{path}.kind", ADAPTIVE_KINDS)
-    allowed = {"kind"}
-    if kind == "ema":
-        allowed |= {"beta2", "eps"}
-    elif kind == "accumulate":
-        allowed |= {"eps"}
-    _check_keys(d, allowed, path)
-    kwargs = {}
-    if "beta2" in d:
-        kwargs["beta2"] = _as_number(d["beta2"], f"{path}.beta2")
-    if "eps" in d:
-        kwargs["eps"] = _as_number(d["eps"], f"{path}.eps")
-    try:
-        return AdaptiveRule(kind, **kwargs)
-    except ValueError as exc:
-        raise _wrap(path, exc) from None
+def _items(read, count: int | None = None):
+    """A JSON list read item by item into a tuple, of exactly count items
+    when count is given and never empty."""
+
+    def items(value, path):
+        if not isinstance(value, list):
+            raise ConfigError(path, f"expected a list, got {value!r}")
+        if count is not None and len(value) != count:
+            raise ConfigError(path, f"expected {count} values, got {len(value)}")
+        if not value:
+            raise ConfigError(path, "must not be empty")
+        return tuple(read(v, f"{path}[{i}]") for i, v in enumerate(value))
+
+    return items
 
 
-def parse_update(d, path: str) -> UpdateRule:
-    d = _as_dict(d, path)
-    kind = _as_str(_get(d, "kind", path), f"{path}.kind", UPDATE_KINDS)
-    allowed = {"kind"}
-    if kind in ("additive", "hybrid"):
-        allowed.add("lr")
-    if kind in ("multiplicative", "hybrid"):
-        allowed |= {"lr_inner", "lr_outer"}
-    if kind == "hybrid":
-        allowed.add("mix")
-    _check_keys(d, allowed, path)
-    kwargs = {}
-    for key in ("lr", "lr_inner", "lr_outer", "mix"):
-        if key in d:
-            kwargs[key] = _as_number(d[key], f"{path}.{key}")
-    try:
-        return UpdateRule(kind, **kwargs)
-    except ValueError as exc:
-        raise _wrap(path, exc) from None
+# ------------------------------------------------------------------- tables
+
+class Field(NamedTuple):
+    """One key of a config object: read checks its value, attr is the
+    builder's argument (the key itself when empty), and an optional key
+    that is absent or null is left to the builder's default."""
+
+    key: str
+    read: Callable
+    optional: bool = False
+    attr: str = ""
 
 
-def parse_optimizer_spec(d, path: str, base_dir: Path | None = None) -> OptimizerSpec:
-    """Parse an inline spec, or follow {"path": ...} to a spec stored in
-    another JSON file (for example a tuning run's best.json)."""
-    d = _as_dict(d, path)
-    if "path" in d:
-        _check_keys(d, {"path"}, path)
-        ref = _as_str(d["path"], f"{path}.path")
-        base = base_dir if base_dir is not None else Path.cwd()
-        target = Path(ref)
-        if not target.is_absolute():
-            target = base / target
+class Table:
+    """The field table of one config object and the callable that builds
+    the object from the fields' values, passed by keyword."""
+
+    def __init__(self, build: Callable, *fields: Field):
+        self.build = build
+        self.fields = fields
+        self.keys = frozenset(f.key for f in fields)
+
+    def read(self, value, path: str):
+        d = _object(value, path)
+        if not self.keys.issuperset(d):
+            raise ConfigError(_join(path, min(set(d) - self.keys)), "unknown key")
+        prefix = f"{path}." if path else ""
+        kwargs = {}
+        for key, read, optional, attr in self.fields:
+            if key not in d:
+                if not optional:
+                    raise ConfigError(prefix + key, "missing required key")
+            elif d[key] is not None or not optional:
+                kwargs[attr or key] = read(d[key], prefix + key)
         try:
-            doc = load_json(target)
-        except OSError as exc:
-            raise ConfigError(f"{path}.path", f"cannot read {target}: {exc}") from None
-        inner = doc.get("optimizer", doc) if isinstance(doc, dict) else doc
-        return parse_optimizer_spec(inner, f"{path}({ref})")
-    _check_keys(d, {"momentum", "adaptive", "update"}, path)
-    return OptimizerSpec(
-        momentum=parse_momentum(_get(d, "momentum", path), f"{path}.momentum"),
-        adaptive=parse_adaptive(_get(d, "adaptive", path), f"{path}.adaptive"),
-        update=parse_update(_get(d, "update", path), f"{path}.update"),
-    )
-
-
-def momentum_to_dict(rule: MomentumRule) -> dict:
-    if rule.kind == "identity":
-        return {"kind": "identity"}
-    return {"kind": "ema", "beta1": rule.beta1}
-
-
-def adaptive_to_dict(rule: AdaptiveRule) -> dict:
-    if rule.kind == "identity":
-        return {"kind": "identity"}
-    if rule.kind == "accumulate":
-        return {"kind": "accumulate", "eps": rule.eps}
-    return {"kind": "ema", "beta2": rule.beta2, "eps": rule.eps}
-
-
-def update_to_dict(rule: UpdateRule) -> dict:
-    out = {"kind": rule.kind}
-    if rule.kind in ("additive", "hybrid"):
-        out["lr"] = rule.lr
-    if rule.kind in ("multiplicative", "hybrid"):
-        out["lr_inner"] = rule.lr_inner
-        out["lr_outer"] = rule.lr_outer
-    if rule.kind == "hybrid":
-        out["mix"] = rule.mix
-    return out
-
-
-def spec_to_dict(spec: OptimizerSpec) -> dict:
-    return {
-        "momentum": momentum_to_dict(spec.momentum),
-        "adaptive": adaptive_to_dict(spec.adaptive),
-        "update": update_to_dict(spec.update),
-    }
-
-
-# --------------------------------------------------------------------- task
-
-def parse_task(d, path: str) -> TaskConfig:
-    d = _as_dict(d, path)
-    _check_keys(d, {"function", "alpha", "beta", "x0", "iterations", "seed"}, path)
-    x0 = _as_list(_get(d, "x0", path), f"{path}.x0")
-    if len(x0) != 2:
-        raise ConfigError(f"{path}.x0", f"expected two values, got {len(x0)}")
-    try:
-        return TaskConfig(
-            function=_as_str(_get(d, "function", path), f"{path}.function", FUNCTIONS),
-            alpha=_as_number(_get(d, "alpha", path), f"{path}.alpha"),
-            beta=_as_number(_get(d, "beta", path), f"{path}.beta"),
-            x0=(_as_number(x0[0], f"{path}.x0[0]"), _as_number(x0[1], f"{path}.x0[1]")),
-            iterations=_as_int(_get(d, "iterations", path), f"{path}.iterations"),
-            seed=_as_int(_get(d, "seed", path, required=False, default=0), f"{path}.seed"),
-        )
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise _wrap(path, exc) from None
-
-
-def task_to_dict(task: TaskConfig) -> dict:
-    return {
-        "function": task.function,
-        "alpha": task.alpha,
-        "beta": task.beta,
-        "x0": list(task.x0),
-        "iterations": task.iterations,
-        "seed": task.seed,
-    }
-
-
-def parse_sampler(value, path: str) -> Sampler:
-    if isinstance(value, dict):
-        _check_keys(value, {"mean", "std"}, path)
-        try:
-            return Sampler(
-                mean=_as_number(_get(value, "mean", path), f"{path}.mean"),
-                std=_as_number(_get(value, "std", path, required=False, default=0.0), f"{path}.std"),
-            )
+            return self.build(**kwargs)
         except ConfigError:
             raise
         except ValueError as exc:
-            raise _wrap(path, exc) from None
-    return Sampler(mean=_as_number(value, path))
+            raise ConfigError(path, str(exc)) from None
+
+    __call__ = read
+
+    def write(self, obj) -> dict:
+        return {f.key: to_json(getattr(obj, f.attr or f.key)) for f in self.fields}
 
 
-def sampler_to_value(s: Sampler):
-    if s.std == 0.0:
-        return s.mean
-    return {"mean": s.mean, "std": s.std}
+class _RuleTables:
+    """The tables of one rule type, one per kind, each holding the fields
+    that optim's FIELDS table gives the kind; every field is a number the
+    rule may default."""
+
+    def __init__(self, cls):
+        self.kinds = _choice(tuple(cls.FIELDS))
+        self.tables = {
+            kind: Table(cls, Field("kind", _string), *(Field(n, _number, True) for n in names))
+            for kind, names in cls.FIELDS.items()
+        }
+
+    def __call__(self, value, path: str):
+        d = _object(value, path)
+        if "kind" not in d:
+            raise ConfigError(_join(path, "kind"), "missing required key")
+        return self.tables[self.kinds(d["kind"], _join(path, "kind"))](d, path)
+
+    def write(self, rule) -> dict:
+        return self.tables[rule.kind].write(rule)
 
 
-def parse_distribution(d, path: str) -> EvalDistribution:
-    d = _as_dict(d, path)
-    _check_keys(d, {"function", "x0", "alpha", "beta", "iterations"}, path)
-    x0 = _as_list(_get(d, "x0", path), f"{path}.x0")
-    if len(x0) != 2:
-        raise ConfigError(f"{path}.x0", f"expected two samplers, got {len(x0)}")
-    beta = parse_sampler(_get(d, "beta", path), f"{path}.beta")
-    if beta.std == 0.0 and beta.mean <= 0.0:
-        raise ConfigError(f"{path}.beta", f"a fixed beta must be positive, got {beta.mean}")
-    return EvalDistribution(
-        function=_as_str(_get(d, "function", path), f"{path}.function", FUNCTIONS),
-        x0=(parse_sampler(x0[0], f"{path}.x0[0]"), parse_sampler(x0[1], f"{path}.x0[1]")),
-        alpha=parse_sampler(_get(d, "alpha", path), f"{path}.alpha"),
-        beta=beta,
-        iterations=parse_sampler(_get(d, "iterations", path), f"{path}.iterations"),
-    )
+class _SamplerTable(Table):
+    """A sampler is an object, or a bare number for a fixed value."""
+
+    def read(self, value, path: str) -> Sampler:
+        if isinstance(value, dict):
+            return super().read(value, path)
+        return Sampler(_number(value, path))
+
+    __call__ = read
+
+    def write(self, sampler: Sampler):
+        return sampler.mean if sampler.std == 0.0 else super().write(sampler)
 
 
-def distribution_to_dict(dist: EvalDistribution) -> dict:
-    return {
-        "function": dist.function,
-        "x0": [sampler_to_value(dist.x0[0]), sampler_to_value(dist.x0[1])],
-        "alpha": sampler_to_value(dist.alpha),
-        "beta": sampler_to_value(dist.beta),
-        "iterations": sampler_to_value(dist.iterations),
-    }
+_MOMENTUM, _ADAPTIVE, _UPDATE = (_RuleTables(c) for c in (MomentumRule, AdaptiveRule, UpdateRule))
+_SPEC = Table(
+    OptimizerSpec, Field("momentum", _MOMENTUM), Field("adaptive", _ADAPTIVE), Field("update", _UPDATE)
+)
+_TASK = Table(
+    TaskConfig,
+    Field("function", _string),
+    Field("alpha", _number),
+    Field("beta", _number),
+    Field("x0", _items(_number, 2)),
+    Field("iterations", _bounded(_integer, hi=MAX_ITERATIONS)),
+    Field("seed", _integer, optional=True),
+)
+_SAMPLER = _SamplerTable(Sampler, Field("mean", _number), Field("std", _number, optional=True))
+_DISTRIBUTION = Table(
+    EvalDistribution,
+    # EvalDistribution checks nothing itself: its function is first used
+    # when the tasks are drawn.
+    Field("function", _choice(FUNCTIONS)),
+    Field("x0", _items(_SAMPLER, 2)),
+    Field("alpha", _SAMPLER),
+    Field("beta", _check(_SAMPLER, lambda s: s.std > 0.0 or s.mean > 0.0, "positive when fixed")),
+    Field("iterations", _SAMPLER),
+)
+
+_WRITERS = {
+    MomentumRule: _MOMENTUM,
+    AdaptiveRule: _ADAPTIVE,
+    UpdateRule: _UPDATE,
+    OptimizerSpec: _SPEC,
+    TaskConfig: _TASK,
+    Sampler: _SAMPLER,
+    EvalDistribution: _DISTRIBUTION,
+}
+
+
+def to_json(value):
+    """The JSON form of a config value, written from its field table."""
+    if isinstance(value, tuple):
+        return [to_json(v) for v in value]
+    writer = _WRITERS.get(type(value))
+    return value if writer is None else writer.write(value)
+
+
+spec_to_dict = task_to_dict = distribution_to_dict = to_json
+parse_update, parse_task, parse_sampler, parse_distribution = _UPDATE, _TASK, _SAMPLER, _DISTRIBUTION
+_REFERENCE = Table(lambda path: path, Field("path", _string))
+
+
+def parse_optimizer_spec(d, path: str, base_dir: Path | None = None) -> OptimizerSpec:
+    """Parse an inline spec, or follow {"path": ...} to a spec stored inline
+    in another JSON file (for example a tuning run's best.json); a relative
+    path is taken from base_dir, by default the working directory."""
+    d = _object(d, path)
+    if "path" not in d:
+        return _SPEC(d, path)
+    ref = _REFERENCE(d, path)
+    try:
+        doc = load_json(Path(base_dir or ".") / ref)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}.path", str(exc)) from None
+    inner = doc.get("optimizer", doc) if isinstance(doc, dict) else doc
+    return _SPEC(inner, f"{path}({ref})")
 
 
 # -------------------------------------------------------------------- grids
 
-def parse_grid_axis(value, path: str) -> tuple[float, ...]:
-    """One rate axis: either an explicit value list or a GridSpec object."""
-    if isinstance(value, list):
-        vals = tuple(_as_number(v, f"{path}[{i}]") for i, v in enumerate(value))
-        if not vals:
-            raise ConfigError(path, "grid must not be empty")
-        if any(b <= a for a, b in zip(vals, vals[1:])):
-            raise ConfigError(path, "grid values must be strictly increasing")
-        return vals
-    d = _as_dict(value, path)
-    _check_keys(d, {"lo", "hi", "log10_step"}, path)
-    try:
-        spec = GridSpec(
-            lo=_as_number(_get(d, "lo", path), f"{path}.lo"),
-            hi=_as_number(_get(d, "hi", path), f"{path}.hi"),
-            log10_step=_as_number(
-                _get(d, "log10_step", path, required=False, default=0.5), f"{path}.log10_step"
-            ),
-        )
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise _wrap(path, exc) from None
+def _grid(**fields) -> tuple[float, ...]:
+    spec = GridSpec(**fields)
+    # Count the points before making them.
+    if math.log10(spec.hi) - math.log10(spec.lo) > (MAX_TRIALS - 1) * spec.log10_step:
+        raise ValueError(f"grid holds more than MAX_TRIALS = {MAX_TRIALS} points")
     return tuple(build_grid(spec))
 
 
+_GRID_SPEC = Table(
+    _grid, Field("lo", _number), Field("hi", _number), Field("log10_step", _number, optional=True)
+)
+_GRID_LIST = _check(
+    _items(_number), lambda v: all(a < b for a, b in zip(v, v[1:])), "strictly increasing"
+)
+
+
+def parse_grid_axis(value, path: str) -> tuple[float, ...]:
+    """One rate axis: either an explicit value list or a GridSpec object."""
+    return (_GRID_LIST if isinstance(value, list) else _GRID_SPEC)(value, path)
+
+
+# The grid table of each update kind: one optional axis per rate it grids,
+# an absent axis keeping its stock grid.
+_GRIDS = {
+    kind: Table(
+        partial(replace, default_grids(kind)),
+        *(Field(name, parse_grid_axis, optional=True) for name in axes),
+    )
+    for kind, axes in RATE_AXES.items()
+}
+
+
 def parse_grids(d, path: str, update_kind: str) -> RateGrids:
-    defaults = default_grids(update_kind)
     if d is None:
-        return defaults
-    d = _as_dict(d, path)
-    allowed = set()
-    if update_kind in ("additive", "hybrid"):
-        allowed.add("lr")
-    if update_kind in ("multiplicative", "hybrid"):
-        allowed |= {"lr_inner", "lr_outer"}
-    _check_keys(d, allowed, path)
-    out = {}
-    for name in ("lr", "lr_inner", "lr_outer"):
-        if name in d:
-            out[name] = parse_grid_axis(d[name], f"{path}.{name}")
-        else:
-            out[name] = getattr(defaults, name)
-    return RateGrids(**out)
+        return default_grids(update_kind)
+    grids = _GRIDS[update_kind](d, path)
+    if math.prod(len(getattr(grids, name)) for name in RATE_AXES[update_kind]) > MAX_TRIALS:
+        raise ConfigError(path, f"grid holds more than MAX_TRIALS = {MAX_TRIALS} points")
+    return grids
 
 
 # ------------------------------------------------------------------ plans
@@ -369,16 +363,16 @@ class RobustnessPlan:
     distribution: EvalDistribution
     spec: OptimizerSpec
     n: int
-    seed: int | None
+    seed: int | None = None
 
 
 @dataclass
 class ScanPlan:
     task: TaskConfig
     spec: OptimizerSpec
-    x0_range: tuple[float, float] | None
-    x1_range: tuple[float, float] | None
-    grid_size: int
+    x0_range: tuple[float, float] | None = None
+    x1_range: tuple[float, float] | None = None
+    grid_size: int = 25
 
 
 @dataclass
@@ -391,163 +385,96 @@ class TrainToyPlan:
     master_seed: int | None
 
 
-def _parse_range(value, path: str) -> tuple[float, float] | None:
-    if value is None:
-        return None
-    pair = _as_list(value, path)
-    if len(pair) != 2:
-        raise ConfigError(path, f"expected [lo, hi], got {value!r}")
-    lo = _as_number(pair[0], f"{path}[0]")
-    hi = _as_number(pair[1], f"{path}[1]")
-    if lo > hi:
-        raise ConfigError(path, f"lo {lo} exceeds hi {hi}")
-    return (lo, hi)
+def _tune(task, family, update_kind, grids=None, mix=DEFAULT_MIX) -> TunePlan:
+    return TunePlan(task, family, update_kind, parse_grids(grids, "grids", update_kind), mix)
 
 
-def parse_tune(cfg: dict, base_dir: Path) -> TunePlan:
-    _check_keys(cfg, {"schema_version", "command", "task", "family", "update_rule", "grids", "mix"}, "")
-    family = _as_str(_get(cfg, "family", ""), "family", FAMILIES)
-    update_kind = _as_str(_get(cfg, "update_rule", ""), "update_rule", UPDATE_KINDS)
-    mix = _as_number(_get(cfg, "mix", "", required=False, default=0.5), "mix")
-    if not 0.0 <= mix <= 1.0:
-        raise ConfigError("mix", f"must be in [0, 1], got {mix}")
-    return TunePlan(
-        task=parse_task(_get(cfg, "task", ""), "task"),
-        family=family,
-        update_kind=update_kind,
-        grids=parse_grids(cfg.get("grids"), "grids", update_kind),
-        mix=mix,
-    )
-
-
-def parse_trial(cfg: dict, base_dir: Path) -> TrialPlan:
-    _check_keys(cfg, {"schema_version", "command", "task", "optimizer"}, "")
-    return TrialPlan(
-        task=parse_task(_get(cfg, "task", ""), "task"),
-        spec=parse_optimizer_spec(_get(cfg, "optimizer", ""), "optimizer", base_dir),
-    )
-
-
-def parse_robustness(cfg: dict, base_dir: Path) -> RobustnessPlan:
-    _check_keys(cfg, {"schema_version", "command", "distribution", "optimizer", "n", "seed"}, "")
-    n = _as_int(_get(cfg, "n", ""), "n")
-    if n < 1:
-        raise ConfigError("n", f"must be >= 1, got {n}")
-    seed = cfg.get("seed")
-    if seed is not None:
-        seed = _as_int(seed, "seed")
-    return RobustnessPlan(
-        distribution=parse_distribution(_get(cfg, "distribution", ""), "distribution"),
-        spec=parse_optimizer_spec(_get(cfg, "optimizer", ""), "optimizer", base_dir),
-        n=n,
-        seed=seed,
-    )
-
-
-def parse_scan(cfg: dict, base_dir: Path) -> ScanPlan:
-    _check_keys(
-        cfg,
-        {"schema_version", "command", "task", "optimizer", "x0_range", "x1_range", "grid_size"},
-        "",
-    )
-    grid_size = _as_int(_get(cfg, "grid_size", "", required=False, default=25), "grid_size")
-    if grid_size < 1:
-        raise ConfigError("grid_size", f"must be >= 1, got {grid_size}")
-    return ScanPlan(
-        task=parse_task(_get(cfg, "task", ""), "task"),
-        spec=parse_optimizer_spec(_get(cfg, "optimizer", ""), "optimizer", base_dir),
-        x0_range=_parse_range(cfg.get("x0_range"), "x0_range"),
-        x1_range=_parse_range(cfg.get("x1_range"), "x1_range"),
-        grid_size=grid_size,
-    )
-
-
-def parse_train_toy(cfg: dict, base_dir: Path) -> TrainToyPlan:
-    _check_keys(
-        cfg,
-        {
-            "schema_version",
-            "command",
-            "dataset",
-            "hidden",
-            "activation",
-            "family",
-            "update_rule",
-            "optimizer",
-            "n_configs",
-            "batch_size",
-            "master_seed",
-            "fan_mode",
-        },
-        "",
-    )
-    dataset = _as_dict(cfg.get("dataset", {}), "dataset")
-    _check_keys(dataset, {"n", "noise", "seed"}, "dataset")
-    hidden = _as_list(cfg.get("hidden", [16]), "hidden")
-    hidden_sizes = tuple(_as_int(v, f"hidden[{i}]") for i, v in enumerate(hidden))
-    if not hidden_sizes or any(h < 1 for h in hidden_sizes):
-        raise ConfigError("hidden", f"layer widths must be positive, got {hidden!r}")
-    fan_mode = _as_str(cfg.get("fan_mode", "product"), "fan_mode", ("product", "sum"))
-    try:
-        settings = ProtocolSettings(
-            dataset_n=_as_int(_get(dataset, "n", "dataset", required=False, default=400), "dataset.n"),
-            dataset_noise=_as_number(
-                _get(dataset, "noise", "dataset", required=False, default=0.15), "dataset.noise"
-            ),
-            dataset_seed=_as_int(
-                _get(dataset, "seed", "dataset", required=False, default=0), "dataset.seed"
-            ),
-            hidden=hidden_sizes,
-            activation=_as_str(cfg.get("activation", "relu"), "activation", ACTIVATIONS),
-            batch_size=_as_int(cfg.get("batch_size", 32), "batch_size"),
-            fan_mode=fan_mode,
-        )
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise _wrap("dataset", exc) from None
-    family = _as_str(_get(cfg, "family", ""), "family", FAMILIES)
-    update_kind = _as_str(_get(cfg, "update_rule", ""), "update_rule", UPDATE_KINDS)
-    if "optimizer" in cfg:
-        optimizer = parse_optimizer_spec(cfg["optimizer"], "optimizer", base_dir)
-    else:
+def _train_toy(
+    family, update_kind, optimizer=None, n_configs=10, master_seed=None, dataset=None, **settings
+) -> TrainToyPlan:
+    if optimizer is None:
         try:
             optimizer = make_spec(family, default_update_rule(family, update_kind))
         except ValueError as exc:
-            raise _wrap("update_rule", exc) from None
-    n_configs = _as_int(cfg.get("n_configs", 10), "n_configs")
-    if n_configs < 1:
-        raise ConfigError("n_configs", f"must be >= 1, got {n_configs}")
-    master_seed = cfg.get("master_seed")
-    if master_seed is not None:
-        master_seed = _as_int(master_seed, "master_seed")
+            raise ConfigError("update_rule", str(exc)) from None
     return TrainToyPlan(
-        settings=settings,
-        family=family,
-        update_kind=update_kind,
-        optimizer=optimizer,
-        n_configs=n_configs,
-        master_seed=master_seed,
+        ProtocolSettings(**(dataset or {}), **settings), family, update_kind, optimizer, n_configs, master_seed
     )
 
 
-_PARSERS = {
-    "tune": parse_tune,
-    "trial": parse_trial,
-    "robustness": parse_robustness,
-    "scan": parse_scan,
-    "train-toy": parse_train_toy,
-}
+_TASK_FIELD = Field("task", _TASK)
+_FAMILY = Field("family", _choice(FAMILIES))
+_UPDATE_KIND = Field("update_rule", _choice(UPDATE_KINDS), attr="update_kind")
+_RANGE = _check(_items(_number, 2), lambda r: r[0] <= r[1], "[lo, hi] where lo never exceeds hi")
+_SEED = _bounded(_integer, lo=0)
+_COUNT = _bounded(_integer, lo=1)
+_DATASET = Table(
+    dict,
+    Field("n", _bounded(_integer, lo=MIN_SAMPLES), True, "dataset_n"),
+    Field("noise", _bounded(_number, lo=MIN_NOISE), True, "dataset_noise"),
+    Field("seed", _SEED, True, "dataset_seed"),
+)
 
 
-def load_json(path: Path | str) -> dict:
+def _plan_tables(base_dir: Path) -> dict[str, Table]:
+    """The tables of the five command plans.  An optimizer given by
+    reference is read relative to the config's directory, base_dir, so the
+    tables are made for each config."""
+    optimizer = partial(parse_optimizer_spec, base_dir=base_dir)
+    spec = Field("optimizer", optimizer, attr="spec")
+    return {
+        "tune": Table(
+            _tune,
+            _TASK_FIELD,
+            _FAMILY,
+            _UPDATE_KIND,
+            Field("grids", _object, optional=True),
+            Field("mix", _bounded(_number, 0.0, 1.0), optional=True),
+        ),
+        "trial": Table(TrialPlan, _TASK_FIELD, spec),
+        "robustness": Table(
+            RobustnessPlan,
+            Field("distribution", _DISTRIBUTION),
+            spec,
+            Field("n", _bounded(_integer, 1, MAX_TRIALS)),
+            Field("seed", _SEED, optional=True),
+        ),
+        "scan": Table(
+            ScanPlan,
+            _TASK_FIELD,
+            spec,
+            Field("x0_range", _RANGE, optional=True),
+            Field("x1_range", _RANGE, optional=True),
+            Field("grid_size", _bounded(_integer, 1, math.isqrt(MAX_TRIALS)), optional=True),
+        ),
+        "train-toy": Table(
+            _train_toy,
+            Field("dataset", _DATASET, optional=True),
+            Field("hidden", _items(_COUNT), optional=True),
+            Field("activation", _choice(ACTIVATIONS), optional=True),
+            Field("batch_size", _bounded(_integer, lo=MIN_BATCH_SIZE), optional=True),
+            Field("fan_mode", _choice(("product", "sum")), optional=True),
+            _FAMILY,
+            _UPDATE_KIND,
+            Field("optimizer", optimizer, optional=True),
+            Field("n_configs", _COUNT, optional=True),
+            Field("master_seed", _SEED, optional=True),
+        ),
+    }
+
+
+def load_json(path: Path | str):
+    """Read a JSON document; any read or decode failure is a ConfigError."""
     path = Path(path)
-    text = path.read_text()
     try:
-        return json.loads(text)
+        return json.loads(path.read_text(encoding="utf-8"))
+    except FileNotFoundError:
+        raise ConfigError("", f"{path}: file not found") from None
+    except OSError as exc:
+        raise ConfigError("", f"{path}: cannot read: {exc.strerror or exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError("", f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
-    except ValueError as exc:  # an integer literal beyond Python's digit limit
+    except ValueError as exc:  # not UTF-8, a NUL in the path, or an integer past Python's digit limit
         raise ConfigError("", f"{path}: {exc}") from None
 
 
@@ -557,11 +484,14 @@ def load_plan(path: Path | str, expected_command: str | None = None):
     cfg = load_json(path)
     if not isinstance(cfg, dict):
         raise ConfigError("", f"{path}: top level must be an object")
-    version = _get(cfg, "schema_version", "")
+    if "schema_version" not in cfg:
+        raise ConfigError("schema_version", "missing required key")
+    version = cfg.pop("schema_version")
     if version != SCHEMA_VERSION:
         raise ConfigError("schema_version", f"expected {SCHEMA_VERSION}, got {version!r}")
-    command = _as_str(_get(cfg, "command", ""), "command", COMMANDS)
+    if "command" not in cfg:
+        raise ConfigError("command", "missing required key")
+    command = _choice(COMMANDS)(cfg.pop("command"), "command")
     if expected_command is not None and command != expected_command:
         raise ConfigError("command", f"config is for {command!r}, invoked as {expected_command!r}")
-    plan = _PARSERS[command](cfg, path.parent)
-    return command, plan
+    return command, _plan_tables(path.parent)[command](cfg, "")

@@ -29,16 +29,14 @@ from .objectives import (
 from .optim import (
     OptimizerSpec,
     OptimizerState,
+    UpdateRule,
     advance,
     step,  # noqa: F401  (kept importable: bench/tracer.py wraps harness.step)
 )
 
-# Rates each update kind reads; the others stay None.
-_RATE_FIELDS = {
-    "additive": ("lr",),
-    "multiplicative": ("lr_inner", "lr_outer"),
-    "hybrid": ("lr", "lr_inner", "lr_outer", "mix"),
-}
+# The largest iteration budget of one trial.  A run costs time in
+# proportion to it, and a single trial keeps a trajectory of that length.
+MAX_ITERATIONS = 100_000
 
 
 @dataclass
@@ -94,13 +92,13 @@ class _RateColumns:
             kind,
             **{
                 name: np.array([getattr(rule, name) for rule in rules], dtype=float)[:, None]
-                for name in _RATE_FIELDS[kind]
+                for name in UpdateRule.FIELDS[kind]
             },
         )
 
     def take(self, keep: np.ndarray) -> _RateColumns:
         return _RateColumns(
-            self.kind, **{name: getattr(self, name)[keep] for name in _RATE_FIELDS[self.kind]}
+            self.kind, **{name: getattr(self, name)[keep] for name in UpdateRule.FIELDS[self.kind]}
         )
 
 
@@ -199,15 +197,9 @@ def run_batch(
     return out
 
 
-def run_trials(
-    pairs: list[tuple[TaskConfig, OptimizerSpec]], workers: int = 1
-) -> list[TrialRecord]:
+def run_trials(pairs: list[tuple[TaskConfig, OptimizerSpec]]) -> list[TrialRecord]:
     """Run many (task, spec) trials with full trajectories, preserving
-    input order.
-
-    workers is accepted for compatibility and has no effect: the trials
-    run as vectorized populations in this process.
-    """
+    input order."""
     batch = run_batch(pairs, trajectories=True)
     return [
         TrialRecord(
@@ -287,7 +279,7 @@ def sample_eval_config(dist: EvalDistribution, seed: int, index: int) -> TaskCon
 
     beta is redrawn until positive, at most MAX_BETA_DRAWS times; the
     iteration budget is rounded to the nearest integer and clamped to at
-    least 1.
+    least 1, and a draw above MAX_ITERATIONS is rejected.
     """
     rng = np.random.default_rng([seed, index])
     x0 = (dist.x0[0].draw(rng), dist.x0[1].draw(rng))
@@ -298,9 +290,14 @@ def sample_eval_config(dist: EvalDistribution, seed: int, index: int) -> TaskCon
             break
     else:
         raise InvalidConfigError(
-            f"beta: no positive draw from {dist.beta} in {MAX_BETA_DRAWS} tries"
+            f"distribution.beta: no positive draw from {dist.beta} in {MAX_BETA_DRAWS} tries"
         )
-    iterations = max(1, int(round(dist.iterations.draw(rng))))
+    iterations = dist.iterations.draw(rng)
+    if not iterations <= MAX_ITERATIONS:
+        raise InvalidConfigError(
+            f"distribution.iterations: draw {index} is {iterations}, above MAX_ITERATIONS = {MAX_ITERATIONS}"
+        )
+    iterations = max(1, int(round(iterations)))
     return TaskConfig(
         function=dist.function,
         alpha=alpha,
@@ -327,13 +324,8 @@ class ScoreStats:
     scores: list[float]
 
 
-def evaluate_robustness(
-    dist: EvalDistribution, spec: OptimizerSpec, n: int, seed: int, workers: int = 1
-) -> ScoreStats:
-    """Score the optimizer on n randomly drawn tasks.
-
-    workers is accepted for compatibility and has no effect.
-    """
+def evaluate_robustness(dist: EvalDistribution, spec: OptimizerSpec, n: int, seed: int) -> ScoreStats:
+    """Score the optimizer on n randomly drawn tasks."""
     if n < 1:
         raise InvalidConfigError(f"n must be >= 1, got {n}")
     tasks = [sample_eval_config(dist, seed, i) for i in range(n)]
@@ -375,12 +367,8 @@ def surface_scan(
     x0_range: tuple[float, float] | None = None,
     x1_range: tuple[float, float] | None = None,
     grid_size: int = 25,
-    workers: int = 1,
 ) -> ScoreGrid:
-    """Run one trial per starting point on a grid_size x grid_size lattice.
-
-    workers is accepted for compatibility and has no effect.
-    """
+    """Run one trial per starting point on a grid_size x grid_size lattice."""
     if grid_size < 1:
         raise InvalidConfigError(f"grid_size must be >= 1, got {grid_size}")
     default0, default1 = default_scan_ranges(task)

@@ -260,11 +260,17 @@ class SyntheticDataset:
     val_idx: np.ndarray
 
 
+# The least dataset size, noise level and batch size a run admits.
+MIN_SAMPLES = 4
+MIN_NOISE = 0.0
+MIN_BATCH_SIZE = 1
+
+
 def make_dataset(n: int = 400, noise: float = 0.15, seed: int = 0) -> SyntheticDataset:
     """Generate the two-moons classification set, deterministically per seed."""
-    if n < 4:
-        raise ValueError(f"need at least 4 samples, got {n}")
-    if noise < 0.0:
+    if n < MIN_SAMPLES:
+        raise ValueError(f"need at least {MIN_SAMPLES} samples, got {n}")
+    if noise < MIN_NOISE:
         raise ValueError(f"noise must be non-negative, got {noise}")
     n_outer = n - n // 2
     n_inner = n // 2
@@ -301,8 +307,8 @@ class TrainingConfig:
             raise ValueError(f"gain must be positive, got {self.gain}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.batch_size < MIN_BATCH_SIZE:
+            raise ValueError(f"batch_size must be >= {MIN_BATCH_SIZE}, got {self.batch_size}")
 
 
 def sample_training_config(seed: int, index: int, batch_size: int = 32) -> TrainingConfig:
@@ -519,14 +525,10 @@ def train_sampled_configs(
     optimizer: OptimizerSpec,
     n_configs: int,
     master_seed: int,
-    workers: int = 1,
 ) -> tuple[list[TrainingConfig], list[TrainResult]]:
     """Run the randomized protocol: n_configs draws of (gain, epochs, seed),
     each trained from scratch with the given optimizer, all as one
-    population.
-
-    workers is accepted for compatibility and has no effect.
-    """
+    population."""
     configs = [
         replace(
             sample_training_config(master_seed, i, batch_size=settings.batch_size),

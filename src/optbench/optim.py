@@ -15,14 +15,12 @@ convex blend of the two.
 """
 from __future__ import annotations
 
-import math
+import operator
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
-MOMENTUM_KINDS = ("identity", "ema")
-ADAPTIVE_KINDS = ("identity", "accumulate", "ema")
-UPDATE_KINDS = ("additive", "multiplicative", "hybrid")
 FAMILIES = ("sgd", "adagrad", "adam", "rmsprop")
 
 DEFAULT_BETA1 = 0.9
@@ -75,48 +73,92 @@ class DivergenceError(RuntimeError):
         self.iteration = iteration
 
 
+def _interval(text: str):
+    """Membership test for an interval written like "[0, 1)"; None and NaN
+    are outside every interval."""
+    lo, hi = (float(bound) for bound in text[1:-1].split(","))
+    above = operator.le if text[0] == "[" else operator.lt
+    below = operator.le if text[-1] == "]" else operator.lt
+    return lambda x: x is not None and above(lo, x) and below(x, hi)
+
+
+# The admissible values of every rule field.
+_RANGES = {
+    "beta1": "[0, 1)",
+    "beta2": "[0, 1)",
+    "eps": "(0, inf)",
+    "lr": "[0, inf)",
+    "lr_inner": "(0, inf)",
+    "lr_outer": "(0, 1]",
+    "mix": "[0, 1]",
+}
+_IN_RANGE = {name: _interval(text) for name, text in _RANGES.items()}
+
+
+def _check_rate(name: str, value) -> None:
+    if not _IN_RANGE[name](value):
+        raise InvalidRateError(f"{name} must be in {_RANGES[name]}, got {value}")
+
+
+class _Rule:
+    """Validation shared by the three rule types.
+
+    FIELDS maps each kind to the fields that kind carries, in the order
+    they are written out.  It is the one statement of that fact: the
+    config schema reads and writes these fields, the batched trial kernel
+    stacks them and the tuner grids them.  A field outside its kind's
+    entry is never read.
+    """
+
+    FIELDS: ClassVar[dict[str, tuple[str, ...]]]
+
+    def __post_init__(self):
+        if self.kind not in self.FIELDS:
+            raise ValueError(f"unknown {type(self).__name__} kind {self.kind!r}")
+        for name in self.FIELDS[self.kind]:
+            _check_rate(name, getattr(self, name))
+
+
 @dataclass(frozen=True)
-class MomentumRule:
+class MomentumRule(_Rule):
     """Direction rule: 'identity' passes the raw gradient through, 'ema'
     keeps an exponential moving average with startup-bias correction."""
+
+    FIELDS: ClassVar = {"identity": (), "ema": ("beta1",)}
 
     kind: str = "identity"
     beta1: float = DEFAULT_BETA1
 
-    def __post_init__(self):
-        if self.kind not in MOMENTUM_KINDS:
-            raise ValueError(f"unknown momentum kind {self.kind!r}")
-        if self.kind == "ema" and not 0.0 <= self.beta1 < 1.0:
-            raise InvalidRateError(f"beta1 must be in [0, 1), got {self.beta1}")
-
 
 @dataclass(frozen=True)
-class AdaptiveRule:
+class AdaptiveRule(_Rule):
     """Rate-multiplier rule: 'identity' is all ones, 'accumulate' divides by
     the root of the gradient-square sum, 'ema' divides by the root of a
     bias-corrected gradient-square moving average."""
+
+    FIELDS: ClassVar = {"identity": (), "accumulate": ("eps",), "ema": ("beta2", "eps")}
 
     kind: str = "identity"
     beta2: float = DEFAULT_BETA2
     eps: float = DEFAULT_EPS
 
-    def __post_init__(self):
-        if self.kind not in ADAPTIVE_KINDS:
-            raise ValueError(f"unknown adaptive kind {self.kind!r}")
-        if self.kind == "ema" and not 0.0 <= self.beta2 < 1.0:
-            raise InvalidRateError(f"beta2 must be in [0, 1), got {self.beta2}")
-        if not 0.0 < self.eps < math.inf:
-            raise InvalidRateError(f"eps must be finite and positive, got {self.eps}")
-
 
 @dataclass(frozen=True)
-class UpdateRule:
+class UpdateRule(_Rule):
     """How the direction and rate multiplier become a parameter step.
 
     additive        needs lr;           step = lr * m * l
     multiplicative  needs lr_inner/out; step = |theta| * tanh(lr_inner*m*l) * lr_outer
     hybrid          needs all four;     step = mix * multiplicative + (1-mix) * additive
+
+    A hybrid rule without a mix gets DEFAULT_MIX.
     """
+
+    FIELDS: ClassVar = {
+        "additive": ("lr",),
+        "multiplicative": ("lr_inner", "lr_outer"),
+        "hybrid": ("lr", "lr_inner", "lr_outer", "mix"),
+    }
 
     kind: str
     lr: float | None = None
@@ -125,36 +167,14 @@ class UpdateRule:
     mix: float | None = None
 
     def __post_init__(self):
-        if self.kind not in UPDATE_KINDS:
-            raise ValueError(f"unknown update kind {self.kind!r}")
-        if self.kind in ("additive", "hybrid"):
-            _check_lr(self.lr)
-        if self.kind in ("multiplicative", "hybrid"):
-            _check_multiplicative_rates(self.lr_inner, self.lr_outer)
-        if self.kind == "hybrid":
-            if self.mix is None:
-                object.__setattr__(self, "mix", DEFAULT_MIX)
-            else:
-                _check_mix(self.mix)
+        if self.mix is None and "mix" in self.FIELDS.get(self.kind, ()):
+            object.__setattr__(self, "mix", DEFAULT_MIX)
+        super().__post_init__()
 
 
-# Each check is written so that NaN fails it.
-
-def _check_lr(lr) -> None:
-    if lr is None or not 0.0 <= lr < math.inf:
-        raise InvalidRateError(f"lr must be a finite non-negative real, got {lr}")
-
-
-def _check_multiplicative_rates(lr_inner, lr_outer) -> None:
-    if lr_inner is None or not 0.0 < lr_inner < math.inf:
-        raise InvalidRateError(f"lr_inner must be finite and positive, got {lr_inner}")
-    if lr_outer is None or not 0.0 < lr_outer <= 1.0:
-        raise InvalidRateError(f"lr_outer must be in (0, 1], got {lr_outer}")
-
-
-def _check_mix(mix) -> None:
-    if not 0.0 <= mix <= 1.0:
-        raise InvalidRateError(f"mix must be in [0, 1], got {mix}")
+MOMENTUM_KINDS = tuple(MomentumRule.FIELDS)
+ADAPTIVE_KINDS = tuple(AdaptiveRule.FIELDS)
+UPDATE_KINDS = tuple(UpdateRule.FIELDS)
 
 
 @dataclass(frozen=True)
@@ -316,7 +336,7 @@ def additive_update(theta: np.ndarray, m: np.ndarray, l: np.ndarray, lr: float) 
     """Classical step lr * m * l (theta only participates in the shape check)."""
     theta, m, l = (np.asarray(a, dtype=float) for a in (theta, m, l))
     _check_same_shape(theta, m, l)
-    _check_lr(lr)
+    _check_rate("lr", lr)
     return _additive(m, l, lr)
 
 
@@ -331,7 +351,8 @@ def multiplicative_update(
     """
     theta, m, l = (np.asarray(a, dtype=float) for a in (theta, m, l))
     _check_same_shape(theta, m, l)
-    _check_multiplicative_rates(lr_inner, lr_outer)
+    for name, rate in (("lr_inner", lr_inner), ("lr_outer", lr_outer)):
+        _check_rate(name, rate)
     return _multiplicative(theta, m, l, lr_inner, lr_outer)
 
 
@@ -351,9 +372,8 @@ def hybrid_update(
     """
     theta, m, l = (np.asarray(a, dtype=float) for a in (theta, m, l))
     _check_same_shape(theta, m, l)
-    _check_lr(lr)
-    _check_multiplicative_rates(lr_inner, lr_outer)
-    _check_mix(mix)
+    for name, rate in (("lr", lr), ("lr_inner", lr_inner), ("lr_outer", lr_outer), ("mix", mix)):
+        _check_rate(name, rate)
     return _hybrid(theta, m, l, lr, lr_inner, lr_outer, mix)
 
 

@@ -48,7 +48,12 @@ def build_grid(spec: GridSpec) -> list[float]:
     values = []
     k = 0
     while True:
-        v = spec.lo * 10.0 ** (k * spec.log10_step)
+        try:
+            v = spec.lo * 10.0 ** (k * spec.log10_step)
+        except OverflowError:
+            raise InvalidGridError(
+                f"log10_step {spec.log10_step} leaves the float range before reaching {spec.hi}"
+            ) from None
         # Stop once we reach hi (up to rounding); hi is appended exactly.
         if v >= spec.hi * (1.0 - 1e-12):
             break
@@ -84,6 +89,29 @@ LR_RANGE = (1e-6, 5e2)
 LR_INNER_RANGE = (1e-1, 5e1)
 LR_OUTER_RANGE = (1e-4, 1.0)
 
+# The rate axes a tune grids for each update kind: every field the kind
+# carries except mix, which one tune holds fixed.  The leaderboard has one
+# column per axis.
+RATE_AXES = {
+    kind: tuple(name for name in fields if name != "mix") for kind, fields in UpdateRule.FIELDS.items()
+}
+
+# The additive lr axis uses the half-decade family (the family all the
+# stock range endpoints belong to); the lr_inner/lr_outer axes use the
+# denser sqrt(10)-ratio grid.
+_STOCK_AXES = {
+    "lr": tuple(half_decade_grid(*LR_RANGE)),
+    "lr_inner": tuple(build_grid(GridSpec(*LR_INNER_RANGE))),
+    "lr_outer": tuple(build_grid(GridSpec(*LR_OUTER_RANGE))),
+}
+
+
+def _axes(update_kind: str) -> tuple[str, ...]:
+    try:
+        return RATE_AXES[update_kind]
+    except KeyError:
+        raise ValueError(f"unknown update kind {update_kind!r}") from None
+
 
 @dataclass(frozen=True)
 class RateGrids:
@@ -95,23 +123,10 @@ class RateGrids:
 
 
 def default_grids(update_kind: str) -> RateGrids:
-    """The stock grids for an update rule.
-
-    The additive lr axis uses the half-decade family (the family all the
-    stock range endpoints belong to); the lr_inner/lr_outer axes use the
-    denser sqrt(10)-ratio grid.  The hybrid rule reuses the additive lr
-    axis alongside the multiplicative axes.
-    """
-    lr = tuple(half_decade_grid(*LR_RANGE))
-    lr_inner = tuple(build_grid(GridSpec(*LR_INNER_RANGE)))
-    lr_outer = tuple(build_grid(GridSpec(*LR_OUTER_RANGE)))
-    if update_kind == "additive":
-        return RateGrids(lr=lr)
-    if update_kind == "multiplicative":
-        return RateGrids(lr_inner=lr_inner, lr_outer=lr_outer)
-    if update_kind == "hybrid":
-        return RateGrids(lr=lr, lr_inner=lr_inner, lr_outer=lr_outer)
-    raise ValueError(f"unknown update kind {update_kind!r}")
+    """The stock grids for an update rule: the stock axis of each rate it
+    grids.  The hybrid rule reuses the additive lr axis alongside the
+    multiplicative axes."""
+    return RateGrids(**{name: _STOCK_AXES[name] for name in _axes(update_kind)})
 
 
 @dataclass
@@ -125,28 +140,16 @@ class TuneResult:
 
 
 def _candidate_rules(update_kind: str, grids: RateGrids, mix: float) -> list[UpdateRule]:
-    def axis(values, name):
+    names = _axes(update_kind)
+    for name in names:
+        values = getattr(grids, name)
         if values is None or len(values) == 0:
             raise InvalidGridError(f"update kind {update_kind!r} needs a non-empty {name} grid")
-        return values
-
-    if update_kind == "additive":
-        return [UpdateRule("additive", lr=v) for v in axis(grids.lr, "lr")]
-    if update_kind == "multiplicative":
-        return [
-            UpdateRule("multiplicative", lr_inner=i, lr_outer=o)
-            for i, o in product(axis(grids.lr_inner, "lr_inner"), axis(grids.lr_outer, "lr_outer"))
-        ]
-    if update_kind == "hybrid":
-        return [
-            UpdateRule("hybrid", lr=v, lr_inner=i, lr_outer=o, mix=mix)
-            for v, i, o in product(
-                axis(grids.lr, "lr"),
-                axis(grids.lr_inner, "lr_inner"),
-                axis(grids.lr_outer, "lr_outer"),
-            )
-        ]
-    raise ValueError(f"unknown update kind {update_kind!r}")
+    fixed = {"mix": mix} if "mix" in UpdateRule.FIELDS[update_kind] else {}
+    return [
+        UpdateRule(update_kind, **dict(zip(names, point)), **fixed)
+        for point in product(*(getattr(grids, name) for name in names))
+    ]
 
 
 def _sort_key(entry: tuple[OptimizerSpec, float]):
@@ -161,18 +164,18 @@ def grid_search(
     update_kind: str,
     grids: RateGrids | None = None,
     mix: float = DEFAULT_MIX,
-    workers: int = 1,
 ) -> TuneResult:
     """Try every grid point and rank by final distance.
 
-    The leaderboard covers the full Cartesian grid; diverged points stay
-    in it with distance = inf.  workers is accepted for compatibility and
-    has no effect: the whole grid runs as one vectorized population.
+    The leaderboard covers the full Cartesian grid, run as one vectorized
+    population; diverged points stay in it with distance = inf.
     """
     if grids is None:
         grids = default_grids(update_kind)
     rules = _candidate_rules(update_kind, grids, mix)
-    specs = [make_spec(family, rule) for rule in rules]
+    # Every candidate shares the family's momentum and adaptive rules.
+    family_spec = make_spec(family, rules[0])
+    specs = [OptimizerSpec(family_spec.momentum, family_spec.adaptive, rule) for rule in rules]
     finals = run_batch([(task, s) for s in specs]).final_distance.tolist()
     leaderboard = sorted(zip(specs, finals), key=_sort_key)
     best_spec, best_distance = leaderboard[0]

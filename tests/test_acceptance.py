@@ -44,7 +44,7 @@ WORKERS = 4
 def _tuned(function: str, beta: float, family: str, kind: str):
     x0 = (50.0, 50.0) if function == "convex2d" else (0.5, 3.0)
     task = TaskConfig(function, alpha=1.0, beta=beta, x0=x0, iterations=100)
-    return grid_search(task, family, kind, workers=WORKERS)
+    return grid_search(task, family, kind)
 
 
 def _bundled_spec(name: str):
@@ -115,7 +115,7 @@ def test_03_robustness_under_task_resampling():
     def _mean(function, name):
         dist = default_eval_distribution(function)
         spec = _bundled_spec(f"{function}-{name}")
-        stats = evaluate_robustness(dist, spec, n=n, seed=seed, workers=WORKERS)
+        stats = evaluate_robustness(dist, spec, n=n, seed=seed)
         return stats.mean
 
     adagrad_hybrid = _mean("convex2d", "adagrad-hybrid")
@@ -281,9 +281,7 @@ def test_05_toy_classifier_protocol():
         _, plan = load_plan(CONFIGS / "train-toy" / f"sgd-{kind}.json", expected_command="train-toy")
         assert plan.master_seed is not None  # the seed ships in the repo
         assert plan.n_configs == 10
-        _, runs = train_sampled_configs(
-            plan.settings, plan.optimizer, plan.n_configs, plan.master_seed, workers=WORKERS
-        )
+        _, runs = train_sampled_configs(plan.settings, plan.optimizer, plan.n_configs, plan.master_seed)
         results[kind] = runs
 
     def _means(runs):

@@ -83,13 +83,6 @@ def test_multiplicative_trial_preserves_signs_throughout():
         assert np.array_equal(np.sign(theta), signs0)
 
 
-def test_run_trials_parallel_matches_serial():
-    pairs = [(CONVEX, _sgd(lr)) for lr in (1e-4, 1e-3, 1e-2, 5.0)]
-    serial = run_trials(pairs, workers=1)
-    parallel = run_trials(pairs, workers=2)
-    assert serial == parallel
-
-
 def test_sampler_fixed_value_consumes_no_randomness():
     rng_a = np.random.default_rng(0)
     rng_b = np.random.default_rng(0)
@@ -224,13 +217,6 @@ def test_evaluate_robustness_seeded_determinism():
     assert a.scores != c.scores
 
 
-def test_evaluate_robustness_parallel_matches_serial():
-    dist = default_eval_distribution("convex2d")
-    a = evaluate_robustness(dist, _sgd(1e-3), n=12, seed=3, workers=1)
-    b = evaluate_robustness(dist, _sgd(1e-3), n=12, seed=3, workers=2)
-    assert a == b
-
-
 def test_evaluate_robustness_rejects_nonpositive_n():
     with pytest.raises(InvalidConfigError):
         evaluate_robustness(default_eval_distribution("convex2d"), _sgd(1e-3), n=0, seed=0)
@@ -276,15 +262,6 @@ def test_surface_scan_default_size_and_validation():
         surface_scan(task, _sgd(1e-3), grid_size=0)
     with pytest.raises(InvalidConfigError):
         surface_scan(task, _sgd(1e-3), x0_range=(2.0, 1.0))
-
-
-def test_surface_scan_parallel_matches_serial():
-    from dataclasses import replace
-
-    task = replace(CONVEX, iterations=10)
-    a = surface_scan(task, _sgd(1e-3), grid_size=4, workers=1)
-    b = surface_scan(task, _sgd(1e-3), grid_size=4, workers=2)
-    assert np.array_equal(a.scores, b.scores)
 
 
 # ------------------------------------------------------ kernel oracle

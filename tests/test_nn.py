@@ -346,18 +346,6 @@ def test_train_sampled_configs_pairs_draws_across_optimizers():
     assert all(c.optimizer == mult for c in cfg_m)
 
 
-def test_train_sampled_configs_parallel_matches_serial():
-    settings = ProtocolSettings()
-    spec = make_spec("sgd", default_update_rule("sgd", "additive"))
-    cfg_s, res_s = train_sampled_configs(settings, spec, n_configs=4, master_seed=77, workers=1)
-    cfg_p, res_p = train_sampled_configs(settings, spec, n_configs=4, master_seed=77, workers=2)
-    assert cfg_s == cfg_p
-    for a, b in zip(res_s, res_p):
-        assert a.metrics == b.metrics
-        assert a.sign_flips == b.sign_flips
-        assert a.diverged == b.diverged
-
-
 # ------------------------------------------------- population trainer oracle
 
 

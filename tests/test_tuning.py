@@ -136,11 +136,11 @@ def test_grid_search_ties_broken_by_smaller_rates():
 
 
 def test_grid_search_stock_defaults_sgd():
-    additive = grid_search(CONVEX, "sgd", "additive", workers=4)
+    additive = grid_search(CONVEX, "sgd", "additive")
     assert 0.5 <= additive.best_final_distance <= 1.0
     assert len(additive.leaderboard) == 18
 
-    mult = grid_search(CONVEX, "sgd", "multiplicative", workers=4)
+    mult = grid_search(CONVEX, "sgd", "multiplicative")
     assert mult.best_final_distance <= 1e-2
     assert len(mult.leaderboard) == 63
 
