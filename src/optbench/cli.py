@@ -29,6 +29,7 @@ from .config import (
     TrainToyPlan,
     TrialPlan,
     TunePlan,
+    check_work,
     load_plan,
     spec_to_dict,
     task_to_dict,
@@ -306,6 +307,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         _, plan = load_plan(args.config, expected_command=args.command)
+        check_work(plan)
     except (ConfigError, InvalidConfigError, InvalidGridError, InvalidRateError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -19,10 +19,13 @@ carries come from the rules' FIELDS tables in optim.
 Validation is strict: unknown keys, missing keys, wrong types, non-finite
 numbers and out-of-range values all raise ConfigError with a dotted field
 path so the CLI can point at the exact problem.  MAX_ITERATIONS bounds
-every iteration budget and MAX_TRIALS every trial count; train-toy sizes
-and the product of trials and iterations are not bounded.  Optimizer specifications
-round-trip losslessly through this format, and may also be pulled in by
-reference ({"path": ...}) from a previous tuning run's output.
+every iteration budget and MAX_TRIALS every trial count.  check_work
+bounds a loaded plan's total work, the product that those single-field
+bounds leave open: MAX_TRIAL_STEPS bounds trials x iterations of tune,
+robustness and scan, and MAX_TRAIN_WORK networks x parameters x samples
+of train-toy.  Optimizer specifications round-trip losslessly through
+this format, and may also be pulled in by reference ({"path": ...}) from
+a previous tuning run's output.
 """
 from __future__ import annotations
 
@@ -34,7 +37,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from .harness import MAX_ITERATIONS, EvalDistribution, Sampler
-from .nn import ACTIVATIONS, MIN_BATCH_SIZE, MIN_NOISE, MIN_SAMPLES, ProtocolSettings
+from .nn import ACTIVATIONS, MIN_BATCH_SIZE, MIN_NOISE, MIN_SAMPLES, ProtocolSettings, param_count
 from .objectives import FUNCTIONS, TaskConfig
 from .optim import (
     DEFAULT_MIX,
@@ -55,6 +58,17 @@ COMMANDS = ("tune", "trial", "robustness", "scan", "train-toy")
 # The most trials one command runs as a population: robustness draws, tune
 # grid points, and scan start points (grid_size squared).
 MAX_TRIALS = 100_000
+
+# The most work one run may do, a bound on the product of fields that the
+# tables bound one by one; check_work applies it to a loaded plan.  Tune,
+# robustness and scan run trials x iterations trial steps (one optimizer
+# step of one 2-D trial); a 316 x 316 scan of 1,000 iterations, just under
+# the bound, takes about 19 s on 2 vCPUs.  Train-toy work is networks x
+# parameters per network x samples, each unit worth about 60 epochs; at
+# the bound ten networks take about 10 s (width 2,500) to 28 s (width 16,
+# 60,000 samples).
+MAX_TRIAL_STEPS = 10**8
+MAX_TRAIN_WORK = 5 * 10**7
 
 
 class ConfigError(ValueError):
@@ -332,11 +346,15 @@ _GRIDS = {
 }
 
 
+def _points(grids: RateGrids, update_kind: str) -> int:
+    return math.prod(len(getattr(grids, name)) for name in RATE_AXES[update_kind])
+
+
 def parse_grids(d, path: str, update_kind: str) -> RateGrids:
     if d is None:
         return default_grids(update_kind)
     grids = _GRIDS[update_kind](d, path)
-    if math.prod(len(getattr(grids, name)) for name in RATE_AXES[update_kind]) > MAX_TRIALS:
+    if _points(grids, update_kind) > MAX_TRIALS:
         raise ConfigError(path, f"grid holds more than MAX_TRIALS = {MAX_TRIALS} points")
     return grids
 
@@ -495,3 +513,38 @@ def load_plan(path: Path | str, expected_command: str | None = None):
     if expected_command is not None and command != expected_command:
         raise ConfigError("command", f"config is for {command!r}, invoked as {expected_command!r}")
     return command, _plan_tables(path.parent)[command](cfg, "")
+
+
+def check_work(plan) -> None:
+    """Refuse a loaded plan whose total work is over its bound.  The error
+    names the field that sizes each trial or network, and gives every
+    factor of the product.
+
+    load_plan admits every field up to its own bound, all of them at once
+    included; the CLI calls this before a command runs anything."""
+    if isinstance(plan, TrainToyPlan):
+        params, samples = param_count(plan.settings.layer_sizes), plan.settings.dataset_n
+        work = plan.n_configs * params * samples
+        if work > MAX_TRAIN_WORK:
+            raise ConfigError(
+                "hidden",
+                f"{plan.n_configs} networks x {params} parameters x {samples} samples = {work}"
+                f" is more than MAX_TRAIN_WORK = {MAX_TRAIN_WORK}",
+            )
+        return
+    if isinstance(plan, TunePlan):
+        path, trials, iterations = "task.iterations", _points(plan.grids, plan.update_kind), plan.task.iterations
+    elif isinstance(plan, ScanPlan):
+        path, trials, iterations = "task.iterations", plan.grid_size**2, plan.task.iterations
+    elif isinstance(plan, RobustnessPlan):
+        # A drawn budget is random: count its mean plus one standard deviation.
+        budget = plan.distribution.iterations
+        path, trials, iterations = "distribution.iterations", plan.n, max(1.0, budget.mean + budget.std)
+    else:
+        return  # a trial runs one task, its iterations bounded by MAX_ITERATIONS
+    if trials * iterations > MAX_TRIAL_STEPS:
+        raise ConfigError(
+            path,
+            f"{trials} trials x {iterations:g} iterations = {trials * iterations:g} trial steps"
+            f" is more than MAX_TRIAL_STEPS = {MAX_TRIAL_STEPS}",
+        )

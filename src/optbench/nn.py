@@ -9,9 +9,16 @@ optimizer state drives all tensors with any update rule from the optim
 module.  Same-shaped networks train together as a population: a (C, P)
 buffer of C flat vectors, stepped by stacked forward and backward passes
 and one optimizer call per minibatch.  A single model is the C = 1 case.
+
+No reduction or broadcast runs along the class axis of the logits: the
+softmax head, the losses and the accuracies work on each class column as
+a whole (C, n) array, because numpy's inner loop over a row's two classes
+costs far more than their arithmetic.  The column forms give the same
+bits as numpy's last-axis max, sum and argmax.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -55,18 +62,40 @@ def xavier_init(
     return rng.normal(0.0, std, size=(fan_in, fan_out))
 
 
+# The head folds over the class columns logits[..., k], never along the
+# class axis (see the module docstring).  The folds give the bits of
+# numpy's last-axis reductions: max is np.maximum.reduce, a sum of up to
+# eight classes adds left to right, and argmax keeps the first maximum
+# and the first NaN.
+
+def _shifted(logits: np.ndarray) -> list[np.ndarray]:
+    """Each class column minus the row's largest logit."""
+    columns = [logits[..., k] for k in range(logits.shape[-1])]
+    top = functools.reduce(np.maximum, columns)
+    return [c - top for c in columns]
+
+
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Softmax over the last axis."""
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = [np.exp(s) for s in _shifted(logits)]
+    total = functools.reduce(np.add, e)
+    out = np.empty(logits.shape)
+    for k, column in enumerate(e):
+        np.divide(column, total, out=out[..., k])
+    return out
+
+
+def _log_softmax_columns(logits: np.ndarray) -> list[np.ndarray]:
+    """The log-softmax class columns, via log-sum-exp so that large logits
+    cannot overflow."""
+    shifted = _shifted(logits)
+    log_total = np.log(functools.reduce(np.add, [np.exp(s) for s in shifted]))
+    return [s - log_total for s in shifted]
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    """Log-softmax over the last axis, via log-sum-exp so that large logits
-    cannot overflow."""
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    """Log-softmax over the last axis."""
+    return np.stack(_log_softmax_columns(logits), axis=-1)
 
 
 def _mean_nll(log_probs: np.ndarray, labels: np.ndarray) -> float:
@@ -81,21 +110,38 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
 def _losses(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """Mean cross-entropy of each network of (C, n, classes) logits.
 
-    Each mean is taken over a 1-D row, in the summation order a single
-    network's cross_entropy uses."""
-    return np.array([_mean_nll(lp, labels) for lp in _log_softmax(logits)])
+    The labelled log-probabilities form one C-contiguous (C, n) array, so
+    each row's mean sums in the pairwise order of a single network's
+    cross_entropy."""
+    columns = _log_softmax_columns(logits)
+    picked = columns[0]
+    for k, column in enumerate(columns[1:], 1):
+        np.copyto(picked, column, where=labels == k)
+    return -picked.mean(axis=-1)
 
 
 def _accuracies(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    return (logits.argmax(axis=-1) == labels).mean(axis=-1)
+    """Share of each network's rows whose argmax is the label."""
+    best = logits[..., 0]
+    predicted = np.zeros(best.shape, dtype=np.intp)
+    for k in range(1, logits.shape[-1]):
+        column = logits[..., k]
+        better = (column > best) | (np.isnan(column) & ~np.isnan(best))
+        predicted[better] = k
+        best = np.where(better, column, best)
+    return (predicted == labels).mean(axis=-1)
 
 
 # The stacked passes below run C networks at once.  Weights are
 # (C, n_in, n_out) and biases (C, 1, n_out); activations are (C, batch,
 # width).  Stacked matmul runs the same gemm on each network's slice as a
-# 2-D product, so every network gets the bits it would get alone.
+# 2-D product, so every network gets the bits it would get alone.  Only
+# the head touches the class axis, through its column folds, and the
+# minibatch targets are one-hot rows so the backward pass subtracts them
+# instead of indexing by label.
 
-def _param_count(layer_sizes: list[int]) -> int:
+def param_count(layer_sizes: list[int]) -> int:
+    """Weights and biases of a network with these layer sizes."""
     return sum((n_in + 1) * n_out for n_in, n_out in zip(layer_sizes[:-1], layer_sizes[1:]))
 
 
@@ -113,61 +159,63 @@ def _views(buffer: np.ndarray, layer_sizes: list[int]) -> tuple[list[np.ndarray]
     return weights, biases
 
 
-def _act(z: np.ndarray, activation: str) -> np.ndarray:
-    if activation == "relu":
-        return np.maximum(z, 0.0)
-    return np.tanh(z)
-
-
 def _forward(
     weights: list[np.ndarray], biases: list[np.ndarray], x: np.ndarray, activation: str
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """(inputs, pre): the input and the pre-activation of every layer for a
-    (C, batch, n_in) or shared (batch, n_in) input; pre[-1] is the logits."""
-    a = x
-    inputs, pre = [a], []
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """(inputs, logits): the input of every layer and the output of the
+    last, for a (C, batch, n_in) or shared (batch, n_in) input.  Each layer
+    fills one new array in place."""
+    a, inputs = x, []
     last = len(weights) - 1
     for i, (w, b) in enumerate(zip(weights, biases)):
-        z = a @ w + b
-        pre.append(z)
+        inputs.append(a)
+        a = a @ w
+        a += b
         if i < last:
-            a = _act(z, activation)
-            inputs.append(a)
-    return inputs, pre
+            if activation == "relu":
+                np.maximum(a, 0.0, out=a)
+            else:
+                np.tanh(a, out=a)
+    return inputs, a
+
+
+def _one_hot(labels: np.ndarray, classes: int) -> np.ndarray:
+    return np.eye(classes)[labels]
 
 
 def _backward(
     weights: list[np.ndarray],
     inputs: list[np.ndarray],
-    pre: list[np.ndarray],
-    labels: np.ndarray,
+    logits: np.ndarray,
+    targets: np.ndarray,
     activation: str,
     grad_w: list[np.ndarray],
     grad_b: list[np.ndarray],
 ) -> None:
-    """Write the mean cross-entropy gradients of (C, batch) labels into the
-    grad_w/grad_b views."""
-    c, n = labels.shape
-    delta = softmax(pre[-1])
-    delta[np.arange(c)[:, None], np.arange(n), labels] -= 1.0
-    delta /= n
+    """Write the mean cross-entropy gradients of (C, batch, classes)
+    one-hot targets into the grad_w/grad_b views."""
+    delta = softmax(logits)
+    delta -= targets
+    delta /= targets.shape[1]
     for i in range(len(weights) - 1, -1, -1):
         grad_w[i][...] = inputs[i].swapaxes(1, 2) @ delta
         grad_b[i][...] = delta.sum(axis=1, keepdims=True)
         if i > 0:
             da = delta @ weights[i].swapaxes(1, 2)
             if activation == "relu":
-                delta = da * (pre[i - 1] > 0.0)
+                # relu(z) > 0 exactly where z > 0, also for -0.0 and NaN.
+                delta = da * (inputs[i] > 0.0)
             else:
                 delta = da * (1.0 - inputs[i] ** 2)
 
 
 @dataclass
 class ForwardCache:
-    """Intermediate activations retained for the backward pass."""
+    """What the backward pass needs of a forward pass: the input of every
+    layer and the logits."""
 
     inputs: list[np.ndarray]  # input to each layer (inputs[0] is the batch)
-    pre: list[np.ndarray]  # pre-activation of each layer
+    logits: np.ndarray
     n_layers: int
 
 
@@ -192,7 +240,7 @@ class MLP:
         rng = np.random.default_rng(0) if rng is None else rng
         self.layer_sizes = list(layer_sizes)
         self.activation = activation
-        self.flat = np.empty(_param_count(self.layer_sizes))
+        self.flat = np.empty(param_count(self.layer_sizes))
         self._stacked = _views(self.flat[None], self.layer_sizes)
         self.weights = [w[0] for w in self._stacked[0]]
         self.biases = [b[0, 0] for b in self._stacked[1]]
@@ -214,16 +262,14 @@ class MLP:
         a = np.asarray(x, dtype=float)
         if a.ndim != 2 or a.shape[1] != self.layer_sizes[0]:
             raise ValueError(f"expected (batch, {self.layer_sizes[0]}) input, got {a.shape}")
-        inputs, pre = _forward(*self._stacked, a[None], self.activation)
-        cache = ForwardCache(
-            inputs=[v[0] for v in inputs], pre=[v[0] for v in pre], n_layers=len(self.weights)
-        )
-        return cache.pre[-1], cache
+        inputs, logits = _forward(*self._stacked, a[None], self.activation)
+        cache = ForwardCache(inputs=[v[0] for v in inputs], logits=logits[0], n_layers=len(self.weights))
+        return cache.logits, cache
 
     def backward(self, cache: ForwardCache, labels: np.ndarray) -> list[np.ndarray]:
         """Mean cross-entropy gradients for every tensor, in parameters() order."""
         labels = np.asarray(labels)
-        if cache.n_layers != len(self.weights) or len(cache.pre) != len(self.weights):
+        if cache.n_layers != len(self.weights) or len(cache.inputs) != len(self.weights):
             raise ValueError("cache does not match this model")
         n = cache.inputs[0].shape[0]
         if labels.shape != (n,):
@@ -232,8 +278,8 @@ class MLP:
         _backward(
             self._stacked[0],
             [v[None] for v in cache.inputs],
-            [v[None] for v in cache.pre],
-            labels[None],
+            cache.logits[None],
+            _one_hot(labels, self.layer_sizes[-1])[None],
             self.activation,
             grad_w,
             grad_b,
@@ -422,6 +468,7 @@ def train_population(
         raise ValueError("the configs of a population must share the optimizer and batch size")
     x_train = dataset.features[dataset.train_idx]
     y_train = dataset.labels[dataset.train_idx]
+    targets = _one_hot(y_train, layer_sizes[-1])
     x_val = dataset.features[dataset.val_idx]
     y_val = dataset.labels[dataset.val_idx]
     n_train = len(y_train)
@@ -433,8 +480,8 @@ def train_population(
 
     def evaluate(weights, biases) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Train loss, train accuracy and validation accuracy per row."""
-        logits = _forward(weights, biases, x_train, activation)[1][-1]
-        val_logits = _forward(weights, biases, x_val, activation)[1][-1]
+        logits = _forward(weights, biases, x_train, activation)[1]
+        val_logits = _forward(weights, biases, x_val, activation)[1]
         return _losses(logits, y_train), _accuracies(logits, y_train), _accuracies(val_logits, y_val)
 
     def retire(stop: np.ndarray) -> None:
@@ -446,11 +493,13 @@ def train_population(
         epoch = 0
         while pop.rows.size:
             epoch += 1
+            # One gather per epoch; each minibatch is a slice of it.
             order = np.stack([rng.permutation(n_train) for rng in pop.rngs])
+            x_epoch, t_epoch = x_train[order], targets[order]
             for start in range(0, n_train, batch_size):
-                batch = order[:, start : start + batch_size]
-                inputs, pre = _forward(pop.weights, pop.biases, x_train[batch], activation)
-                _backward(pop.weights, inputs, pre, y_train[batch], activation, pop.grad_w, pop.grad_b)
+                batch = slice(start, start + batch_size)
+                inputs, logits = _forward(pop.weights, pop.biases, x_epoch[:, batch], activation)
+                _backward(pop.weights, inputs, logits, t_epoch[:, batch], activation, pop.grad_w, pop.grad_b)
                 new_theta = advance(spec, pop.state, pop.theta, pop.grad)
                 ok = np.isfinite(pop.grad).all(axis=1) & np.isfinite(new_theta).all(axis=1)
                 if ok.all():
@@ -460,7 +509,7 @@ def train_population(
                 pop.theta[ok] = new_theta[ok]
                 pop.flips[ok] += pop.flipped()[ok]
                 diverged[pop.rows[~ok]] = True
-                order = order[ok]
+                x_epoch, t_epoch = x_epoch[ok], t_epoch[ok]
                 retire(~ok)
                 if pop.rows.size == 0:
                     break
@@ -519,6 +568,11 @@ class ProtocolSettings:
     batch_size: int = 32
     fan_mode: str = "product"
 
+    @property
+    def layer_sizes(self) -> list[int]:
+        """Two input features, the hidden widths and two classes."""
+        return [2, *self.hidden, 2]
+
 
 def train_sampled_configs(
     settings: ProtocolSettings,
@@ -540,7 +594,7 @@ def train_sampled_configs(
     dataset = make_dataset(settings.dataset_n, settings.dataset_noise, settings.dataset_seed)
     models = [
         MLP(
-            [2, *settings.hidden, 2],
+            settings.layer_sizes,
             activation=settings.activation,
             gain=c.gain,
             rng=np.random.default_rng(c.seed),

@@ -284,9 +284,9 @@ def _direction(rule: MomentumRule, state: OptimizerState, g: np.ndarray) -> np.n
     return state.m / (1.0 - rule.beta1 ** state.t)
 
 
-def _rate(rule: AdaptiveRule, state: OptimizerState, g: np.ndarray) -> np.ndarray:
+def _rate(rule: AdaptiveRule, state: OptimizerState, g: np.ndarray) -> np.ndarray | float:
     if rule.kind == "identity":
-        return np.ones_like(g)
+        return 1.0  # m * 1.0 == m bitwise, with no array to allocate
     if rule.kind == "accumulate":
         state.v += g * g
         return 1.0 / (np.sqrt(state.v) + rule.eps)
@@ -329,6 +329,8 @@ def adaptive_rate(rule: AdaptiveRule, state: OptimizerState, g: np.ndarray) -> n
     g = np.asarray(g, dtype=float)
     _check_started(state)
     _check_finite_gradient(g)
+    if rule.kind == "identity":
+        return np.ones_like(g)
     return _rate(rule, state, g)
 
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from optbench.cli import EXIT_CONFIG, main
-from optbench.config import ConfigError, load_plan
+from optbench.config import ConfigError, check_work, load_plan
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -76,6 +76,53 @@ def test_bad_config_exits_2_naming_the_field(tmp_path, capsys, group, name, fiel
     err = capsys.readouterr().err
     assert f"error: {path}" in err
     assert "Traceback" not in err
+
+
+# Each field within its own bound, the run's total work over MAX_TRIAL_STEPS
+# (trials x iterations) or MAX_TRAIN_WORK (networks x parameters x samples).
+WORK_CASES = [
+    (
+        "robustness",
+        "convex2d-sgd-additive.json",
+        {"n": 100_000, "distribution.iterations": 100_000},
+        "distribution.iterations",
+    ),
+    (
+        "tune",
+        "convex2d-sgd-additive.json",
+        {"grids.lr": [1e-6 * (i + 1) for i in range(100_000)], "task.iterations": 100_000},
+        "task.iterations",
+    ),
+    ("scan", "convex2d-sgd-additive.json", {"grid_size": 316, "task.iterations": 100_000}, "task.iterations"),
+    ("train-toy", "sgd-additive.json", {"hidden": [1_000_000]}, "hidden"),
+    ("train-toy", "sgd-additive.json", {"n_configs": 100_000}, "hidden"),
+    ("train-toy", "sgd-additive.json", {"dataset.n": 10**9}, "hidden"),
+]
+
+
+@pytest.mark.parametrize(
+    "group, name, edits, path", WORK_CASES, ids=lambda v: "+".join(v) if isinstance(v, dict) else None
+)
+def test_over_the_work_bound_exits_2_naming_the_field(tmp_path, capsys, group, name, edits, path):
+    doc = _bundled(group, name)
+    for field, value in edits.items():
+        _edit(doc, field, value)
+    config = tmp_path / name
+    config.write_text(json.dumps(doc))
+    started = time.monotonic()
+    assert main([group, "--config", str(config), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert time.monotonic() - started < 5.0
+    err = capsys.readouterr().err
+    assert f"error: {path}: " in err and "is more than MAX_T" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_work_bounds_admit_every_bundled_config():
+    configs = [p for g in ("tune", "robustness", "scan", "train-toy") for p in (CONFIGS / g).glob("*.json")]
+    assert len(configs) == 55
+    for path in configs:
+        check_work(load_plan(path)[1])
 
 
 def test_a_trial_over_the_iteration_bound_exits_2(tmp_path, capsys):

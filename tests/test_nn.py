@@ -20,6 +20,9 @@ from optbench.nn import (
     softmax,
     train,
     train_population,
+    _accuracies,
+    _log_softmax,
+    _losses,
     train_sampled_configs,
     xavier_init,
 )
@@ -181,6 +184,54 @@ def test_cross_entropy_is_finite_for_extreme_logits():
     flipped = cross_entropy(logits, np.array([1, 0]))
     assert math.isfinite(flipped)
     assert flipped == pytest.approx(2e8)
+
+
+def _edge_logits(shape, seed):
+    """Normal logits with rows holding NaN, +-inf, +-0.0 and exact ties."""
+    rng = np.random.default_rng(seed)
+    logits = rng.normal(0.0, 3.0, size=shape)
+    flat = logits.reshape(-1, 2)
+    nan, inf = math.nan, math.inf
+    edges = [(nan, 1.0), (1.0, nan), (nan, nan), (nan, inf), (inf, inf), (-inf, -inf), (inf, -inf),
+             (-inf, 2.0), (0.0, -0.0), (-0.0, 0.0), (-0.0, -0.0), (2.5, 2.5), (1e308, -1e308)]
+    rows = rng.choice(flat.shape[0], size=len(edges), replace=False)
+    flat[rows] = edges
+    return logits
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@pytest.mark.parametrize("shape", [(10, 320, 2), (3, 7, 2), (64, 2)])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_head_columns_match_last_axis_reductions_bitwise(shape, seed):
+    # The head folds over the class columns; numpy's last-axis max, sum and
+    # argmax are the reference, NaN, infinities, signed zeros and ties
+    # included.
+    logits = _edge_logits(shape, seed)
+    labels = np.random.default_rng(seed).integers(0, 2, size=shape[-2])
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        shifted = logits - logits.max(axis=-1, keepdims=True)
+        e = np.exp(shifted)
+        want_softmax = e / e.sum(axis=-1, keepdims=True)
+        want_log_softmax = shifted - np.log(e.sum(axis=-1, keepdims=True))
+        got_softmax, got_log_softmax = softmax(logits), _log_softmax(logits)
+        accuracies = _accuracies(logits, labels)
+        stacked = logits.reshape(-1, *shape[-2:])
+        losses = _losses(stacked, labels)
+        entropies = [cross_entropy(net, labels) for net in stacked]
+    assert np.isnan(logits).any() and np.isinf(logits).any()
+    assert _same_bits(got_softmax, want_softmax)
+    assert _same_bits(got_log_softmax, want_log_softmax)
+    assert _same_bits(accuracies, (logits.argmax(axis=-1) == labels).mean(axis=-1))
+    assert _same_bits(losses, entropies)
+    want_entropies = [
+        -log_probs[np.arange(len(labels)), labels].mean()
+        for log_probs in want_log_softmax.reshape(stacked.shape)
+    ]
+    assert _same_bits(entropies, want_entropies)
 
 
 def test_make_dataset_determinism_and_split():
