@@ -271,24 +271,31 @@ _COMMANDS = {
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="optbench", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", required=True, help="path to the JSON config")
-        p.add_argument(
-            "--out",
-            default=None,
-            help=f"output directory (default: ${OUTPUT_ROOT_ENV}/<config stem> or ./runs/<config stem>)",
-        )
-        p.add_argument("--seed", type=int, default=0, help="fallback seed when the config has none")
-        p.add_argument(
-            "--parallelism",
-            type=int,
-            default=1,
-            help="accepted for compatibility; has no effect (everything runs in one process)",
-        )
-        p.add_argument("--overwrite", action="store_true", help="replace existing output files")
+    """One flat parser: the command, then the options every command takes."""
+    commands = "\n".join(f"  {name:<12}{help_text}" for name, (_, help_text) in _COMMANDS.items())
+    parser = argparse.ArgumentParser(
+        prog="optbench",
+        description=__doc__,
+        epilog=f"commands:\n{commands}",
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
+    parser.add_argument(
+        "command", choices=_COMMANDS, metavar="command", help="one of the commands listed below"
+    )
+    parser.add_argument("--config", required=True, help="path to the JSON config")
+    parser.add_argument(
+        "--out",
+        default=None,
+        help=f"output directory (default: ${OUTPUT_ROOT_ENV}/<config stem> or ./runs/<config stem>)",
+    )
+    parser.add_argument("--seed", type=int, default=0, help="fallback seed when the config has none")
+    parser.add_argument(
+        "--parallelism",
+        type=int,
+        default=1,
+        help="accepted for compatibility; has no effect (everything runs in one process)",
+    )
+    parser.add_argument("--overwrite", action="store_true", help="replace existing output files")
     return parser
 
 

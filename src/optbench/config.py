@@ -63,7 +63,7 @@ MAX_TRIALS = 100_000
 # tables bound one by one; check_work applies it to a loaded plan.  Tune,
 # robustness and scan run trials x iterations trial steps (one optimizer
 # step of one 2-D trial); a 316 x 316 scan of 1,000 iterations, just under
-# the bound, takes about 19 s on 2 vCPUs.  Train-toy work is networks x
+# the bound, takes about 12 s on 2 vCPUs.  Train-toy work is networks x
 # parameters per network x samples, each unit worth about 60 epochs; at
 # the bound ten networks take about 10 s (width 2,500) to 28 s (width 16,
 # 60,000 samples).

@@ -7,7 +7,7 @@ than the first, and "rosenbrock" is the classic banana-shaped valley.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -31,17 +31,58 @@ class TaskConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.function not in FUNCTIONS:
-            raise InvalidConfigError(f"unknown function {self.function!r}")
-        if not np.isfinite(self.beta) or self.beta <= 0.0:
-            raise InvalidConfigError(f"beta must be positive, got {self.beta}")
-        if not np.isfinite(self.alpha):
-            raise InvalidConfigError(f"alpha must be finite, got {self.alpha}")
-        if len(self.x0) != 2 or not all(np.isfinite(v) for v in self.x0):
-            raise InvalidConfigError(f"x0 must be two finite reals, got {self.x0!r}")
+        TaskColumns.of([self]).check()
         object.__setattr__(self, "x0", (float(self.x0[0]), float(self.x0[1])))
-        if not isinstance(self.iterations, (int, np.integer)) or self.iterations < 1:
-            raise InvalidConfigError(f"iterations must be a positive integer, got {self.iterations!r}")
+
+
+class TaskColumns(NamedTuple):
+    """Many tasks of one function as per-row columns: alpha, beta and
+    iterations are (N,) arrays and x0 is (N, 2).  This is the form the
+    harness runs tasks in; a TaskConfig is the one-row case."""
+
+    function: str
+    alpha: np.ndarray
+    beta: np.ndarray
+    x0: np.ndarray
+    iterations: np.ndarray
+
+    @classmethod
+    def of(cls, tasks) -> TaskColumns:
+        """The columns of TaskConfigs that share the first one's function."""
+        return cls(
+            tasks[0].function,
+            np.array([t.alpha for t in tasks], dtype=float),
+            np.array([t.beta for t in tasks], dtype=float),
+            np.array([t.x0 for t in tasks], dtype=float),
+            np.array([t.iterations for t in tasks]),
+        )
+
+    def check(self, path: str = "") -> None:
+        """The task rules, each tested once over its whole column: the
+        function is known, alpha is finite, beta is finite and positive, x0
+        is two finite reals and iterations is a positive integer.
+
+        The error names the field under path (e.g. "distribution.alpha")
+        and, when there are several tasks, the row of the first that breaks
+        the rule.
+        """
+        if self.function not in FUNCTIONS:
+            raise InvalidConfigError(f"unknown {path}function {self.function!r}")
+        if self.x0.ndim != 2 or self.x0.shape[1] != 2:
+            raise InvalidConfigError(f"{path}x0 must be two reals, got shape {self.x0.shape[1:]}")
+        iterations = self.iterations
+        integral = np.issubdtype(iterations.dtype, np.integer)
+        for name, values, ok, rule in (
+            ("alpha", self.alpha, np.isfinite(self.alpha), "finite"),
+            ("beta", self.beta, np.isfinite(self.beta) & (self.beta > 0.0), "finite and positive"),
+            ("x0[0]", self.x0[:, 0], np.isfinite(self.x0[:, 0]), "finite"),
+            ("x0[1]", self.x0[:, 1], np.isfinite(self.x0[:, 1]), "finite"),
+            ("iterations", iterations, integral and iterations >= 1, "a positive integer"),
+        ):
+            if not np.all(ok):
+                row = int(np.argmin(np.broadcast_to(ok, values.shape)))
+                where = f" (row {row})" if values.size > 1 else ""
+                raise InvalidConfigError(f"{path}{name} must be {rule}, got {values[row].item()!r}{where}")
 
 
 @dataclass(frozen=True)
@@ -65,9 +106,13 @@ def _check_beta(beta) -> None:
         raise InvalidConfigError(f"beta must be positive, got {beta}")
 
 
-def convex2d(alpha, beta) -> Objective:
-    """beta*(x1-alpha)^2 + 10*beta*(x2-alpha)^2, minimized at (alpha, alpha)."""
-    _check_beta(beta)
+# The builders below are unchecked.  Each works out the gradient's
+# per-task constants once, when the objective is built, since a population
+# calls the gradient every step; 2.0 * beta * d is (2.0 * beta) * d, so the
+# bits are the same.
+
+def _convex2d(alpha, beta) -> Objective:
+    slope0, slope1 = 2.0 * beta, 20.0 * beta
 
     def evaluate(x):
         x = np.asarray(x, dtype=float)
@@ -76,16 +121,18 @@ def convex2d(alpha, beta) -> Objective:
     def gradient(x):
         x = np.asarray(x, dtype=float)
         g = np.empty_like(x)
-        g[..., 0] = 2.0 * beta * (x[..., 0] - alpha)
-        g[..., 1] = 20.0 * beta * (x[..., 1] - alpha)
+        g0, g1 = g[..., 0], g[..., 1]
+        np.subtract(x[..., 0], alpha, out=g0)
+        g0 *= slope0
+        np.subtract(x[..., 1], alpha, out=g1)
+        g1 *= slope1
         return g
 
     return Objective("convex2d", evaluate, gradient, (alpha, alpha))
 
 
-def rosenbrock(alpha, beta) -> Objective:
-    """(alpha-x1)^2 + beta*(x2-x1^2)^2, minimized at (alpha, alpha^2)."""
-    _check_beta(beta)
+def _rosenbrock(alpha, beta) -> Objective:
+    slope, curve = 2.0 * beta, 4.0 * beta
 
     def evaluate(x):
         x = np.asarray(x, dtype=float)
@@ -93,34 +140,65 @@ def rosenbrock(alpha, beta) -> Objective:
 
     def gradient(x):
         x = np.asarray(x, dtype=float)
+        x0 = x[..., 0]
         # float_power squares through pow(), as a scalar ** 2 does; the
         # array ** 2 shortcut (x * x) can differ in the last bit.
-        valley = x[..., 1] - np.float_power(x[..., 0], 2.0)
+        valley = x[..., 1] - np.float_power(x0, 2.0)
         g = np.empty_like(x)
-        g[..., 0] = -2.0 * (alpha - x[..., 0]) - 4.0 * beta * x[..., 0] * valley
-        g[..., 1] = 2.0 * beta * valley
+        g0 = g[..., 0]
+        np.subtract(alpha, x0, out=g0)
+        g0 *= -2.0
+        g0 -= curve * x0 * valley
+        np.multiply(slope, valley, out=g[..., 1])
         return g
 
     return Objective("rosenbrock", evaluate, gradient, (alpha, np.float_power(alpha, 2.0)))
 
 
+def convex2d(alpha, beta) -> Objective:
+    """beta*(x1-alpha)^2 + 10*beta*(x2-alpha)^2, minimized at (alpha, alpha)."""
+    _check_beta(beta)
+    return _convex2d(alpha, beta)
+
+
+def rosenbrock(alpha, beta) -> Objective:
+    """(alpha-x1)^2 + beta*(x2-x1^2)^2, minimized at (alpha, alpha^2)."""
+    _check_beta(beta)
+    return _rosenbrock(alpha, beta)
+
+
 OBJECTIVES = {"convex2d": convex2d, "rosenbrock": rosenbrock}
+_BUILDERS = {"convex2d": _convex2d, "rosenbrock": _rosenbrock}
 
 
 def make_objective(task: TaskConfig) -> Objective:
     return OBJECTIVES[task.function](task.alpha, task.beta)
 
 
+def population_objective(function: str, alpha: np.ndarray, beta: np.ndarray) -> Objective:
+    """The objective over per-row alpha and beta columns of tasks that
+    TaskColumns.check (or TaskConfig) has passed; it checks nothing again."""
+    return _BUILDERS[function](alpha, beta)
+
+
+def point_distance(x: np.ndarray, point: np.ndarray) -> float | np.ndarray:
+    """Euclidean distance from x to point, row by row for (N, 2) arrays.
+
+    The dot product goes through matmul, which runs the same BLAS dot as
+    np.linalg.norm, so a row of a population gets the same bits as the
+    point on its own.
+    """
+    d = x - point
+    return np.sqrt(np.matmul(d[..., None, :], d[..., :, None])[..., 0, 0])
+
+
 def distance_to_minimum(x: np.ndarray, objective: Objective) -> float | np.ndarray:
     """Euclidean distance from x to the objective's minimizer.
 
     x may be one point or an (N, 2) population against an objective with
-    per-row parameters; a population gives an (N,) array.  The dot product
-    goes through matmul, which runs the same BLAS dot as np.linalg.norm, so
-    a row of a population gets the same bits as the point on its own.
+    per-row parameters; a population gives an (N,) array.
     """
-    d = np.asarray(x, dtype=float) - np.stack(objective.minimum, axis=-1)
-    return np.sqrt(np.matmul(d[..., None, :], d[..., :, None])[..., 0, 0])
+    return point_distance(np.asarray(x, dtype=float), np.stack(objective.minimum, axis=-1))
 
 
 def finite_difference_grad(objective: Objective, x: np.ndarray, h: float = 1e-6) -> np.ndarray:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from typing import ClassVar
 
 import numpy as np
@@ -171,6 +172,11 @@ class UpdateRule(_Rule):
             object.__setattr__(self, "mix", DEFAULT_MIX)
         super().__post_init__()
 
+    @cached_property
+    def blend(self):
+        """The hybrid rule's blend_weights(mix), worked out once per rule."""
+        return blend_weights(self.mix)
+
 
 MOMENTUM_KINDS = tuple(MomentumRule.FIELDS)
 ADAPTIVE_KINDS = tuple(AdaptiveRule.FIELDS)
@@ -274,7 +280,11 @@ def _check_started(state: OptimizerState) -> None:
 # The underscored rule functions below are the unchecked math shared by the
 # public checked functions, step() and the batched trial kernel in the
 # harness.  They are elementwise, so every argument may be a single vector
-# or an (N, dim) population; rates may be scalars or (N, 1) columns.
+# or an (N, dim) population; rates may be scalars or (N, 1) columns.  The
+# update rules take ml = m * l, the product both formulas start from, so
+# the hybrid rule forms it once.  Work is done in place on arrays a
+# function allocated itself, in the order the formulas state: a product
+# of two factors has the same bits in either order.
 
 def _direction(rule: MomentumRule, state: OptimizerState, g: np.ndarray) -> np.ndarray:
     if rule.kind == "identity":
@@ -289,27 +299,51 @@ def _rate(rule: AdaptiveRule, state: OptimizerState, g: np.ndarray) -> np.ndarra
         return 1.0  # m * 1.0 == m bitwise, with no array to allocate
     if rule.kind == "accumulate":
         state.v += g * g
-        return 1.0 / (np.sqrt(state.v) + rule.eps)
-    state.v *= rule.beta2
-    state.v += (1.0 - rule.beta2) * (g * g)
-    v_hat = state.v / (1.0 - rule.beta2 ** state.t)
-    return 1.0 / (np.sqrt(v_hat) + rule.eps)
+        root = np.sqrt(state.v)
+    else:
+        state.v *= rule.beta2
+        gg = g * g
+        gg *= 1.0 - rule.beta2
+        state.v += gg
+        root = state.v / (1.0 - rule.beta2 ** state.t)
+        np.sqrt(root, out=root)
+    root += rule.eps
+    return np.divide(1.0, root, out=root)
 
 
-def _additive(m, l, lr):
-    return lr * (m * l)
+def _additive(ml, lr):
+    return lr * ml
 
 
-def _multiplicative(theta, m, l, lr_inner, lr_outer):
-    return np.abs(theta) * np.tanh(lr_inner * (m * l)) * lr_outer
+def _multiplicative(theta, ml, lr_inner, lr_outer):
+    step = np.tanh(lr_inner * ml)
+    step *= np.abs(theta)
+    step *= lr_outer
+    return step
 
 
-def _hybrid(theta, m, l, lr, lr_inner, lr_outer, mix):
-    add = _additive(m, l, lr)
-    mult = _multiplicative(theta, m, l, lr_inner, lr_outer)
+def blend_weights(mix):
+    """What the hybrid rule needs of mix: (mix, mix == 0, mix == 1,
+    1 - mix, whether any entry of mix is 0 or 1).
+
+    A rule passed to apply_update carries these as .blend, so a
+    population of per-row mix columns works them out once, not every step.
+    """
+    at_additive, at_multiplicative = mix == 0.0, mix == 1.0
+    return mix, at_additive, at_multiplicative, 1.0 - mix, bool(np.any(at_additive | at_multiplicative))
+
+
+def _hybrid(theta, ml, lr, lr_inner, lr_outer, blend):
+    mix, at_additive, at_multiplicative, additive_weight, at_endpoint = blend
+    add = _additive(ml, lr)
+    mult = _multiplicative(theta, ml, lr_inner, lr_outer)
+    step = mix * mult
+    step += additive_weight * add
+    if not at_endpoint:
+        return step
     # The endpoints select the pure rules exactly; the blend alone would
     # not (0 * inf is nan).
-    return np.where(mix == 0.0, add, np.where(mix == 1.0, mult, mix * mult + (1.0 - mix) * add))
+    return np.where(at_additive, add, np.where(at_multiplicative, mult, step))
 
 
 def momentum(rule: MomentumRule, state: OptimizerState, g: np.ndarray) -> np.ndarray:
@@ -339,7 +373,7 @@ def additive_update(theta: np.ndarray, m: np.ndarray, l: np.ndarray, lr: float) 
     theta, m, l = (np.asarray(a, dtype=float) for a in (theta, m, l))
     _check_same_shape(theta, m, l)
     _check_rate("lr", lr)
-    return _additive(m, l, lr)
+    return _additive(m * l, lr)
 
 
 def multiplicative_update(
@@ -355,7 +389,7 @@ def multiplicative_update(
     _check_same_shape(theta, m, l)
     for name, rate in (("lr_inner", lr_inner), ("lr_outer", lr_outer)):
         _check_rate(name, rate)
-    return _multiplicative(theta, m, l, lr_inner, lr_outer)
+    return _multiplicative(theta, m * l, lr_inner, lr_outer)
 
 
 def hybrid_update(
@@ -376,22 +410,23 @@ def hybrid_update(
     _check_same_shape(theta, m, l)
     for name, rate in (("lr", lr), ("lr_inner", lr_inner), ("lr_outer", lr_outer), ("mix", mix)):
         _check_rate(name, rate)
-    return _hybrid(theta, m, l, lr, lr_inner, lr_outer, mix)
+    return _hybrid(theta, m * l, lr, lr_inner, lr_outer, blend_weights(mix))
 
 
 def apply_update(rule: UpdateRule, theta: np.ndarray, m: np.ndarray, l: np.ndarray) -> np.ndarray:
     """Dispatch to the update math selected by rule.kind.
 
     The rates are read from the rule unchecked (an UpdateRule validates
-    them on construction).  Any object with kind/lr/lr_inner/lr_outer/mix
-    attributes works, which lets the batched trial kernel pass per-row
-    (N, 1) rate columns.
+    them on construction).  Any object with the kind's rate attributes
+    (and, for a hybrid rule, blend) works, which lets the batched trial
+    kernel pass per-row (N, 1) rate columns.
     """
+    ml = m * l
     if rule.kind == "additive":
-        return _additive(m, l, rule.lr)
+        return _additive(ml, rule.lr)
     if rule.kind == "multiplicative":
-        return _multiplicative(theta, m, l, rule.lr_inner, rule.lr_outer)
-    return _hybrid(theta, m, l, rule.lr, rule.lr_inner, rule.lr_outer, rule.mix)
+        return _multiplicative(theta, ml, rule.lr_inner, rule.lr_outer)
+    return _hybrid(theta, ml, rule.lr, rule.lr_inner, rule.lr_outer, rule.blend)
 
 
 def advance(spec: OptimizerSpec, state: OptimizerState, theta: np.ndarray, g: np.ndarray) -> np.ndarray:

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from optbench.cli import EXIT_ALL_DIVERGED, EXIT_CONFIG, EXIT_OK, main
+from optbench.cli import _COMMANDS, EXIT_ALL_DIVERGED, EXIT_CONFIG, EXIT_OK, _build_parser, main
 from optbench.config import SCHEMA_VERSION, distribution_to_dict, spec_to_dict
 from optbench.harness import default_eval_distribution
 from optbench.optim import UpdateRule, default_update_rule, make_spec
@@ -333,3 +333,70 @@ def test_default_output_under_runs(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(["trial", "--config", str(config)]) == EXIT_OK
     assert (tmp_path / "runs" / "mytrial" / "trajectory.csv").exists()
+
+
+# -------------------------------------------------------------- parser
+
+@pytest.mark.parametrize("command", ["tune", "trial", "robustness", "scan", "train-toy"])
+def test_every_command_parses_config_and_out(command):
+    args = _build_parser().parse_args([command, "--config", "c.json", "--out", "o"])
+    assert (args.command, args.config, args.out) == (command, "c.json", "o")
+    assert (args.seed, args.parallelism, args.overwrite) == (0, 1, False)
+
+
+@pytest.mark.parametrize(
+    "argv", [["bogus", "--config", "c.json"], ["--config", "c.json", "--out", "o"], []]
+)
+def test_unknown_or_missing_command_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "command" in capsys.readouterr().err
+
+
+def test_help_lists_every_command_with_its_help(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert len(_COMMANDS) == 5
+    for name, (_, help_text) in _COMMANDS.items():
+        assert re.search(rf"^  {re.escape(name)} +{re.escape(help_text)}$", out, re.MULTILINE), name
+
+
+# ------------------------------------------- draws and ranges past floats
+
+@pytest.mark.parametrize("field", ["alpha", "x0[0]", "x0[1]"])
+def test_overflowing_robustness_draw_names_its_field(tmp_path, capsys, field):
+    doc = _robustness_doc(n=20, seed=1)
+    huge = {"mean": 1e308, "std": 1e308}
+    if field == "alpha":
+        doc["distribution"]["alpha"] = huge
+    else:
+        doc["distribution"]["x0"][int(field[3])] = huge
+    config = _write_config(tmp_path, "rob.json", doc)
+    out = tmp_path / "o"
+    started = time.monotonic()
+    assert main(["robustness", "--config", str(config), "--out", str(out)]) == EXIT_CONFIG
+    assert time.monotonic() - started < 5.0
+    err = capsys.readouterr().err
+    assert f"error: distribution.{field} must be finite, got inf (row " in err
+    assert not (out / "stats.json").exists()
+
+
+@pytest.mark.parametrize("field", ["x0_range", "x1_range"])
+def test_scan_range_wider_than_the_floats_names_its_field(tmp_path, capsys, field):
+    doc = {
+        "schema_version": SCHEMA_VERSION,
+        "command": "scan",
+        "task": _task_doc(iterations=10),
+        "optimizer": spec_to_dict(make_spec("sgd", UpdateRule("additive", lr=0.001))),
+        field: [-1e308, 1e308],
+    }
+    config = _write_config(tmp_path, "scan.json", doc)
+    out = tmp_path / "o"
+    started = time.monotonic()
+    assert main(["scan", "--config", str(config), "--out", str(out)]) == EXIT_CONFIG
+    assert time.monotonic() - started < 5.0
+    assert f"error: {field}: " in capsys.readouterr().err
+    assert not (out / "surface.csv").exists()

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,8 +9,10 @@ from optbench import optim
 from optbench.harness import (
     EvalDistribution,
     Sampler,
+    _RateColumns,
     default_eval_distribution,
     default_scan_ranges,
+    draw_tasks,
     evaluate_robustness,
     run_batch,
     run_trial,
@@ -403,3 +406,136 @@ def test_batched_multiplicative_population_keeps_signs_and_bound(monkeypatch):
     batch = run_batch(pairs)
     assert sum(rows_checked) == int(batch.iterations_run.sum() + batch.diverged.sum())
     assert max(rows_checked) == 20
+
+
+# ------------------------------------------------------ column draws
+
+def _scalar_draw(dist, seed, index):
+    """One task drawn field by field, as sample_eval_config drew it before
+    draws came in columns: one default_rng([seed, index]) stream, beta
+    redrawn until positive, the budget rounded and clamped to at least 1."""
+    rng = np.random.default_rng([seed, index])
+
+    def draw(sampler):
+        return sampler.mean if sampler.std == 0.0 else float(rng.normal(sampler.mean, sampler.std))
+
+    x0 = (draw(dist.x0[0]), draw(dist.x0[1]))
+    alpha = draw(dist.alpha)
+    beta = draw(dist.beta)
+    while beta <= 0.0:
+        beta = draw(dist.beta)
+    return x0, alpha, beta, max(1, int(round(draw(dist.iterations))))
+
+
+DRAW_CASES = {
+    "convex2d": default_eval_distribution("convex2d"),
+    "rosenbrock": default_eval_distribution("rosenbrock"),
+    "fixed fields": EvalDistribution(
+        function="convex2d",
+        x0=(Sampler(50.0), Sampler(-3.0, 2.0)),
+        alpha=Sampler(1.0),
+        beta=Sampler(20.0, 0.0),
+        iterations=Sampler(100.0),
+    ),
+    "beta redraws": EvalDistribution(
+        function="rosenbrock",
+        x0=(Sampler(0.5, 0.1), Sampler(3.0, 1.0)),
+        alpha=Sampler(1.0, 0.5),
+        beta=Sampler(0.1, 5.0),
+        iterations=Sampler(50.0, 5.0),
+    ),
+    "budget rounding and clamp": EvalDistribution(
+        function="convex2d",
+        x0=(Sampler(50.0, 5.0), Sampler(50.0, 5.0)),
+        alpha=Sampler(1.0, 1.0),
+        beta=Sampler(20.0, 2.0),
+        iterations=Sampler(1.0, 3.0),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", DRAW_CASES)
+def test_column_draw_equals_per_index_draws_bitwise(name):
+    dist = DRAW_CASES[name]
+    n = 300
+    tasks = draw_tasks(dist, 77, range(n))
+    assert tasks.function == dist.function
+    assert tasks.x0.shape == (n, 2) and tasks.iterations.dtype.kind == "i"
+    budgets = set()
+    for i in range(n):
+        one = sample_eval_config(dist, 77, i)
+        x0, alpha, beta, iterations = _scalar_draw(dist, 77, i)
+        row = (tasks.x0[i, 0], tasks.x0[i, 1], tasks.alpha[i], tasks.beta[i])
+        assert np.array(row).tobytes() == np.array([*one.x0, one.alpha, one.beta]).tobytes()
+        assert np.array(row).tobytes() == np.array([*x0, alpha, beta]).tobytes()
+        assert tasks.iterations[i] == one.iterations == iterations
+        budgets.add(iterations)
+    if name == "budget rounding and clamp":
+        assert 1 in budgets and len(budgets) > 5
+
+
+@pytest.mark.parametrize("budget, rounded", [(0.5, 1), (1.5, 2), (2.5, 2), (3.5, 4), (-7.0, 1)])
+def test_column_draw_rounds_budgets_half_to_even_and_clamps(budget, rounded):
+    dist = replace(DRAW_CASES["fixed fields"], iterations=Sampler(budget))
+    assert draw_tasks(dist, 0, range(3)).iterations.tolist() == [rounded] * 3
+    assert _scalar_draw(dist, 0, 0)[3] == rounded
+
+
+def test_infinitely_negative_budget_draw_clamps_to_one():
+    # At seed 1 the third draw overflows to -inf and the others stay
+    # finite and below zero; rounding -inf used to raise OverflowError.
+    dist = EvalDistribution(
+        function="convex2d",
+        x0=(Sampler(50.0), Sampler(50.0)),
+        alpha=Sampler(1.0),
+        beta=Sampler(20.0),
+        iterations=Sampler(-1e308, 1e308),
+    )
+    assert draw_tasks(dist, 1, range(4)).iterations.tolist() == [1, 1, 1, 1]
+
+
+def test_robustness_equals_run_batch_over_per_index_tasks_bitwise():
+    for function, lr in (("convex2d", 1e-3), ("rosenbrock", 5e-3)):
+        dist = default_eval_distribution(function)
+        spec = _sgd(lr)
+        stats = evaluate_robustness(dist, spec, n=60, seed=11)
+        pairs = [(sample_eval_config(dist, 11, i), spec) for i in range(60)]
+        assert np.array(stats.scores).tobytes() == run_batch(pairs).score.tobytes()
+
+
+@pytest.mark.parametrize("function", ["convex2d", "rosenbrock"])
+@pytest.mark.parametrize("kind", UPDATE_KINDS)
+def test_surface_scan_equals_run_batch_over_moved_tasks_bitwise(function, kind):
+    if function == "convex2d":
+        task = TaskConfig(function, alpha=1.0, beta=20.0, x0=(50.0, 50.0), iterations=40)
+    else:
+        task = TaskConfig(function, alpha=1.0, beta=60.0, x0=(0.5, 3.0), iterations=40)
+    family = "adagrad" if kind == "multiplicative" else "sgd"
+    spec = make_spec(family, default_update_rule(family, kind))
+    grid = surface_scan(task, spec, x0_range=(-2.0, 3.0), x1_range=(-1.0, 4.0), grid_size=9)
+    pairs = [
+        (replace(task, x0=(float(a), float(b))), spec)
+        for a in grid.x0_axis
+        for b in grid.x1_axis
+    ]
+    assert grid.scores.tobytes() == run_batch(pairs).score.reshape(9, 9).tobytes()
+
+
+def test_rate_columns_apply_each_rows_rule_bitwise():
+    """Per-row rate columns, with blend weights worked out once for the
+    whole column, give each row the bits of its own scalar rule, including
+    rows at mix 0 or 1 whose other component is not finite."""
+    rules = [
+        UpdateRule("hybrid", lr=0.1, lr_inner=1.0, lr_outer=0.5, mix=mix)
+        for mix in (0.0, 0.3, 1.0, 1.0, 0.0)
+    ]
+    # Row 0's multiplicative part is inf (theta is), row 2's additive part
+    # is inf (m * l overflows); the other rows are ordinary.
+    theta = np.array([[math.inf, -1.0], [2.0, 3.0], [2.0, -4.0], [0.5, 1.0], [2.0, 1.0]])
+    m = np.array([[1.0, 1.0], [0.5, -2.0], [1e300, -1e300], [0.1, 0.2], [1.0, 0.3]])
+    l = np.array([[1.0, 1.0], [1.0, 0.5], [1e10, 1e10], [1.0, 1.0], [1.0, 1.0]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        delta = optim.apply_update(_RateColumns.stack("hybrid", rules), theta, m, l)
+        for i, rule in enumerate(rules):
+            assert np.array_equal(delta[i], optim.apply_update(rule, theta[i], m[i], l[i])), i
+    assert np.isfinite(delta).all()

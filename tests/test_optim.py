@@ -215,6 +215,20 @@ def test_hybrid_midpoint_blends_both_rules():
     assert_allclose(delta, [expected], rtol=1e-12)
 
 
+def test_hybrid_endpoints_select_the_pure_rule_when_the_other_is_not_finite():
+    # m * l overflows: the additive part is inf while tanh saturates, so
+    # 1 * mult + 0 * add would be nan.
+    theta, m, l = np.array([2.0]), np.array([1e300]), np.array([1e10])
+    with np.errstate(over="ignore", invalid="ignore"):
+        at_one = hybrid_update(theta, m, l, lr=0.1, lr_inner=1.0, lr_outer=0.5, mix=1.0)
+        assert np.array_equal(at_one, multiplicative_update(theta, m, l, 1.0, 0.5))
+        assert np.array_equal(at_one, [1.0])
+        # An infinite parameter makes the multiplicative part inf.
+        theta, ones = np.array([math.inf]), np.ones(1)
+        at_zero = hybrid_update(theta, ones, ones, lr=0.1, lr_inner=1.0, lr_outer=0.5, mix=0.0)
+        assert np.array_equal(at_zero, additive_update(theta, ones, ones, 0.1))
+
+
 @pytest.mark.parametrize("mix", [-0.1, 1.1])
 def test_hybrid_mix_range(mix):
     with pytest.raises(InvalidRateError):
