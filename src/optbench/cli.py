@@ -22,6 +22,8 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .config import (
     ConfigError,
     RobustnessPlan,
@@ -38,7 +40,7 @@ from .harness import ScoreStats, TrialRecord, evaluate_robustness, run_trial, su
 from .nn import mean_std, train_sampled_configs
 from .objectives import InvalidConfigError
 from .optim import InvalidRateError
-from .tuning import RATE_AXES, InvalidGridError, TuneResult, grid_search
+from .tuning import InvalidGridError, TuneResult, grid_search
 
 OUTPUT_ROOT_ENV = "OPTBENCH_OUT"
 
@@ -91,12 +93,12 @@ def _prepare_output(out_dir: Path, names: list[str], overwrite: bool) -> None:
 # ------------------------------------------------------------------- writers
 
 def write_leaderboard_csv(path: Path, result: TuneResult) -> None:
-    columns = RATE_AXES[result.best_spec.update.kind]
-    lines = [",".join([*columns, "final_distance", "diverged"])]
-    for spec, distance in result.leaderboard:
-        rates = [_lit(getattr(spec.update, c)) for c in columns]
-        diverged = "true" if math.isinf(distance) else "false"
-        lines.append(",".join([*rates, _sci(distance), diverged]))
+    distances = result.distances.tolist()
+    columns = [[repr(v) for v in axis] for axis in result.rates.T.tolist()]
+    columns.append([_sci(d) for d in distances])
+    columns.append(["true" if math.isinf(d) else "false" for d in distances])
+    lines = [",".join([*result.axes, "final_distance", "diverged"])]
+    lines.extend(map(",".join, zip(*columns)))
     _write_text(path, "\n".join(lines) + "\n")
 
 
@@ -133,7 +135,6 @@ def cmd_tune(plan: TunePlan, manifest: RunManifest, overwrite: bool) -> int:
         grids=plan.grids,
         mix=plan.mix,
     )
-    n_diverged = sum(1 for _, d in result.leaderboard if math.isinf(d))
     write_leaderboard_csv(manifest.output_dir / "leaderboard.csv", result)
     _write_json(
         manifest.output_dir / "best.json",
@@ -145,8 +146,8 @@ def cmd_tune(plan: TunePlan, manifest: RunManifest, overwrite: bool) -> int:
             "task": task_to_dict(plan.task),
             "optimizer": spec_to_dict(result.best_spec),
             "final_distance": _finite_or_none(result.best_final_distance),
-            "grid_points": len(result.leaderboard),
-            "n_diverged": n_diverged,
+            "grid_points": len(result.distances),
+            "n_diverged": int(np.isinf(result.distances).sum()),
         },
     )
     if math.isinf(result.best_final_distance):

@@ -50,7 +50,7 @@ from .optim import (
     default_update_rule,
     make_spec,
 )
-from .tuning import RATE_AXES, GridSpec, RateGrids, build_grid, default_grids
+from .tuning import RATE_AXES, GridSpec, RateGrids, build_grid, check_axis, default_grids
 
 SCHEMA_VERSION = 1
 COMMANDS = ("tune", "trial", "robustness", "scan", "train-toy")
@@ -335,12 +335,26 @@ def parse_grid_axis(value, path: str) -> tuple[float, ...]:
     return (_GRID_LIST if isinstance(value, list) else _GRID_SPEC)(value, path)
 
 
+def _rate_axis(name: str):
+    """parse_grid_axis, then every value of the axis in the name rate's range."""
+
+    def read(value, path: str) -> tuple[float, ...]:
+        axis = parse_grid_axis(value, path)
+        try:
+            check_axis(name, axis)
+        except ValueError as exc:
+            raise ConfigError(path, str(exc)) from None
+        return axis
+
+    return read
+
+
 # The grid table of each update kind: one optional axis per rate it grids,
 # an absent axis keeping its stock grid.
 _GRIDS = {
     kind: Table(
         partial(replace, default_grids(kind)),
-        *(Field(name, parse_grid_axis, optional=True) for name in axes),
+        *(Field(name, _rate_axis(name), optional=True) for name in axes),
     )
     for kind, axes in RATE_AXES.items()
 }

@@ -7,17 +7,19 @@ parameters, start points, rates and iteration budgets held as columns,
 so a grid search, a robustness evaluation or a surface scan is one
 vectorized loop and a single trial is the N = 1 case of the same loop.
 
-run_batch takes (TaskConfig, OptimizerSpec) pairs, as a grid search and
-a single trial do, and turns each group into columns.  A robustness
+run_batch takes (TaskConfig, OptimizerSpec) pairs, as a single trial
+does, and turns each group into columns.  A grid search, a robustness
 evaluation and a surface scan build their columns directly, with no
-per-trial objects.  A robustness evaluation (many trials with task
-parameters drawn from per-field distributions) draws its tasks straight
-into columns, one random stream per draw, and checks each column once.
-A surface scan (final scores over a grid of starting points) lays its
-start points out as one (N, 2) array around a single task.  Both share
-one spec across the population, so its rates stay scalars.  Runs that
-blow up are recorded with an infinite score instead of raising, so
-sweeps over unstable configurations always complete.
+per-trial objects.  A grid search (see the tuning module) runs copies of
+one task with a block of per-row rate columns.  A robustness evaluation
+(many trials with task parameters drawn from per-field distributions)
+draws its tasks straight into columns, one random stream per draw, and
+checks each column once.  A surface scan (final scores over a grid of
+starting points) lays its start points out as one (N, 2) array around a
+single task.  The last two share one spec across the population, so its
+rates stay scalars.  Runs that blow up are recorded with an infinite
+score instead of raising, so sweeps over unstable configurations always
+complete.
 """
 from __future__ import annotations
 
@@ -86,24 +88,26 @@ class TrialBatch:
 
 
 class _RateColumns:
-    """The update rates of a population as (N, 1) column views of an
-    (N, k) block, one column per field of the kind in UpdateRule.FIELDS
-    order; apply_update reads it like an UpdateRule.  A hybrid rule's blend
-    weights are worked out here, once per set of rows."""
+    """The update rates of a population, read by apply_update like an
+    UpdateRule: each field in names is an (N, 1) column view of the (N, k)
+    block, one column per name, and each field in shared is one scalar for
+    every row, which numpy applies faster than a column.  A hybrid rule's
+    blend weights are worked out here, once per set of rows."""
 
-    def __init__(self, kind: str, block: np.ndarray):
-        self.kind = kind
-        self.block = block
-        for i, name in enumerate(UpdateRule.FIELDS[kind]):
+    def __init__(self, kind: str, names: tuple[str, ...], block: np.ndarray, shared: dict | None = None):
+        self.kind, self.names, self.block, self.shared = kind, names, block, shared or {}
+        self.__dict__.update(self.shared)
+        for i, name in enumerate(names):
             setattr(self, name, block[:, i : i + 1])
         if kind == "hybrid":
             self.blend = blend_weights(self.mix)
 
     @classmethod
     def stack(cls, kind: str, rules) -> _RateColumns:
+        """Every field of each rule as a column of its own."""
         names = UpdateRule.FIELDS[kind]
         rates = [[getattr(rule, name) for name in names] for rule in rules]
-        return cls(kind, np.array(rates, dtype=float))
+        return cls(kind, names, np.array(rates, dtype=float))
 
 
 def _live_rows(function: str, spec: OptimizerSpec, block: np.ndarray):
@@ -113,7 +117,7 @@ def _live_rows(function: str, spec: OptimizerSpec, block: np.ndarray):
     objective = population_objective(function, block[:, 0], block[:, 1])
     update = spec.update
     if isinstance(update, _RateColumns):
-        update = _RateColumns(update.kind, block[:, 2:])
+        update = _RateColumns(update.kind, update.names, block[:, 2:], update.shared)
     return (
         objective.gradient,
         np.stack(objective.minimum, axis=-1),
@@ -127,10 +131,10 @@ def _run_population(tasks: TaskColumns, spec: OptimizerSpec, rows: np.ndarray, o
 
     spec.update is either one UpdateRule for every row, whose scalar rates
     numpy applies faster than (N, 1) columns, or a _RateColumns of each
-    row's own rates.  Every trial starts at t = 0, so all live rows share
-    the step counter.  A row stops after its own budget, or at the first
-    step whose gradient or resulting distance is non-finite; that step does
-    not count.  Rows that stop are dropped from the working arrays: every
+    row's own rates and any the rows share.  Every trial starts at t = 0,
+    so all live rows share the step counter.  A row stops after its own
+    budget, or at the first step whose gradient or resulting distance is
+    non-finite; that step does not count.  Rows that stop are dropped from the working arrays: every
     per-row constant sits in one block, so that is one gather per array.
     """
     columns = [tasks.alpha, tasks.beta]
@@ -451,8 +455,5 @@ def surface_scan(
     n = grid_size * grid_size
     # Row i * grid_size + j starts at (x0_axis[i], x1_axis[j]).
     x0 = np.stack(np.meshgrid(x0_axis, x1_axis, indexing="ij"), axis=-1).reshape(n, 2)
-    tasks = TaskColumns(
-        task.function, np.full(n, task.alpha), np.full(n, task.beta), x0, np.full(n, task.iterations)
-    )
-    scores = _run_tasks(tasks, spec).score.reshape(grid_size, grid_size)
+    scores = _run_tasks(TaskColumns.repeat(task, n, x0), spec).score.reshape(grid_size, grid_size)
     return ScoreGrid(x0_axis=x0_axis, x1_axis=x1_axis, scores=scores)

@@ -416,7 +416,10 @@ class _Population:
         self.epochs = np.array([config.epochs for config in configs])
         self.rngs = [np.random.default_rng(config.seed) for config in configs]
         self.state = OptimizerState(t=0, m=np.zeros_like(theta), v=np.zeros_like(theta))
-        self.initial_signs = np.sign(theta)
+        # A coordinate has flipped when theta * watch <= 0: watch is its
+        # initial sign, NaN where that is zero, which never counts.
+        self.watch = np.sign(theta)
+        self.watch[self.watch == 0.0] = np.nan
         self.flips = np.zeros(c, dtype=int)
         self._set_theta(theta)
 
@@ -428,16 +431,15 @@ class _Population:
 
     def flipped(self) -> np.ndarray:
         """Per row, the coordinates whose sign differs from a nonzero
-        initial sign."""
-        signs = self.initial_signs
-        return ((np.sign(self.theta) != signs) & (signs != 0.0)).sum(axis=1)
+        initial sign; the parameters are finite."""
+        return (self.theta * self.watch <= 0.0).sum(axis=1)
 
     def keep(self, keep: np.ndarray) -> None:
         """Drop every row where keep is False."""
         self.rows, self.epochs = self.rows[keep], self.epochs[keep]
         self.rngs = [rng for rng, k in zip(self.rngs, keep) if k]
         self.state.m, self.state.v = self.state.m[keep], self.state.v[keep]
-        self.initial_signs, self.flips = self.initial_signs[keep], self.flips[keep]
+        self.watch, self.flips = self.watch[keep], self.flips[keep]
         self._set_theta(self.theta[keep])
 
 
@@ -495,14 +497,17 @@ def train_population(
             epoch += 1
             # One gather per epoch; each minibatch is a slice of it.
             order = np.stack([rng.permutation(n_train) for rng in pop.rngs])
-            x_epoch, t_epoch = x_train[order], targets[order]
+            x_epoch, t_epoch = np.take(x_train, order, axis=0), np.take(targets, order, axis=0)
             for start in range(0, n_train, batch_size):
                 batch = slice(start, start + batch_size)
                 inputs, logits = _forward(pop.weights, pop.biases, x_epoch[:, batch], activation)
                 _backward(pop.weights, inputs, logits, t_epoch[:, batch], activation, pop.grad_w, pop.grad_b)
                 new_theta = advance(spec, pop.state, pop.theta, pop.grad)
-                ok = np.isfinite(pop.grad).all(axis=1) & np.isfinite(new_theta).all(axis=1)
-                if ok.all():
+                # Any non-finite entry makes the sum non-finite, so on almost
+                # every step this one test shows that every row is finite.
+                finite = math.isfinite(pop.grad.sum() + new_theta.sum())
+                ok = finite or np.isfinite(pop.grad).all(axis=1) & np.isfinite(new_theta).all(axis=1)
+                if finite or ok.all():
                     pop.theta[...] = new_theta
                     pop.flips += pop.flipped()
                     continue

@@ -57,6 +57,17 @@ class TaskColumns(NamedTuple):
             np.array([t.iterations for t in tasks]),
         )
 
+    @classmethod
+    def repeat(cls, task: TaskConfig, n: int, x0: np.ndarray | None = None) -> TaskColumns:
+        """n rows of one task, starting at its x0 or at the rows of x0."""
+        return cls(
+            task.function,
+            np.full(n, task.alpha, dtype=float),
+            np.full(n, task.beta, dtype=float),
+            np.full((n, 2), task.x0, dtype=float) if x0 is None else x0,
+            np.full(n, task.iterations),
+        )
+
     def check(self, path: str = "") -> None:
         """The task rules, each tested once over its whole column: the
         function is known, alpha is finite, beta is finite and positive, x0
@@ -82,7 +93,8 @@ class TaskColumns(NamedTuple):
             if not np.all(ok):
                 row = int(np.argmin(np.broadcast_to(ok, values.shape)))
                 where = f" (row {row})" if values.size > 1 else ""
-                raise InvalidConfigError(f"{path}{name} must be {rule}, got {values[row].item()!r}{where}")
+                # tolist, not item: an integer past int64 makes an object column.
+                raise InvalidConfigError(f"{path}{name} must be {rule}, got {values.tolist()[row]!r}{where}")
 
 
 @dataclass(frozen=True)

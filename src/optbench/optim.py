@@ -96,7 +96,8 @@ _RANGES = {
 _IN_RANGE = {name: _interval(text) for name, text in _RANGES.items()}
 
 
-def _check_rate(name: str, value) -> None:
+def check_rate(name: str, value) -> None:
+    """Raise InvalidRateError unless value is admissible for the field name."""
     if not _IN_RANGE[name](value):
         raise InvalidRateError(f"{name} must be in {_RANGES[name]}, got {value}")
 
@@ -117,7 +118,7 @@ class _Rule:
         if self.kind not in self.FIELDS:
             raise ValueError(f"unknown {type(self).__name__} kind {self.kind!r}")
         for name in self.FIELDS[self.kind]:
-            _check_rate(name, getattr(self, name))
+            check_rate(name, getattr(self, name))
 
 
 @dataclass(frozen=True)
@@ -372,7 +373,7 @@ def additive_update(theta: np.ndarray, m: np.ndarray, l: np.ndarray, lr: float) 
     """Classical step lr * m * l (theta only participates in the shape check)."""
     theta, m, l = (np.asarray(a, dtype=float) for a in (theta, m, l))
     _check_same_shape(theta, m, l)
-    _check_rate("lr", lr)
+    check_rate("lr", lr)
     return _additive(m * l, lr)
 
 
@@ -388,7 +389,7 @@ def multiplicative_update(
     theta, m, l = (np.asarray(a, dtype=float) for a in (theta, m, l))
     _check_same_shape(theta, m, l)
     for name, rate in (("lr_inner", lr_inner), ("lr_outer", lr_outer)):
-        _check_rate(name, rate)
+        check_rate(name, rate)
     return _multiplicative(theta, m * l, lr_inner, lr_outer)
 
 
@@ -409,7 +410,7 @@ def hybrid_update(
     theta, m, l = (np.asarray(a, dtype=float) for a in (theta, m, l))
     _check_same_shape(theta, m, l)
     for name, rate in (("lr", lr), ("lr_inner", lr_inner), ("lr_outer", lr_outer), ("mix", mix)):
-        _check_rate(name, rate)
+        check_rate(name, rate)
     return _hybrid(theta, m * l, lr, lr_inner, lr_outer, blend_weights(mix))
 
 

@@ -1,22 +1,29 @@
 """Exhaustive grid search over update-rule rates.
 
-Each candidate is scored by the final distance to the minimum after a
-fixed-budget trial.  Diverged candidates score infinity and therefore
-sort last; ties prefer the smallest lr, then lr_inner, then lr_outer, so
-the winner is unique and reruns are reproducible.
+A tune runs its whole grid as one column population: the grid is an
+(N, k) block with one column per rate axis and one row per point, run
+through the harness's trial kernel as per-row rate columns over copies of
+one task, with no per-point rule or spec objects.  Each candidate is
+scored by the final distance to the minimum after a fixed-budget trial.
+Diverged candidates score infinity and therefore sort last; ties prefer
+the smallest lr, then lr_inner, then lr_outer, so the winner is unique
+and reruns are reproducible.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from itertools import product
+from dataclasses import dataclass, replace
+from functools import cached_property
+
+import numpy as np
 
 from .harness import (
-    run_batch,
+    _RateColumns,
+    _run_tasks,
     run_trials,  # noqa: F401  (kept importable: bench/tracer.py wraps tuning.run_trials)
 )
-from .objectives import TaskConfig
-from .optim import DEFAULT_MIX, OptimizerSpec, UpdateRule, make_spec
+from .objectives import TaskColumns, TaskConfig
+from .optim import DEFAULT_MIX, OptimizerSpec, UpdateRule, check_rate, make_spec
 
 
 class InvalidGridError(ValueError):
@@ -129,33 +136,43 @@ def default_grids(update_kind: str) -> RateGrids:
     return RateGrids(**{name: _STOCK_AXES[name] for name in _axes(update_kind)})
 
 
-@dataclass
+def check_axis(name: str, values) -> None:
+    """Raise unless values is a non-empty axis of admissible name rates;
+    each value is checked once."""
+    if values is None or len(values) == 0:
+        raise InvalidGridError(f"the {name} grid must not be empty")
+    for value in values:
+        check_rate(name, value)
+
+
+@dataclass(eq=False)
 class TuneResult:
-    """best_spec/best_final_distance plus the full (spec, final distance)
-    leaderboard sorted best-first."""
+    """A grid ranked best-first.  rates is an (N, k) block with one column
+    per name in axes and distances the (N,) final distances, inf where a
+    point diverged.  best_spec is the first row's spec; a hybrid's mix is
+    the same at every point."""
 
     best_spec: OptimizerSpec
-    best_final_distance: float
-    leaderboard: list[tuple[OptimizerSpec, float]]
+    rates: np.ndarray
+    distances: np.ndarray
 
+    @property
+    def axes(self) -> tuple[str, ...]:
+        """The names of the rate columns: RATE_AXES of the update kind."""
+        return RATE_AXES[self.best_spec.update.kind]
 
-def _candidate_rules(update_kind: str, grids: RateGrids, mix: float) -> list[UpdateRule]:
-    names = _axes(update_kind)
-    for name in names:
-        values = getattr(grids, name)
-        if values is None or len(values) == 0:
-            raise InvalidGridError(f"update kind {update_kind!r} needs a non-empty {name} grid")
-    fixed = {"mix": mix} if "mix" in UpdateRule.FIELDS[update_kind] else {}
-    return [
-        UpdateRule(update_kind, **dict(zip(names, point)), **fixed)
-        for point in product(*(getattr(grids, name) for name in names))
-    ]
+    @property
+    def best_final_distance(self) -> float:
+        return float(self.distances[0])
 
-
-def _sort_key(entry: tuple[OptimizerSpec, float]):
-    spec, distance = entry
-    u = spec.update
-    return (distance, u.lr or 0.0, u.lr_inner or 0.0, u.lr_outer or 0.0)
+    @cached_property
+    def leaderboard(self) -> list[tuple[OptimizerSpec, float]]:
+        """The ranking as (spec, final distance) pairs, built on first use."""
+        best = self.best_spec
+        return [
+            (replace(best, update=replace(best.update, **dict(zip(self.axes, point)))), distance)
+            for point, distance in zip(self.rates.tolist(), self.distances.tolist())
+        ]
 
 
 def grid_search(
@@ -167,18 +184,29 @@ def grid_search(
 ) -> TuneResult:
     """Try every grid point and rank by final distance.
 
-    The leaderboard covers the full Cartesian grid, run as one vectorized
-    population; diverged points stay in it with distance = inf.
+    The points, in itertools.product order of the kind's axes, run as one
+    population of rate columns; a hybrid's mix is one scalar shared by
+    every row.  The ranking is a stable sort on (distance, lr, lr_inner,
+    lr_outer), an axis the kind lacks counting as 0.0, and covers the full
+    Cartesian grid: diverged points stay in it with distance = inf.
     """
     if grids is None:
         grids = default_grids(update_kind)
-    rules = _candidate_rules(update_kind, grids, mix)
-    # Every candidate shares the family's momentum and adaptive rules.
-    family_spec = make_spec(family, rules[0])
-    specs = [OptimizerSpec(family_spec.momentum, family_spec.adaptive, rule) for rule in rules]
-    finals = run_batch([(task, s) for s in specs]).final_distance.tolist()
-    leaderboard = sorted(zip(specs, finals), key=_sort_key)
-    best_spec, best_distance = leaderboard[0]
-    return TuneResult(
-        best_spec=best_spec, best_final_distance=best_distance, leaderboard=leaderboard
-    )
+    names = _axes(update_kind)
+    axes = [getattr(grids, name) for name in names]
+    for name, values in zip(names, axes):
+        check_axis(name, values)
+    shared = {}
+    if "mix" in UpdateRule.FIELDS[update_kind]:
+        check_rate("mix", mix)
+        shared["mix"] = mix
+    mesh = np.meshgrid(*(np.asarray(values, dtype=float) for values in axes), indexing="ij")
+    block = np.stack(mesh, axis=-1).reshape(-1, len(names))
+    spec = make_spec(family, _RateColumns(update_kind, names, block, shared))
+    distances = _run_tasks(TaskColumns.repeat(task, len(block)), spec).final_distance
+    # Every kind's axes run in (lr, lr_inner, lr_outer) order; lexsort ranks
+    # by its last key first, so distance goes last and the axes in reverse.
+    order = np.lexsort([*block.T[::-1], distances])
+    rates, distances = block[order], distances[order]
+    best = UpdateRule(update_kind, **dict(zip(names, rates[0].tolist())), **shared)
+    return TuneResult(OptimizerSpec(spec.momentum, spec.adaptive, best), rates, distances)

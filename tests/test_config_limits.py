@@ -51,6 +51,8 @@ CASES = [
     ("scan", "convex2d-sgd-additive.json", "grid_size", 10**8, "grid_size"),
     ("scan", "convex2d-sgd-additive.json", "task.iterations", 10**12, "task.iterations"),
     ("tune", "convex2d-sgd-additive.json", "task.iterations", 10**12, "task.iterations"),
+    # Below the int64 range: numpy holds it in an object column.
+    ("tune", "convex2d-sgd-additive.json", "task.iterations", -(2**63) - 1, "task"),
     (
         "tune",
         "convex2d-sgd-hybrid.json",
@@ -60,6 +62,15 @@ CASES = [
     ),
     # 10**400 is past the float range.
     ("tune", "convex2d-sgd-additive.json", "grids.lr", {"lo": 1e-300, "hi": 1e300, "log10_step": 400.0}, "grids.lr"),
+    # A grid axis must stay inside its rate's range: lr_outer is in (0, 1].
+    (
+        "tune",
+        "convex2d-sgd-multiplicative.json",
+        "grids.lr_outer",
+        {"lo": 0.5, "hi": 5.0},
+        "grids.lr_outer",
+    ),
+    ("tune", "convex2d-sgd-hybrid.json", "grids.lr_inner", [0.0, 1.0], "grids.lr_inner"),
     # 18 x 7 x 901 points: each axis fits, their product does not.
     ("tune", "convex2d-sgd-hybrid.json", "grids.lr_outer", {"lo": 1e-9, "hi": 1.0, "log10_step": 0.01}, "grids"),
 ]

@@ -1,17 +1,25 @@
+import json
 import math
+from dataclasses import asdict
+from itertools import product
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from optbench.harness import run_trial
+from optbench.cli import EXIT_OK, main
+from optbench.config import SCHEMA_VERSION, spec_to_dict, task_to_dict
+from optbench.harness import run_batch, run_trial
 from optbench.objectives import TaskConfig
+from optbench.optim import UpdateRule, make_spec
 from optbench.tuning import (
     LR_INNER_RANGE,
     LR_OUTER_RANGE,
     LR_RANGE,
+    RATE_AXES,
     GridSpec,
     InvalidGridError,
+    RateGrids,
     build_grid,
     default_grids,
     grid_search,
@@ -19,6 +27,7 @@ from optbench.tuning import (
 )
 
 CONVEX = TaskConfig("convex2d", alpha=1.0, beta=20.0, x0=(50.0, 50.0), iterations=100)
+ROSENBROCK = TaskConfig("rosenbrock", alpha=1.0, beta=60.0, x0=(0.5, 3.0), iterations=100)
 
 
 def test_build_grid_inner_range():
@@ -150,3 +159,77 @@ def test_grid_search_rejects_empty_axis():
 
     with pytest.raises(InvalidGridError):
         grid_search(CONVEX, "sgd", "additive", grids=RateGrids(lr=[]))
+
+
+def _per_point_tune(task, family, kind, grids, mix):
+    """The reference tune: one UpdateRule and spec per grid point, run as
+    (task, spec) pairs and sorted by (distance, lr, lr_inner, lr_outer)."""
+    names = RATE_AXES[kind]
+    fixed = {"mix": mix} if kind == "hybrid" else {}
+    specs = [
+        make_spec(family, UpdateRule(kind, **dict(zip(names, point)), **fixed))
+        for point in product(*(getattr(grids, name) for name in names))
+    ]
+    finals = run_batch([(task, spec) for spec in specs]).final_distance.tolist()
+
+    def key(entry):
+        u = entry[0].update
+        return (entry[1], u.lr or 0.0, u.lr_inner or 0.0, u.lr_outer or 0.0)
+
+    return sorted(zip(specs, finals), key=key)
+
+
+# Every grid has tied distances: points that all diverge, or rates a mix
+# endpoint ignores.
+ORACLE_CASES = [
+    (CONVEX, "additive", RateGrids(lr=(1e-3, 1e-2, 0.1, 5.0, 50.0)), 0.5),
+    (ROSENBROCK, "additive", RateGrids(lr=(1e-4, 1e-3, 5e-3, 0.1, 1.0)), 0.5),
+    (CONVEX, "multiplicative", RateGrids(lr_inner=(0.1, 3.0, 1e300), lr_outer=(1e-4, 0.3, 1.0)), 0.5),
+    (ROSENBROCK, "multiplicative", RateGrids(lr_inner=(0.1, 1e300), lr_outer=(1e-4, 0.3, 1.0)), 0.5),
+    (CONVEX, "hybrid", RateGrids(lr=(1e-3, 5.0, 50.0), lr_inner=(1.0, 6.0), lr_outer=(0.1, 0.6)), 0.5),
+    (CONVEX, "hybrid", RateGrids(lr=(1e-3, 5.0, 50.0), lr_inner=(1.0, 6.0), lr_outer=(0.1, 0.6)), 0.0),
+    (ROSENBROCK, "hybrid", RateGrids(lr=(1e-3, 1.0, 50.0), lr_inner=(0.01, 1.0), lr_outer=(0.1, 1.0)), 1.0),
+    (ROSENBROCK, "hybrid", RateGrids(lr=(1e-4, 1e-3, 0.1), lr_inner=(0.01, 1.0), lr_outer=(0.1, 1.0)), 0.0),
+]
+
+
+@pytest.mark.parametrize("task, kind, grids, mix", ORACLE_CASES)
+def test_grid_search_equals_per_point_tune_bitwise(tmp_path, task, kind, grids, mix):
+    reference = _per_point_tune(task, "sgd", kind, grids, mix)
+    finals = [d for _, d in reference]
+    assert len(set(finals)) < len(finals)  # the ranking breaks ties
+
+    names = RATE_AXES[kind]
+    rates = np.array([[getattr(spec.update, name) for name in names] for spec, _ in reference])
+    result = grid_search(task, "sgd", kind, grids=grids, mix=mix)
+    assert result.axes == names
+    assert result.rates.tobytes() == rates.tobytes()
+    assert result.distances.tobytes() == np.array(finals).tobytes()
+    assert result.best_spec == reference[0][0]
+    assert result.leaderboard == reference
+
+    doc = {
+        "schema_version": SCHEMA_VERSION,
+        "command": "tune",
+        "task": task_to_dict(task),
+        "family": "sgd",
+        "update_rule": kind,
+        "grids": {name: list(values) for name, values in asdict(grids).items() if name in names},
+        "mix": mix,
+    }
+    config = tmp_path / "tune.json"
+    config.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    code = main(["tune", "--config", str(config), "--out", str(out)])
+    assert code == (EXIT_OK if math.isfinite(finals[0]) else 3)
+
+    best = json.loads((out / "best.json").read_text())
+    assert best["optimizer"] == spec_to_dict(reference[0][0])
+    assert best["final_distance"] == (finals[0] if math.isfinite(finals[0]) else None)
+    assert best["grid_points"] == len(reference)
+    assert best["n_diverged"] == sum(map(math.isinf, finals))
+    lines = [",".join([*names, "final_distance", "diverged"])]
+    for spec, distance in reference:
+        rates = [repr(float(getattr(spec.update, name))) for name in names]
+        lines.append(",".join([*rates, f"{distance:.9e}", "true" if math.isinf(distance) else "false"]))
+    assert (out / "leaderboard.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
