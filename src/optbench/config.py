@@ -417,18 +417,36 @@ class TrainToyPlan:
     master_seed: int | None
 
 
-def _tune(task, family, update_kind, grids=None, mix=DEFAULT_MIX) -> TunePlan:
+def _tune(task, family, update_kind, grids=None, mix=None) -> TunePlan:
+    if mix is None:
+        mix = DEFAULT_MIX
+    elif "mix" not in UpdateRule.FIELDS[update_kind]:
+        raise ConfigError("mix", f"the {update_kind} rule has no mix")
     return TunePlan(task, family, update_kind, parse_grids(grids, "grids", update_kind), mix)
 
 
 def _train_toy(
     family, update_kind, optimizer=None, n_configs=10, master_seed=None, dataset=None, **settings
 ) -> TrainToyPlan:
+    """An explicit optimizer must be the family's rules with the
+    update_rule kind, since the outputs are labelled with both."""
     if optimizer is None:
         try:
             optimizer = make_spec(family, default_update_rule(family, update_kind))
         except ValueError as exc:
             raise ConfigError("update_rule", str(exc)) from None
+    elif optimizer.update.kind != update_kind:
+        raise ConfigError(
+            "optimizer.update.kind", f"must be update_rule {update_kind!r}, got {optimizer.update.kind!r}"
+        )
+    else:
+        family_spec = make_spec(family, optimizer.update)
+        kinds = (optimizer.momentum.kind, optimizer.adaptive.kind)
+        expected = (family_spec.momentum.kind, family_spec.adaptive.kind)
+        if kinds != expected:
+            raise ConfigError(
+                "optimizer", f"{family} has (momentum, adaptive) kinds {expected}, got {kinds}"
+            )
     return TrainToyPlan(
         ProtocolSettings(**(dataset or {}), **settings), family, update_kind, optimizer, n_configs, master_seed
     )

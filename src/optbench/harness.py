@@ -2,8 +2,8 @@
 
 A trial is one deterministic optimization run recorded as a distance
 trajectory.  Trials run as populations: tasks that share a function and
-optimizer rules step together as one (N, 2) array, with per-row task
-parameters, start points, rates and iteration budgets held as columns,
+optimizer rules step together as one (N, 2) optim.Population, with
+per-row start points, task parameters, rates and budgets as columns,
 so a grid search, a robustness evaluation or a surface scan is one
 vectorized loop and a single trial is the N = 1 case of the same loop.
 
@@ -39,10 +39,8 @@ from .objectives import (
 )
 from .optim import (
     OptimizerSpec,
-    OptimizerState,
-    UpdateRule,
-    advance,
-    blend_weights,
+    Population,
+    RateColumns,
     step,  # noqa: F401  (kept importable: bench/tracer.py wraps harness.step)
 )
 
@@ -87,100 +85,62 @@ class TrialBatch:
     trajectories: np.ndarray | None
 
 
-class _RateColumns:
-    """The update rates of a population, read by apply_update like an
-    UpdateRule: each field in names is an (N, 1) column view of the (N, k)
-    block, one column per name, and each field in shared is one scalar for
-    every row, which numpy applies faster than a column.  A hybrid rule's
-    blend weights are worked out here, once per set of rows."""
-
-    def __init__(self, kind: str, names: tuple[str, ...], block: np.ndarray, shared: dict | None = None):
-        self.kind, self.names, self.block, self.shared = kind, names, block, shared or {}
-        self.__dict__.update(self.shared)
-        for i, name in enumerate(names):
-            setattr(self, name, block[:, i : i + 1])
-        if kind == "hybrid":
-            self.blend = blend_weights(self.mix)
-
-    @classmethod
-    def stack(cls, kind: str, rules) -> _RateColumns:
-        """Every field of each rule as a column of its own."""
-        names = UpdateRule.FIELDS[kind]
-        rates = [[getattr(rule, name) for name in names] for rule in rules]
-        return cls(kind, names, np.array(rates, dtype=float))
-
-
-def _live_rows(function: str, spec: OptimizerSpec, block: np.ndarray):
-    """The gradient, minimizer and spec of the live rows of a population,
-    from their block of per-row constants: alpha, beta, then any per-row
-    rates."""
+def _live_rows(function: str, block: np.ndarray):
+    """The gradient and minimizer of the live rows of a population, from
+    their (alpha, beta) block."""
     objective = population_objective(function, block[:, 0], block[:, 1])
-    update = spec.update
-    if isinstance(update, _RateColumns):
-        update = _RateColumns(update.kind, update.names, block[:, 2:], update.shared)
-    return (
-        objective.gradient,
-        np.stack(objective.minimum, axis=-1),
-        OptimizerSpec(spec.momentum, spec.adaptive, update),
-    )
+    return objective.gradient, np.stack(objective.minimum, axis=-1)
 
 
 def _run_population(tasks: TaskColumns, spec: OptimizerSpec, rows: np.ndarray, out: TrialBatch) -> None:
     """Run tasks that share a function and optimizer rules in lockstep and
     write their outcomes into rows of out.
 
-    spec.update is either one UpdateRule for every row, whose scalar rates
-    numpy applies faster than (N, 1) columns, or a _RateColumns of each
-    row's own rates and any the rows share.  Every trial starts at t = 0,
-    so all live rows share the step counter.  A row stops after its own
-    budget, or at the first step whose gradient or resulting distance is
-    non-finite; that step does not count.  Rows that stop are dropped from the working arrays: every
-    per-row constant sits in one block, so that is one gather per array.
+    Every trial starts at t = 0, so all live rows share the step counter.
+    A row stops after its own budget, or at the first step whose gradient
+    or resulting distance is non-finite; that step does not count.  Rows
+    that stop are dropped from the population, whose alpha and beta sit
+    in one block.
     """
-    columns = [tasks.alpha, tasks.beta]
-    if isinstance(spec.update, _RateColumns):
-        columns.append(spec.update.block)
-    block = np.column_stack(columns)
-    budget, theta = tasks.iterations, tasks.x0
-    state = OptimizerState(t=0, m=np.zeros_like(theta), v=np.zeros_like(theta))
-    gradient, minimizer, live_spec = _live_rows(tasks.function, spec, block)
-    stop = budget.min()
+    pop = Population(
+        spec, tasks.x0, rows=rows, budget=tasks.iterations, block=np.column_stack([tasks.alpha, tasks.beta])
+    )
+    gradient, minimizer = _live_rows(tasks.function, pop.block)
+    stop = pop.budget.min()
     trajectories = out.trajectories
-    d = point_distance(theta, minimizer)
+    d = point_distance(pop.theta, minimizer)
     out.initial_distance[rows] = d
     if trajectories is not None:
         trajectories[rows, 0] = d
     while True:
-        g = gradient(theta)
-        theta = advance(live_spec, state, theta, g)
-        d = point_distance(theta, minimizer)
-        t = state.t
+        g = gradient(pop.theta)
+        pop.theta = pop.advance(g)
+        d = point_distance(pop.theta, minimizer)
+        t = pop.t
         # A non-finite parameter makes its distance non-finite, so d and g
         # cover all three of the scalar step's divergence checks, and any
         # non-finite entry makes their sum non-finite: on almost every step
         # this one test shows that no row stops.
         if t < stop and math.isfinite(d.sum() + g.sum()):
             if trajectories is not None:
-                trajectories[rows, t] = d
+                trajectories[pop.rows, t] = d
             continue
         ok = np.isfinite(d) & np.isfinite(g[:, 0]) & np.isfinite(g[:, 1])
         if trajectories is not None:
-            trajectories[rows[ok], t] = d[ok]
-        keep = ok & (budget > t)
+            trajectories[pop.rows[ok], t] = d[ok]
+        keep = ok & (pop.budget > t)
         if keep.all():  # the sum overflowed, but every entry is finite
             continue
         finished = ok & ~keep
-        out.final_distance[rows[finished]] = d[finished]
-        out.iterations_run[rows[finished]] = t
-        out.diverged[rows[~ok]] = True
-        out.iterations_run[rows[~ok]] = t - 1
-        live = np.flatnonzero(keep)
-        if live.size == 0:
+        out.final_distance[pop.rows[finished]] = d[finished]
+        out.iterations_run[pop.rows[finished]] = t
+        out.diverged[pop.rows[~ok]] = True
+        out.iterations_run[pop.rows[~ok]] = t - 1
+        if not keep.any():
             return
-        rows, budget, theta, block = (a.take(live, axis=0) for a in (rows, budget, theta, block))
-        state.m, state.v = state.m.take(live, axis=0), state.v.take(live, axis=0)
-        gradient, minimizer, live_spec = _live_rows(tasks.function, spec, block)
-        stop = budget.min()
+        pop.keep(keep)
+        gradient, minimizer = _live_rows(tasks.function, pop.block)
+        stop = pop.budget.min()
 
 
 def _run_populations(n: int, populations: list, trajectories: bool) -> TrialBatch:
@@ -230,7 +190,7 @@ def run_batch(
     populations = [
         (
             TaskColumns.of([pairs[i][0] for i in members]),
-            OptimizerSpec(mom, ada, _RateColumns.stack(kind, [pairs[i][1].update for i in members])),
+            OptimizerSpec(mom, ada, RateColumns.stack(kind, [pairs[i][1].update for i in members])),
             np.array(members),
         )
         for (_, mom, ada, kind), members in groups.items()

@@ -6,9 +6,10 @@ hand-written backward pass (checked against finite differences in the
 test suite).  All parameters of a network live in one flat vector and
 every weight matrix and bias vector is a reshaped view of it, so a single
 optimizer state drives all tensors with any update rule from the optim
-module.  Same-shaped networks train together as a population: a (C, P)
-buffer of C flat vectors, stepped by stacked forward and backward passes
-and one optimizer call per minibatch.  A single model is the C = 1 case.
+module.  Same-shaped networks train together as an optim.Population: a
+(C, P) buffer of C flat vectors, stepped by stacked forward and backward
+passes and one optimizer call per minibatch.  A single model is the C = 1
+case.
 
 No reduction or broadcast runs along the class axis of the logits: the
 softmax head, the losses and the accuracies work on each class column as
@@ -25,9 +26,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .optim import (
-    OptimizerState,
     OptimizerSpec,
-    advance,
+    Population,
     step,  # noqa: F401  (kept importable: bench/tracer.py wraps nn.step)
 )
 
@@ -405,44 +405,6 @@ class TrainResult:
         return self.metrics[min(epoch, len(self.metrics)) - 1]
 
 
-class _Population:
-    """The still-training rows of a population: parameters, gradient and
-    optimizer buffers as (C, P) arrays, with per-row bookkeeping."""
-
-    def __init__(self, theta: np.ndarray, configs: list[TrainingConfig], layer_sizes: list[int]):
-        c = len(configs)
-        self.layer_sizes = layer_sizes
-        self.rows = np.arange(c)  # index of each live row in the caller's list
-        self.epochs = np.array([config.epochs for config in configs])
-        self.rngs = [np.random.default_rng(config.seed) for config in configs]
-        self.state = OptimizerState(t=0, m=np.zeros_like(theta), v=np.zeros_like(theta))
-        # A coordinate has flipped when theta * watch <= 0: watch is its
-        # initial sign, NaN where that is zero, which never counts.
-        self.watch = np.sign(theta)
-        self.watch[self.watch == 0.0] = np.nan
-        self.flips = np.zeros(c, dtype=int)
-        self._set_theta(theta)
-
-    def _set_theta(self, theta: np.ndarray) -> None:
-        self.theta = theta
-        self.grad = np.empty_like(theta)
-        self.weights, self.biases = _views(theta, self.layer_sizes)
-        self.grad_w, self.grad_b = _views(self.grad, self.layer_sizes)
-
-    def flipped(self) -> np.ndarray:
-        """Per row, the coordinates whose sign differs from a nonzero
-        initial sign; the parameters are finite."""
-        return (self.theta * self.watch <= 0.0).sum(axis=1)
-
-    def keep(self, keep: np.ndarray) -> None:
-        """Drop every row where keep is False."""
-        self.rows, self.epochs = self.rows[keep], self.epochs[keep]
-        self.rngs = [rng for rng, k in zip(self.rngs, keep) if k]
-        self.state.m, self.state.v = self.state.m[keep], self.state.v[keep]
-        self.watch, self.flips = self.watch[keep], self.flips[keep]
-        self._set_theta(self.theta[keep])
-
-
 def train_population(
     models: list[MLP], dataset: SyntheticDataset, configs: list[TrainingConfig]
 ) -> list[TrainResult]:
@@ -475,7 +437,17 @@ def train_population(
     y_val = dataset.labels[dataset.val_idx]
     n_train = len(y_train)
     final = np.stack([m.flat for m in models])  # each row's last committed parameters
-    pop = _Population(final.copy(), configs, layer_sizes)
+    pop = Population(
+        spec,
+        final.copy(),
+        rows=np.arange(len(models)),  # index of each live row in the caller's list
+        epochs=np.array([config.epochs for config in configs]),
+        rngs=np.array([np.random.default_rng(config.seed) for config in configs], dtype=object),
+        # A finite coordinate has flipped when theta * watch <= 0: watch is
+        # its initial sign, NaN where that is zero, which never counts.
+        watch=np.where(final == 0.0, np.nan, np.sign(final)),
+        flips=np.zeros(len(models), dtype=int),
+    )
     metrics: list[list[EpochMetrics]] = [[] for _ in models]
     sign_flips = np.zeros(len(models), dtype=int)
     diverged = np.zeros(len(models), dtype=bool)
@@ -486,11 +458,19 @@ def train_population(
         val_logits = _forward(weights, biases, x_val, activation)[1]
         return _losses(logits, y_train), _accuracies(logits, y_train), _accuracies(val_logits, y_val)
 
-    def retire(stop: np.ndarray) -> None:
+    def buffers():
+        """The gradient buffer and the layer views of theta and of it."""
+        grad = np.empty_like(pop.theta)
+        return (grad, *_views(pop.theta, layer_sizes), *_views(grad, layer_sizes))
+
+    def retire(stop: np.ndarray):
+        """Record and drop the rows where stop is True; buffers() of the rest."""
         final[pop.rows[stop]] = pop.theta[stop]
         sign_flips[pop.rows[stop]] = pop.flips[stop]
         pop.keep(~stop)
+        return buffers()
 
+    grad, weights, biases, grad_w, grad_b = buffers()
     with np.errstate(over="ignore", invalid="ignore"):
         epoch = 0
         while pop.rows.size:
@@ -500,27 +480,27 @@ def train_population(
             x_epoch, t_epoch = np.take(x_train, order, axis=0), np.take(targets, order, axis=0)
             for start in range(0, n_train, batch_size):
                 batch = slice(start, start + batch_size)
-                inputs, logits = _forward(pop.weights, pop.biases, x_epoch[:, batch], activation)
-                _backward(pop.weights, inputs, logits, t_epoch[:, batch], activation, pop.grad_w, pop.grad_b)
-                new_theta = advance(spec, pop.state, pop.theta, pop.grad)
+                inputs, logits = _forward(weights, biases, x_epoch[:, batch], activation)
+                _backward(weights, inputs, logits, t_epoch[:, batch], activation, grad_w, grad_b)
+                new_theta = pop.advance(grad)
                 # Any non-finite entry makes the sum non-finite, so on almost
                 # every step this one test shows that every row is finite.
-                finite = math.isfinite(pop.grad.sum() + new_theta.sum())
-                ok = finite or np.isfinite(pop.grad).all(axis=1) & np.isfinite(new_theta).all(axis=1)
+                finite = math.isfinite(grad.sum() + new_theta.sum())
+                ok = finite or np.isfinite(grad).all(axis=1) & np.isfinite(new_theta).all(axis=1)
                 if finite or ok.all():
                     pop.theta[...] = new_theta
-                    pop.flips += pop.flipped()
+                    pop.flips += (pop.theta * pop.watch <= 0.0).sum(axis=1)
                     continue
                 pop.theta[ok] = new_theta[ok]
-                pop.flips[ok] += pop.flipped()[ok]
+                pop.flips[ok] += (pop.theta[ok] * pop.watch[ok] <= 0.0).sum(axis=1)
                 diverged[pop.rows[~ok]] = True
                 x_epoch, t_epoch = x_epoch[ok], t_epoch[ok]
-                retire(~ok)
+                grad, weights, biases, grad_w, grad_b = retire(~ok)
                 if pop.rows.size == 0:
                     break
             if pop.rows.size == 0:
                 break
-            train_loss, train_acc, val_acc = evaluate(pop.weights, pop.biases)
+            train_loss, train_acc, val_acc = evaluate(weights, biases)
             bad = ~np.isfinite(train_loss)
             for row, loss, t_acc, v_acc, b in zip(
                 pop.rows.tolist(), train_loss.tolist(), train_acc.tolist(), val_acc.tolist(), bad
@@ -530,7 +510,7 @@ def train_population(
             diverged[pop.rows[bad]] = True
             stop = bad | (pop.epochs == epoch)
             if stop.any():
-                retire(stop)
+                grad, weights, biases, grad_w, grad_b = retire(stop)
         # A run that diverged before finishing its first epoch records the
         # model as of its last committed step.
         unfinished = [i for i, m in enumerate(metrics) if not m]

@@ -12,6 +12,10 @@ pieces.  The update rule is either the classical additive step, a
 multiplicative step whose magnitude is proportional to the current
 parameter magnitude (tanh-squashed, so it can never cross zero), or a
 convex blend of the two.
+
+step() moves one checked parameter vector.  A Population steps the rows
+of the harness's trial kernel or of nn's classifier, unchecked, and drops
+the rows that stop; each caller keeps its own stop rule.
 """
 from __future__ import annotations
 
@@ -279,13 +283,13 @@ def _check_started(state: OptimizerState) -> None:
 
 
 # The underscored rule functions below are the unchecked math shared by the
-# public checked functions, step() and the batched trial kernel in the
-# harness.  They are elementwise, so every argument may be a single vector
-# or an (N, dim) population; rates may be scalars or (N, 1) columns.  The
-# update rules take ml = m * l, the product both formulas start from, so
-# the hybrid rule forms it once.  Work is done in place on arrays a
-# function allocated itself, in the order the formulas state: a product
-# of two factors has the same bits in either order.
+# public checked functions, step() and Population.  They are elementwise,
+# so every argument may be a single vector or an (N, dim) population;
+# rates may be scalars or (N, 1) columns.  The update rules take
+# ml = m * l, the product both formulas start from, so the hybrid rule
+# forms it once.  Work is done in place on arrays a function allocated
+# itself, in the order the formulas state: a product of two factors has
+# the same bits in either order.
 
 def _direction(rule: MomentumRule, state: OptimizerState, g: np.ndarray) -> np.ndarray:
     if rule.kind == "identity":
@@ -419,8 +423,8 @@ def apply_update(rule: UpdateRule, theta: np.ndarray, m: np.ndarray, l: np.ndarr
 
     The rates are read from the rule unchecked (an UpdateRule validates
     them on construction).  Any object with the kind's rate attributes
-    (and, for a hybrid rule, blend) works, which lets the batched trial
-    kernel pass per-row (N, 1) rate columns.
+    (and, for a hybrid rule, blend) works, which lets a population pass
+    per-row (N, 1) rate columns (see RateColumns).
     """
     ml = m * l
     if rule.kind == "additive":
@@ -436,7 +440,7 @@ def advance(spec: OptimizerSpec, state: OptimizerState, theta: np.ndarray, g: np
 
     theta and g may be one parameter vector or an (N, dim) population
     whose rows share the step counter; spec.update may then carry (N, 1)
-    rate columns (see apply_update).
+    rate columns (see RateColumns).
     """
     state.t += 1
     m = _direction(spec.momentum, state, g)
@@ -465,3 +469,57 @@ def step(
     if not np.isfinite(new_theta).all():
         raise DivergenceError(f"non-finite parameter after step {state.t}", iteration=state.t)
     return new_theta, state
+
+
+class RateColumns:
+    """The update rates of a population, read by apply_update like an
+    UpdateRule: each field in names is an (N, 1) column view of the (N, k)
+    block, one column per name, and each field in shared is one scalar for
+    every row, which numpy applies faster than a column.  A hybrid rule's
+    blend weights are worked out here, once per set of rows."""
+
+    def __init__(self, kind: str, names: tuple[str, ...], block: np.ndarray, shared: dict | None = None):
+        self.kind, self.names, self.block, self.shared = kind, names, block, shared or {}
+        self.__dict__.update(self.shared)
+        for i, name in enumerate(names):
+            setattr(self, name, block[:, i : i + 1])
+        if kind == "hybrid":
+            self.blend = blend_weights(self.mix)
+
+    @classmethod
+    def stack(cls, kind: str, rules) -> RateColumns:
+        """Every field of each rule as a column of its own."""
+        names = UpdateRule.FIELDS[kind]
+        rates = [[getattr(rule, name) for name in names] for rule in rules]
+        return cls(kind, names, np.array(rates, dtype=float))
+
+    def take(self, live: np.ndarray) -> RateColumns:
+        """The rates of the rows indexed by live."""
+        return RateColumns(self.kind, self.names, self.block.take(live, axis=0), self.shared)
+
+
+class Population(OptimizerState):
+    """Parameter rows stepped together by one spec: an OptimizerState whose
+    (C, P) m and v rows share the step counter t, the (C, P) parameters
+    theta, and the caller's per-row columns as attributes.  spec.update is
+    one UpdateRule, whose scalar rates numpy applies faster than columns,
+    or a RateColumns of each row's own rates.  The caller writes the steps
+    it accepts to theta."""
+
+    def __init__(self, spec: OptimizerSpec, theta: np.ndarray, **columns):
+        super().__init__(t=0, m=np.zeros_like(theta), v=np.zeros_like(theta))
+        self.spec, self.theta = spec, theta
+        self._per_row = ("theta", "m", "v", *columns)
+        self.__dict__.update(columns)
+
+    def advance(self, g: np.ndarray) -> np.ndarray:
+        """The parameters one step on, which may be non-finite."""
+        return advance(self.spec, self, self.theta, g)
+
+    def keep(self, mask: np.ndarray) -> None:
+        """Drop every row where mask is False: one take per array."""
+        live = np.flatnonzero(mask)
+        for name in self._per_row:
+            setattr(self, name, getattr(self, name).take(live, axis=0))
+        if isinstance(self.spec.update, RateColumns):
+            self.spec = OptimizerSpec(self.spec.momentum, self.spec.adaptive, self.spec.update.take(live))

@@ -18,12 +18,11 @@ from functools import cached_property
 import numpy as np
 
 from .harness import (
-    _RateColumns,
     _run_tasks,
     run_trials,  # noqa: F401  (kept importable: bench/tracer.py wraps tuning.run_trials)
 )
 from .objectives import TaskColumns, TaskConfig
-from .optim import DEFAULT_MIX, OptimizerSpec, UpdateRule, check_rate, make_spec
+from .optim import DEFAULT_MIX, OptimizerSpec, RateColumns, UpdateRule, check_rate, make_spec
 
 
 class InvalidGridError(ValueError):
@@ -202,7 +201,7 @@ def grid_search(
         shared["mix"] = mix
     mesh = np.meshgrid(*(np.asarray(values, dtype=float) for values in axes), indexing="ij")
     block = np.stack(mesh, axis=-1).reshape(-1, len(names))
-    spec = make_spec(family, _RateColumns(update_kind, names, block, shared))
+    spec = make_spec(family, RateColumns(update_kind, names, block, shared))
     distances = _run_tasks(TaskColumns.repeat(task, len(block)), spec).final_distance
     # Every kind's axes run in (lr, lr_inner, lr_outer) order; lexsort ranks
     # by its last key first, so distance goes last and the axes in reverse.

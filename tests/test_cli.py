@@ -123,6 +123,16 @@ def test_tune_single_point_grid(tmp_path):
     assert 0.5 <= best["final_distance"] <= 1.0
 
 
+@pytest.mark.parametrize("kind", ["additive", "multiplicative"])
+def test_tune_rejects_mix_for_a_rule_without_one(tmp_path, capsys, kind):
+    doc = dict(_tune_doc(), update_rule=kind, mix=0.3)
+    config = _write_config(tmp_path, "tune.json", doc)
+    out = tmp_path / "out"
+    assert main(["tune", "--config", str(config), "--out", str(out)]) == EXIT_CONFIG
+    assert re.search(r"\bmix\b", capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_tune_all_diverged_exits_3(tmp_path, capsys):
     config = _write_config(tmp_path, "tune.json", _tune_doc(grids={"lr": [5.0]}))
     out = tmp_path / "out"

@@ -265,6 +265,32 @@ def test_load_plan_train_toy_explicit_optimizer_wins(tmp_path):
     assert plan.optimizer == spec
 
 
+@pytest.mark.parametrize(
+    "family, update_rule, spec_family, spec_kind, field",
+    [
+        # Multiplicative training labelled additive, and the reverse.
+        ("sgd", "additive", "sgd", "multiplicative", "optimizer.update.kind"),
+        ("rmsprop", "multiplicative", "rmsprop", "additive", "optimizer.update.kind"),
+        # Another family's momentum or adaptive rule under this family's label.
+        ("sgd", "additive", "adam", "additive", "optimizer"),
+        ("adagrad", "hybrid", "sgd", "hybrid", "optimizer"),
+        ("adam", "additive", "adagrad", "additive", "optimizer"),
+    ],
+)
+def test_load_plan_train_toy_rejects_an_optimizer_its_labels_contradict(
+    tmp_path, family, update_rule, spec_family, spec_kind, field
+):
+    spec = make_spec(spec_family, default_update_rule(spec_family, spec_kind))
+    path = _write(
+        tmp_path,
+        "toy.json",
+        _train_toy_doc(family=family, update_rule=update_rule, optimizer=spec_to_dict(spec)),
+    )
+    with pytest.raises(ConfigError) as err:
+        load_plan(path)
+    assert err.value.field_path == field
+
+
 def test_load_plan_train_toy_validation(tmp_path):
     path = _write(tmp_path, "toy.json", _train_toy_doc(hidden=[0]))
     with pytest.raises(ConfigError, match="hidden"):

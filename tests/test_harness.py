@@ -3,13 +3,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from optbench import optim
 from optbench.harness import (
     EvalDistribution,
     Sampler,
-    _RateColumns,
     default_eval_distribution,
     default_scan_ranges,
     draw_tasks,
@@ -20,12 +20,13 @@ from optbench.harness import (
     sample_eval_config,
     surface_scan,
 )
-from optbench.objectives import InvalidConfigError, TaskConfig, distance_to_minimum, make_objective
+from optbench.objectives import FUNCTIONS, InvalidConfigError, TaskConfig, distance_to_minimum, make_objective
 from optbench.optim import (
     FAMILIES,
     UPDATE_KINDS,
     DivergenceError,
     NonFiniteGradientError,
+    RateColumns,
     UpdateRule,
     default_update_rule,
     init_state,
@@ -408,6 +409,69 @@ def test_batched_multiplicative_population_keeps_signs_and_bound(monkeypatch):
     assert max(rows_checked) == 20
 
 
+def _drawn_rate(name):
+    """Any admissible value of a rule field, and often one of its extremes:
+    the interval's ends that it admits, 1e-300, 1e300 and 0.5."""
+    text = optim._RANGES[name]
+    lo, hi = (float(bound) for bound in text[1:-1].split(","))
+    extremes = [v for v in (lo, hi, 1e-300, 1e300, 0.5) if optim._IN_RANGE[name](v)]
+    inside = st.floats(lo, hi, exclude_min=text[0] == "(", exclude_max=text[-1] == ")")
+    return st.sampled_from(extremes) | inside
+
+
+_DRAWN_UPDATE = st.sampled_from(UPDATE_KINDS).flatmap(
+    lambda kind: st.builds(
+        UpdateRule, st.just(kind), **{name: _drawn_rate(name) for name in UpdateRule.FIELDS[kind]}
+    )
+)
+# A family with its own beta1, beta2 and eps; a drawn population shares a
+# few of these, so its groups hold many rows with rates of their own.
+_DRAWN_RULES = st.tuples(
+    st.sampled_from(FAMILIES), _drawn_rate("beta1"), _drawn_rate("beta2"), _drawn_rate("eps")
+)
+_DRAWN_TASK = st.builds(
+    TaskConfig,
+    st.sampled_from(FUNCTIONS),
+    alpha=st.floats(-3.0, 3.0),
+    # A beta of 1e307 overflows the first gradient.
+    beta=st.floats(1e-3, 1e3) | st.sampled_from([1.0, 20.0, 60.0, 1e300, 1e307]),
+    # Signed zeros, small round values, and start points whose distance
+    # or first step overflows.
+    x0=st.tuples(
+        *2 * [st.floats(-60.0, 60.0) | st.sampled_from([0.0, -0.0, 1.0, 2.0, 4.0, 50.0, 1e154, -1e300, 1e308])]
+    ),
+    # Ragged budgets: rows stop at many different steps.
+    iterations=st.integers(1, 25),
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    rules=st.lists(_DRAWN_RULES, min_size=1, max_size=3),
+    rows=st.lists(st.tuples(_DRAWN_TASK, st.integers(0, 2), _DRAWN_UPDATE), min_size=1, max_size=40),
+)
+def test_run_batch_matches_scalar_reference_on_drawn_populations(rules, rows):
+    pairs = []
+    for task, which, update in rows:
+        family, beta1, beta2, eps = rules[which % len(rules)]
+        pairs.append((task, make_spec(family, update, beta1=beta1, beta2=beta2, eps=eps)))
+    batch = run_batch(pairs, trajectories=True)
+    for i, (task, spec) in enumerate(pairs):
+        # The reference measures the start outside its errstate; a start
+        # point near overflow has an infinite distance, which the kernel
+        # records without a warning.
+        with np.errstate(over="ignore"):
+            distances, reason = _reference_trial(task, spec)
+        k = len(distances) - 1
+        where = f"row {i}: {task} {spec}"
+        assert batch.iterations_run[i] == k and batch.diverged[i] == (reason is not None), where
+        assert batch.trajectories[i, : k + 1].tobytes() == np.array(distances).tobytes(), where
+        assert np.isnan(batch.trajectories[i, k + 1 :]).all(), where
+        final = math.inf if reason is not None else distances[-1]
+        assert batch.initial_distance[i].tobytes() == np.float64(distances[0]).tobytes(), where
+        assert batch.final_distance[i].tobytes() == np.float64(final).tobytes(), where
+
+
 # ------------------------------------------------------ column draws
 
 def _scalar_draw(dist, seed, index):
@@ -535,7 +599,7 @@ def test_rate_columns_apply_each_rows_rule_bitwise():
     m = np.array([[1.0, 1.0], [0.5, -2.0], [1e300, -1e300], [0.1, 0.2], [1.0, 0.3]])
     l = np.array([[1.0, 1.0], [1.0, 0.5], [1e10, 1e10], [1.0, 1.0], [1.0, 1.0]])
     with np.errstate(over="ignore", invalid="ignore"):
-        delta = optim.apply_update(_RateColumns.stack("hybrid", rules), theta, m, l)
+        delta = optim.apply_update(RateColumns.stack("hybrid", rules), theta, m, l)
         for i, rule in enumerate(rules):
             assert np.array_equal(delta[i], optim.apply_update(rule, theta[i], m[i], l[i])), i
     assert np.isfinite(delta).all()

@@ -17,6 +17,8 @@ from optbench.optim import (
     MomentumRule,
     NonFiniteGradientError,
     OptimizerSpec,
+    Population,
+    RateColumns,
     UpdateRule,
     adaptive_rate,
     additive_update,
@@ -454,3 +456,75 @@ def test_matched_streams_give_bitwise_identical_trajectories():
     first, second = run(), run()
     for a, b in zip(first, second):
         assert np.array_equal(a, b)
+
+
+# ------------------------------------------------------------ population
+
+_POPULATION_RULES = {
+    "additive": [UpdateRule("additive", lr=lr) for lr in (0.1, 0.01, 0.5, 1e-3, 0.2)],
+    "multiplicative": [
+        UpdateRule("multiplicative", lr_inner=inner, lr_outer=outer)
+        for inner, outer in ((1.0, 0.5), (3.0, 0.1), (0.5, 1.0), (10.0, 0.3), (2.0, 0.9))
+    ],
+    # Rows 0, 2 and 4 sit at the endpoints; keeping only them changes
+    # whether the blend has any endpoint row at all.
+    "hybrid": [
+        UpdateRule("hybrid", lr=0.1, lr_inner=inner, lr_outer=0.5, mix=mix)
+        for inner, mix in ((1.0, 0.0), (2.0, 0.3), (3.0, 1.0), (0.5, 0.7), (4.0, 1.0))
+    ],
+}
+
+
+def _population_run(family, kind, rows, per_row, steps, rng_seed=12):
+    """A population of the given rows of a five-row setup, stepped with
+    the same gradient rows as the five-row population would see."""
+    rng = np.random.default_rng(rng_seed)
+    theta = rng.normal(size=(5, 3))
+    gs = rng.normal(size=(steps, 5, 3))
+    rules = _POPULATION_RULES[kind]
+    update = RateColumns.stack(kind, [rules[i] for i in rows]) if per_row else rules[0]
+    pop = Population(
+        make_spec(family, update),
+        theta[rows],
+        rows=np.array(rows),
+        block=np.arange(10.0).reshape(5, 2)[rows],
+        rngs=np.array([np.random.default_rng(i) for i in rows], dtype=object),
+    )
+    for g in gs:
+        pop.theta = pop.advance(g[rows])
+    return pop
+
+
+@pytest.mark.parametrize("family", ["sgd", "adagrad", "adam"])
+@pytest.mark.parametrize("kind", ["additive", "multiplicative", "hybrid"])
+@pytest.mark.parametrize("per_row", [True, False])
+@pytest.mark.parametrize("kept", [[0, 2, 4], [1, 3], [4]])
+def test_population_keep_compacts_every_row_array_and_steps_as_if_never_batched(
+    family, kind, per_row, kept
+):
+    everyone = _population_run(family, kind, [0, 1, 2, 3, 4], per_row, steps=4)
+    before = {name: getattr(everyone, name).copy() for name in ("theta", "m", "v", "rows", "block", "rngs")}
+    rates = everyone.spec.update.block.copy() if per_row else None
+    mask = np.isin(np.arange(5), kept)
+    everyone.keep(mask)
+    for name, value in before.items():
+        assert np.array_equal(getattr(everyone, name), value[mask]), name
+    assert everyone.t == 4
+    update = everyone.spec.update
+    if per_row:
+        assert np.array_equal(update.block, rates[mask])
+        for i, name in enumerate(update.names):
+            assert np.array_equal(getattr(update, name), rates[mask][:, i : i + 1])
+        if kind == "hybrid":
+            alone = RateColumns.stack(kind, [_POPULATION_RULES[kind][i] for i in kept]).blend
+            assert all(np.array_equal(a, b) for a, b in zip(update.blend, alone))
+    else:
+        assert update is _POPULATION_RULES[kind][0]
+
+    # One more step of the compacted rows gives the bits they get in a
+    # population that never had the dropped rows.
+    alone = _population_run(family, kind, kept, per_row, steps=4)
+    g = np.random.default_rng(5).normal(size=(5, 3))[mask]
+    assert everyone.advance(g).tobytes() == alone.advance(g).tobytes()
+    assert everyone.m.tobytes() == alone.m.tobytes()
+    assert everyone.v.tobytes() == alone.v.tobytes()
