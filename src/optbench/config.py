@@ -428,8 +428,9 @@ def _tune(task, family, update_kind, grids=None, mix=None) -> TunePlan:
 def _train_toy(
     family, update_kind, optimizer=None, n_configs=10, master_seed=None, dataset=None, **settings
 ) -> TrainToyPlan:
-    """An explicit optimizer must be the family's rules with the
-    update_rule kind, since the outputs are labelled with both."""
+    """An explicit optimizer must be the family's rules, at the optimizer's
+    own beta1, beta2 and eps, with the update_rule kind, since the outputs
+    are labelled with both."""
     if optimizer is None:
         try:
             optimizer = make_spec(family, default_update_rule(family, update_kind))
@@ -440,12 +441,12 @@ def _train_toy(
             "optimizer.update.kind", f"must be update_rule {update_kind!r}, got {optimizer.update.kind!r}"
         )
     else:
-        family_spec = make_spec(family, optimizer.update)
-        kinds = (optimizer.momentum.kind, optimizer.adaptive.kind)
-        expected = (family_spec.momentum.kind, family_spec.adaptive.kind)
-        if kinds != expected:
+        mom, ada = optimizer.momentum, optimizer.adaptive
+        family_spec = make_spec(family, optimizer.update, beta1=mom.beta1, beta2=ada.beta2, eps=ada.eps)
+        expected = (family_spec.momentum, family_spec.adaptive)
+        if (mom, ada) != expected:
             raise ConfigError(
-                "optimizer", f"{family} has (momentum, adaptive) kinds {expected}, got {kinds}"
+                "optimizer", f"{family} has (momentum, adaptive) rules {expected}, got {(mom, ada)}"
             )
     return TrainToyPlan(
         ProtocolSettings(**(dataset or {}), **settings), family, update_kind, optimizer, n_configs, master_seed

@@ -6,6 +6,9 @@ optimizer rules step together as one (N, 2) optim.Population, with
 per-row start points, task parameters, rates and budgets as columns,
 so a grid search, a robustness evaluation or a surface scan is one
 vectorized loop and a single trial is the N = 1 case of the same loop.
+A population's rows run longest budget first: the rows whose budgets end
+on a step are its tail and leave as a slice, which leaves the rest as
+views, and rows that diverge leave by a mask.
 
 run_batch takes (TaskConfig, OptimizerSpec) pairs, as a single trial
 does, and turns each group into columns.  A grid search, a robustness
@@ -13,17 +16,18 @@ evaluation and a surface scan build their columns directly, with no
 per-trial objects.  A grid search (see the tuning module) runs copies of
 one task with a block of per-row rate columns.  A robustness evaluation
 (many trials with task parameters drawn from per-field distributions)
-draws its tasks straight into columns, one random stream per draw, and
-checks each column once.  A surface scan (final scores over a grid of
-starting points) lays its start points out as one (N, 2) array around a
-single task.  The last two share one spec across the population, so its
-rates stay scalars.  Runs that blow up are recorded with an infinite
-score instead of raising, so sweeps over unstable configurations always
-complete.
+draws its tasks straight into columns, one random stream per draw
+seeded from precomputed entropy words, and checks each column once.  A
+surface scan (final scores over a grid of starting points) lays its
+start points out as one (N, 2) array around a single task.  The last
+two share one spec across the population, so its rates stay scalars.
+Runs that blow up are recorded with an infinite score instead of
+raising, so sweeps over unstable configurations always complete.
 """
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,13 +89,6 @@ class TrialBatch:
     trajectories: np.ndarray | None
 
 
-def _live_rows(function: str, block: np.ndarray):
-    """The gradient and minimizer of the live rows of a population, from
-    their (alpha, beta) block."""
-    objective = population_objective(function, block[:, 0], block[:, 1])
-    return objective.gradient, np.stack(objective.minimum, axis=-1)
-
-
 def _run_population(tasks: TaskColumns, spec: OptimizerSpec, rows: np.ndarray, out: TrialBatch) -> None:
     """Run tasks that share a function and optimizer rules in lockstep and
     write their outcomes into rows of out.
@@ -100,47 +97,68 @@ def _run_population(tasks: TaskColumns, spec: OptimizerSpec, rows: np.ndarray, o
     A row stops after its own budget, or at the first step whose gradient
     or resulting distance is non-finite; that step does not count.  Rows
     that stop are dropped from the population, whose alpha and beta sit
-    in one block.
+    in one block next to their minimizer.  The rows run longest budget first, so the rows whose
+    budgets end on a step are the population's tail and leave as a slice,
+    which keeps the rest as views; rows that diverge leave by a mask,
+    which keeps the order.
     """
+    order = np.argsort(-tasks.iterations, kind="stable")
+    if isinstance(spec.update, RateColumns):
+        spec = OptimizerSpec(spec.momentum, spec.adaptive, spec.update.take(order))
+    block = np.column_stack([tasks.alpha, tasks.beta])[order]
+    objective = population_objective(tasks.function, block[:, 0], block[:, 1])
     pop = Population(
-        spec, tasks.x0, rows=rows, budget=tasks.iterations, block=np.column_stack([tasks.alpha, tasks.beta])
+        spec,
+        tasks.x0[order],
+        rows=rows[order],
+        budget=tasks.iterations[order],
+        block=block,
+        minimizer=np.stack(objective.minimum, axis=-1),
     )
-    gradient, minimizer = _live_rows(tasks.function, pop.block)
-    stop = pop.budget.min()
+    gradient = objective.gradient
+    stop = pop.budget[-1]
     trajectories = out.trajectories
-    d = point_distance(pop.theta, minimizer)
-    out.initial_distance[rows] = d
+    d = point_distance(pop.theta, pop.minimizer)
+    out.initial_distance[pop.rows] = d
     if trajectories is not None:
-        trajectories[rows, 0] = d
+        trajectories[pop.rows, 0] = d
     while True:
         g = gradient(pop.theta)
         pop.theta = pop.advance(g)
-        d = point_distance(pop.theta, minimizer)
+        d = point_distance(pop.theta, pop.minimizer)
         t = pop.t
         # A non-finite parameter makes its distance non-finite, so d and g
         # cover all three of the scalar step's divergence checks, and any
         # non-finite entry makes their sum non-finite: on almost every step
-        # this one test shows that no row stops.
-        if t < stop and math.isfinite(d.sum() + g.sum()):
+        # this one test shows that no row diverged.
+        if math.isfinite(d.sum() + g.sum()):
             if trajectories is not None:
                 trajectories[pop.rows, t] = d
-            continue
-        ok = np.isfinite(d) & np.isfinite(g[:, 0]) & np.isfinite(g[:, 1])
-        if trajectories is not None:
-            trajectories[pop.rows[ok], t] = d[ok]
-        keep = ok & (pop.budget > t)
-        if keep.all():  # the sum overflowed, but every entry is finite
-            continue
-        finished = ok & ~keep
-        out.final_distance[pop.rows[finished]] = d[finished]
-        out.iterations_run[pop.rows[finished]] = t
-        out.diverged[pop.rows[~ok]] = True
-        out.iterations_run[pop.rows[~ok]] = t - 1
-        if not keep.any():
-            return
-        pop.keep(keep)
-        gradient, minimizer = _live_rows(tasks.function, pop.block)
-        stop = pop.budget.min()
+            if t < stop:
+                continue
+            n = int(np.count_nonzero(pop.budget > t))
+            out.final_distance[pop.rows[n:]] = d[n:]
+            out.iterations_run[pop.rows[n:]] = t
+            if not n:
+                return
+            live = slice(n)
+        else:
+            ok = np.isfinite(d) & np.isfinite(g[:, 0]) & np.isfinite(g[:, 1])
+            if trajectories is not None:
+                trajectories[pop.rows[ok], t] = d[ok]
+            live = ok & (pop.budget > t)
+            if live.all():  # the sum overflowed, but every entry is finite
+                continue
+            finished = ok & ~live
+            out.final_distance[pop.rows[finished]] = d[finished]
+            out.iterations_run[pop.rows[finished]] = t
+            out.diverged[pop.rows[~ok]] = True
+            out.iterations_run[pop.rows[~ok]] = t - 1
+            if not live.any():
+                return
+        pop.keep(live)
+        gradient = population_objective(tasks.function, pop.block[:, 0], pop.block[:, 1]).gradient
+        stop = pop.budget[-1]
 
 
 def _run_populations(n: int, populations: list, trajectories: bool) -> TrialBatch:
@@ -275,32 +293,55 @@ def default_eval_distribution(function: str) -> EvalDistribution:
 MAX_BETA_DRAWS = 1000
 
 
+def _entropy_words(n: int) -> list[int]:
+    """The 32-bit words, least significant first, that np.random.SeedSequence
+    makes of a non-negative integer: [0] for 0.  A negative integer raises
+    ValueError, as SeedSequence does."""
+    n = operator.index(n)
+    if n < 0:
+        raise ValueError("expected non-negative integer")
+    words = [n & 0xFFFFFFFF]
+    n >>= 32
+    while n:
+        words.append(n & 0xFFFFFFFF)
+        n >>= 32
+    return words
+
+
 def draw_tasks(dist: EvalDistribution, seed: int, indices) -> TaskColumns:
     """Draw one task per index from the distribution, as one row each of
     the returned columns, deterministically per (seed, index).
 
     Each index draws from its own default_rng([seed, index]) stream, in
-    the order x0[0], x0[1], alpha, beta, iterations.  beta is redrawn
-    until positive, at most MAX_BETA_DRAWS times; the iteration budget is
-    rounded to the nearest integer and clamped to at least 1, and a draw
-    above MAX_ITERATIONS is rejected.  The columns are then checked
-    against the task rules, each once; an error names the distribution's
-    field and the row of the first draw that breaks it.
+    the order x0[0], x0[1], alpha, beta, iterations; the stream is seeded
+    with the uint32 entropy words default_rng makes of [seed, index] (the
+    seed's words, worked out once, then the index's), which gives the
+    same stream.  A field with std = 0 takes its mean and consumes no
+    randomness.  beta is redrawn until positive, at most MAX_BETA_DRAWS
+    times; the iteration budget is rounded to the nearest integer and
+    clamped to at least 1, and a draw above MAX_ITERATIONS is rejected.
+    The columns are then checked against the task rules, each once; an
+    error names the distribution's field and the row of the first draw
+    that breaks it.
     """
-    x0a, x0b, alpha, beta, iterations = dist.x0[0], dist.x0[1], dist.alpha, dist.beta, dist.iterations
+    seed_words = _entropy_words(seed)
+    leading = [(s.mean, s.std) for s in (*dist.x0, dist.alpha)]
+    beta_mean, beta_std = dist.beta.mean, dist.beta.std
+    budget_mean, budget_std = dist.iterations.mean, dist.iterations.std
     draws = []
     for index in indices:
-        rng = np.random.default_rng([seed, index])
-        row = (x0a.draw(rng), x0b.draw(rng), alpha.draw(rng))
+        normal = np.random.default_rng(np.array(seed_words + _entropy_words(index), dtype=np.uint32)).normal
+        row = [mean if std == 0.0 else normal(mean, std) for mean, std in leading]
         for _ in range(MAX_BETA_DRAWS):
-            b = beta.draw(rng)
+            b = beta_mean if beta_std == 0.0 else normal(beta_mean, beta_std)
             if b > 0.0:
                 break
         else:
             raise InvalidConfigError(
-                f"distribution.beta: no positive draw from {beta} in {MAX_BETA_DRAWS} tries"
+                f"distribution.beta: no positive draw from {dist.beta} in {MAX_BETA_DRAWS} tries"
             )
-        draws.append((*row, b, iterations.draw(rng)))
+        row += (b, budget_mean if budget_std == 0.0 else normal(budget_mean, budget_std))
+        draws.append(row)
     draws = np.array(draws)
     budget = draws[:, 4]
     within = budget <= MAX_ITERATIONS

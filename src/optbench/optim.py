@@ -471,6 +471,13 @@ def step(
     return new_theta, state
 
 
+def _rows(a: np.ndarray, live) -> np.ndarray:
+    """The rows of a that live indexes: a leading slice gives a view, and
+    an array of row indices gives one take (several times faster in numpy
+    than indexing by a mask or by the index array)."""
+    return a[live] if isinstance(live, slice) else a.take(live, axis=0)
+
+
 class RateColumns:
     """The update rates of a population, read by apply_update like an
     UpdateRule: each field in names is an (N, 1) column view of the (N, k)
@@ -493,9 +500,10 @@ class RateColumns:
         rates = [[getattr(rule, name) for name in names] for rule in rules]
         return cls(kind, names, np.array(rates, dtype=float))
 
-    def take(self, live: np.ndarray) -> RateColumns:
-        """The rates of the rows indexed by live."""
-        return RateColumns(self.kind, self.names, self.block.take(live, axis=0), self.shared)
+    def take(self, live) -> RateColumns:
+        """The rates of the rows that live, a leading slice or an array of
+        row indices, indexes."""
+        return RateColumns(self.kind, self.names, _rows(self.block, live), self.shared)
 
 
 class Population(OptimizerState):
@@ -516,10 +524,13 @@ class Population(OptimizerState):
         """The parameters one step on, which may be non-finite."""
         return advance(self.spec, self, self.theta, g)
 
-    def keep(self, mask: np.ndarray) -> None:
-        """Drop every row where mask is False: one take per array."""
-        live = np.flatnonzero(mask)
+    def keep(self, live) -> None:
+        """Keep only the rows that live indexes, in order, in every per-row
+        array: live is a leading slice, which leaves every array a view of
+        the rows it had, or a boolean mask, which is one take per array."""
+        if not isinstance(live, slice):
+            live = np.flatnonzero(live)
         for name in self._per_row:
-            setattr(self, name, getattr(self, name).take(live, axis=0))
+            setattr(self, name, _rows(getattr(self, name), live))
         if isinstance(self.spec.update, RateColumns):
             self.spec = OptimizerSpec(self.spec.momentum, self.spec.adaptive, self.spec.update.take(live))

@@ -8,7 +8,7 @@ import pytest
 from optbench.cli import _COMMANDS, EXIT_ALL_DIVERGED, EXIT_CONFIG, EXIT_OK, _build_parser, main
 from optbench.config import SCHEMA_VERSION, distribution_to_dict, spec_to_dict
 from optbench.harness import default_eval_distribution
-from optbench.optim import UpdateRule, default_update_rule, make_spec
+from optbench.optim import AdaptiveRule, OptimizerSpec, UpdateRule, default_update_rule, make_spec
 
 
 def _write_config(tmp_path, name, doc):
@@ -327,6 +327,29 @@ def test_train_toy_multiplicative_never_flips(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["sign_flips_total"] == 0
     assert summary["n_diverged"] == 0
+
+
+def _adagrad_with_eps(eps):
+    spec = make_spec("adagrad", default_update_rule("adagrad", "additive"))
+    return OptimizerSpec(spec.momentum, AdaptiveRule("accumulate", eps=eps), spec.update)
+
+
+@pytest.mark.parametrize(
+    "family, spec",
+    [
+        # adam's ema momentum (beta1 0.9) under the rmsprop label, whose beta1 is 0.
+        ("rmsprop", make_spec("adam", default_update_rule("rmsprop", "additive"))),
+        # The accumulating rule with an eps of its own under the adagrad label.
+        ("adagrad", _adagrad_with_eps(1e-6)),
+    ],
+)
+def test_train_toy_rejects_an_optimizer_with_other_rates_than_its_family(tmp_path, capsys, family, spec):
+    doc = dict(_train_toy_doc("additive"), family=family, optimizer=spec_to_dict(spec))
+    config = _write_config(tmp_path, "toy.json", doc)
+    out = tmp_path / "out"
+    assert main(["train-toy", "--config", str(config), "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error: optimizer: ")
+    assert not out.exists()
 
 
 def test_output_root_env_routing(tmp_path, monkeypatch):

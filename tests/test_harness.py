@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from optbench import optim
@@ -445,7 +445,9 @@ _DRAWN_TASK = st.builds(
 )
 
 
-@settings(max_examples=50, deadline=None)
+# No shrink phase: shrinking a failing population of up to 40 rows takes
+# minutes, and the failing example is reported as drawn.
+@settings(max_examples=50, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
 @given(
     rules=st.lists(_DRAWN_RULES, min_size=1, max_size=3),
     rows=st.lists(st.tuples(_DRAWN_TASK, st.integers(0, 2), _DRAWN_UPDATE), min_size=1, max_size=40),
@@ -470,6 +472,39 @@ def test_run_batch_matches_scalar_reference_on_drawn_populations(rules, rows):
         final = math.inf if reason is not None else distances[-1]
         assert batch.initial_distance[i].tobytes() == np.float64(distances[0]).tobytes(), where
         assert batch.final_distance[i].tobytes() == np.float64(final).tobytes(), where
+
+
+def test_run_batch_of_shuffled_pairs_gives_each_row_the_same_bytes():
+    """The kernel orders each population's rows by budget itself, so the
+    order of the pairs changes no row's outcome or trajectory."""
+    pairs = _oracle_pairs()
+    order = np.random.default_rng(11).permutation(len(pairs))
+    batch = run_batch(pairs, trajectories=True)
+    shuffled = run_batch([pairs[i] for i in order], trajectories=True)
+    for name in ("initial_distance", "final_distance", "score", "diverged", "iterations_run", "trajectories"):
+        assert getattr(shuffled, name).tobytes() == getattr(batch, name)[order].tobytes(), name
+
+
+def test_kernel_matches_scalar_reference_where_budget_ends_and_divergence_share_a_step():
+    """One sgd population with per-row rates: at step 3 row 1 diverges
+    while rows 0 and 6 reach their budgets, so that step compacts by mask;
+    row 1 sits between rows 2 and 3, whose equal budgets of 5 then end on
+    one step.  Row 4 diverges on the step its budget of 1 ends, and row 7
+    diverges where no budget ends."""
+    bowl = dict(function="convex2d", alpha=1.0, beta=20.0, x0=(50.0, 50.0))
+    rows = [(3, 1e-3), (5, 1e60), (5, 2e-3), (5, 1e-3), (1, 1e306), (7, 1e-3), (3, 5e-3), (7, 1e100)]
+    pairs = [(TaskConfig(**bowl, iterations=budget), _sgd(lr)) for budget, lr in rows]
+    batch = run_batch(pairs, trajectories=True)
+    assert batch.iterations_run.tolist() == [3, 2, 5, 5, 0, 7, 3, 1]
+    assert batch.diverged.tolist() == [False, True, False, False, True, False, False, True]
+    for i, (task, spec) in enumerate(pairs):
+        distances, reason = _reference_trial(task, spec)
+        k = len(distances) - 1
+        assert batch.iterations_run[i] == k and batch.diverged[i] == (reason is not None), i
+        assert batch.trajectories[i, : k + 1].tobytes() == np.array(distances).tobytes(), i
+        assert np.isnan(batch.trajectories[i, k + 1 :]).all(), i
+        final = math.inf if reason is not None else distances[-1]
+        assert batch.final_distance[i] == final, i
 
 
 # ------------------------------------------------------ column draws
@@ -536,6 +571,32 @@ def test_column_draw_equals_per_index_draws_bitwise(name):
         budgets.add(iterations)
     if name == "budget rounding and clamp":
         assert 1 in budgets and len(budgets) > 5
+
+
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 3])
+def test_column_draw_equals_per_index_draws_at_seeds_and_indices_of_several_words(seed):
+    """A seed or index of 2**32 and up is more than one entropy word."""
+    dist = DRAW_CASES["beta redraws"]
+    indices = [0, 1, 2**32 - 1, 2**32, 2**64 + 3]
+    tasks = draw_tasks(dist, seed, indices)
+    for row, index in enumerate(indices):
+        one = sample_eval_config(dist, seed, index)
+        x0, alpha, beta, iterations = _scalar_draw(dist, seed, index)
+        drawn = (tasks.x0[row, 0], tasks.x0[row, 1], tasks.alpha[row], tasks.beta[row])
+        assert np.array(drawn).tobytes() == np.array([*one.x0, one.alpha, one.beta]).tobytes()
+        assert np.array(drawn).tobytes() == np.array([*x0, alpha, beta]).tobytes()
+        assert tasks.iterations[row] == one.iterations == iterations
+
+
+@pytest.mark.parametrize("seed, index", [(0, -1), (-1, 0), (-(2**40), 3)])
+def test_negative_seed_or_index_raises_as_default_rng_does(seed, index):
+    dist = DRAW_CASES["convex2d"]
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        np.random.default_rng([seed, index])
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        draw_tasks(dist, seed, [index])
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        sample_eval_config(dist, seed, index)
 
 
 @pytest.mark.parametrize("budget, rounded", [(0.5, 1), (1.5, 2), (2.5, 2), (3.5, 4), (-7.0, 1)])

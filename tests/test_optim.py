@@ -528,3 +528,24 @@ def test_population_keep_compacts_every_row_array_and_steps_as_if_never_batched(
     assert everyone.advance(g).tobytes() == alone.advance(g).tobytes()
     assert everyone.m.tobytes() == alone.m.tobytes()
     assert everyone.v.tobytes() == alone.v.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["additive", "hybrid"])
+@pytest.mark.parametrize("per_row", [True, False])
+def test_population_keep_of_a_leading_slice_leaves_views_and_steps_as_a_mask_does(kind, per_row):
+    by_slice = _population_run("adam", kind, [0, 1, 2, 3, 4], per_row, steps=4)
+    by_mask = _population_run("adam", kind, [0, 1, 2, 3, 4], per_row, steps=4)
+    before = {name: getattr(by_slice, name) for name in ("theta", "m", "v", "rows", "block", "rngs")}
+    rates = by_slice.spec.update.block if per_row else None
+    by_slice.keep(slice(3))
+    by_mask.keep(np.arange(5) < 3)
+    for name, value in before.items():
+        assert np.shares_memory(getattr(by_slice, name), value), name
+        assert np.array_equal(getattr(by_slice, name), value[:3]), name
+    if per_row:
+        assert np.shares_memory(by_slice.spec.update.block, rates)
+        assert np.array_equal(by_slice.spec.update.block, by_mask.spec.update.block)
+    g = np.random.default_rng(5).normal(size=(3, 3))
+    assert by_slice.advance(g).tobytes() == by_mask.advance(g).tobytes()
+    assert by_slice.m.tobytes() == by_mask.m.tobytes()
+    assert by_slice.v.tobytes() == by_mask.v.tobytes()
