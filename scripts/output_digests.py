@@ -1,10 +1,12 @@
 """Pin the bytes of every output the bundled configs write.
 
 Runs each bundled tune, robustness, scan and train-toy config under
-configs/ through the CLI, at the seeds the configs carry, and records the
+configs/ through the CLI, at the seeds the configs carry, and each
+robustness config again at the seeds in ROBUSTNESS_SEEDS, and records the
 sha256 of every file it writes in tests/data/output_digests.json, so a
 change that must leave every output bit the same can show it with one
-command.
+command.  A robustness output at another seed is keyed
+robustness@<seed>/<config>/<file>.
 
 Usage: python3 scripts/output_digests.py [--check]
 
@@ -17,6 +19,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import shutil
 import sys
 import tempfile
 from pathlib import Path
@@ -29,19 +32,34 @@ DIGESTS = ROOT / "tests" / "data" / "output_digests.json"
 # The bundled configs that run as a command of the same name; configs/tuned
 # holds the specs they reference.
 COMMANDS = ("tune", "robustness", "scan", "train-toy")
+# Seeds other than the bundled one at which every robustness config runs too.
+ROBUSTNESS_SEEDS = (1, 7)
 
 
 def digests() -> dict[str, str]:
     """The sha256 of every output file of every bundled config, keyed by
     command/config/file."""
     with tempfile.TemporaryDirectory(prefix="optbench-digests-") as tmp:
-        outputs = Path(tmp)
-        for command in COMMANDS:
-            for config in sorted((CONFIGS / command).glob("*.json")):
-                argv = [command, "--config", str(config), "--out", str(outputs / command / config.stem)]
-                code = cli_main(argv)
-                if code != 0:
-                    raise SystemExit(f"{command} {config.name} failed with exit code {code}")
+        outputs = Path(tmp) / "out"
+        runs = [
+            (command, config, outputs / command / config.stem)
+            for command in COMMANDS
+            for config in sorted((CONFIGS / command).glob("*.json"))
+        ]
+        # Each reseeded copy sits next to a copy of configs/tuned, so its
+        # "../tuned/..." references resolve as the original's do.
+        configs = Path(tmp) / "configs"
+        shutil.copytree(CONFIGS / "tuned", configs / "tuned")
+        for seed in ROBUSTNESS_SEEDS:
+            for config in sorted((CONFIGS / "robustness").glob("*.json")):
+                copy = configs / f"robustness@{seed}" / config.name
+                copy.parent.mkdir(exist_ok=True)
+                copy.write_text(json.dumps({**json.loads(config.read_text()), "seed": seed}))
+                runs.append(("robustness", copy, outputs / copy.parent.name / config.stem))
+        for command, config, out in runs:
+            code = cli_main([command, "--config", str(config), "--out", str(out)])
+            if code != 0:
+                raise SystemExit(f"{command} {config} failed with exit code {code}")
         return {
             path.relative_to(outputs).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
             for path in sorted(outputs.rglob("*"))

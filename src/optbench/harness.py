@@ -16,8 +16,10 @@ evaluation and a surface scan build their columns directly, with no
 per-trial objects.  A grid search (see the tuning module) runs copies of
 one task with a block of per-row rate columns.  A robustness evaluation
 (many trials with task parameters drawn from per-field distributions)
-draws its tasks straight into columns, one random stream per draw
-seeded from precomputed entropy words, and checks each column once.  A
+draws its tasks straight into columns, one random stream per draw, and
+checks each column once; the streams are the ones default_rng gives,
+and their PCG64 states are worked out for the whole run in one
+vectorized pass and set, one by one, into a single reused generator.  A
 surface scan (final scores over a grid of starting points) lays its
 start points out as one (N, 2) array around a single task.  The last
 two share one spec across the population, so its rates stay scalars.
@@ -308,29 +310,107 @@ def _entropy_words(n: int) -> list[int]:
     return words
 
 
+# np.random.SeedSequence's hash constants and pool size, and PCG64's LCG
+# multiplier, as numpy's bit generators define them.
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+
+
+def _hasher(h: int, mult: int):
+    """SeedSequence's hash of a uint32 column, with its running constant
+    starting at h and multiplied by mult at each call."""
+
+    def hash_(v: np.ndarray) -> np.ndarray:
+        nonlocal h
+        v = v ^ h
+        h = h * mult & _MASK32
+        v *= h
+        return v ^ (v >> 16)
+
+    return hash_
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return r ^ (r >> 16)
+
+
+def _pcg64_states(entropy: list[list[int]]) -> list[dict]:
+    """The PCG64 state that np.random.default_rng(words) builds, for each
+    list of uint32 entropy words, worked out for all the lists at once.
+
+    default_rng hashes the words into a four-word SeedSequence pool,
+    draws eight uint32 words from it as PCG64's seed and increment, and
+    takes two LCG steps.  The running hash constants depend only on the
+    number of words, so the lists of one length hash together as (N,)
+    uint32 columns, whose arithmetic wraps mod 2**32 as SeedSequence's
+    does.  Returns one bit_generator.state dict per list, in order.
+    """
+    groups: dict[int, list[int]] = {}
+    for row, words in enumerate(entropy):
+        groups.setdefault(len(words), []).append(row)
+    states = [None] * len(entropy)
+    for k, rows in groups.items():
+        columns = np.array([entropy[row] for row in rows], dtype=np.uint32).T
+        hash_ = _hasher(_INIT_A, _MULT_A)
+        zero = np.zeros(len(rows), dtype=np.uint32)
+        pool = [hash_(columns[i] if i < k else zero) for i in range(_POOL_SIZE)]
+        for src in range(_POOL_SIZE):
+            for dst in range(_POOL_SIZE):
+                if src != dst:
+                    pool[dst] = _mix(pool[dst], hash_(pool[src]))
+        for word in columns[_POOL_SIZE:]:
+            for dst in range(_POOL_SIZE):
+                pool[dst] = _mix(pool[dst], hash_(word))
+        hash_ = _hasher(_INIT_B, _MULT_B)
+        out = [hash_(pool[i % _POOL_SIZE]).astype(np.uint64) for i in range(8)]
+        # generate_state(4, uint64) reads the words as little-endian pairs.
+        seeds = [(out[i] | out[i + 1] << 32).tolist() for i in range(0, 8, 2)]
+        for row, s0, s1, i0, i1 in zip(rows, *seeds):
+            inc = ((i0 << 64 | i1) << 1 | 1) & _MASK128
+            state = ((inc + (s0 << 64 | s1)) * _PCG64_MULT + inc) & _MASK128
+            states[row] = {
+                "bit_generator": "PCG64",
+                "state": {"state": state, "inc": inc},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+    return states
+
+
 def draw_tasks(dist: EvalDistribution, seed: int, indices) -> TaskColumns:
     """Draw one task per index from the distribution, as one row each of
     the returned columns, deterministically per (seed, index).
 
     Each index draws from its own default_rng([seed, index]) stream, in
-    the order x0[0], x0[1], alpha, beta, iterations; the stream is seeded
-    with the uint32 entropy words default_rng makes of [seed, index] (the
-    seed's words, worked out once, then the index's), which gives the
-    same stream.  A field with std = 0 takes its mean and consumes no
-    randomness.  beta is redrawn until positive, at most MAX_BETA_DRAWS
-    times; the iteration budget is rounded to the nearest integer and
-    clamped to at least 1, and a draw above MAX_ITERATIONS is rejected.
-    The columns are then checked against the task rules, each once; an
-    error names the distribution's field and the row of the first draw
-    that breaks it.
+    the order x0[0], x0[1], alpha, beta, iterations.  The streams are
+    seeded in one vectorized pass: the PCG64 state default_rng would
+    build from the uint32 entropy words of [seed, index] (the seed's
+    words, worked out once, then the index's) is computed for every
+    index at once, and each index's draws come from one reused generator
+    set to its state, which gives the same stream.  A field with std = 0
+    takes its mean and consumes no randomness.  beta is redrawn until
+    positive, at most MAX_BETA_DRAWS times; the iteration budget is
+    rounded to the nearest integer and clamped to at least 1, and a draw
+    above MAX_ITERATIONS is rejected.  The columns are then checked
+    against the task rules, each once; an error names the distribution's
+    field and the row of the first draw that breaks it.
     """
     seed_words = _entropy_words(seed)
     leading = [(s.mean, s.std) for s in (*dist.x0, dist.alpha)]
     beta_mean, beta_std = dist.beta.mean, dist.beta.std
     budget_mean, budget_std = dist.iterations.mean, dist.iterations.std
+    # The reused generator's own seed is overwritten by every stream's state.
+    rng = np.random.Generator(np.random.PCG64(0))
+    bit_generator, normal = rng.bit_generator, rng.normal
     draws = []
-    for index in indices:
-        normal = np.random.default_rng(np.array(seed_words + _entropy_words(index), dtype=np.uint32)).normal
+    for state in _pcg64_states([seed_words + _entropy_words(index) for index in indices]):
+        bit_generator.state = state
         row = [mean if std == 0.0 else normal(mean, std) for mean, std in leading]
         for _ in range(MAX_BETA_DRAWS):
             b = beta_mean if beta_std == 0.0 else normal(beta_mean, beta_std)

@@ -20,6 +20,7 @@ from optbench.harness import (
     sample_eval_config,
     surface_scan,
 )
+from optbench.harness import _entropy_words, _pcg64_states
 from optbench.objectives import FUNCTIONS, InvalidConfigError, TaskConfig, distance_to_minimum, make_objective
 from optbench.optim import (
     FAMILIES,
@@ -597,6 +598,49 @@ def test_negative_seed_or_index_raises_as_default_rng_does(seed, index):
         draw_tasks(dist, seed, [index])
     with pytest.raises(ValueError, match="expected non-negative integer"):
         sample_eval_config(dist, seed, index)
+
+
+SEEDING_SEEDS = [0, 1, 2024, 2**32 - 1, 2**32, 2**64 + 3, 2**96 + 5]
+SEEDING_INDICES = [0, 1, 99, 2**32 - 1, 2**32, 2**64 + 3]
+
+
+def _default_rng_state(words):
+    return np.random.default_rng(np.array(words, dtype=np.uint32)).bit_generator.state
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("seed", SEEDING_SEEDS)
+def test_stream_states_equal_default_rng_states(seed):
+    """The vectorized seeding gives the state default_rng builds from the
+    same words, and from [seed, index] itself, whether the rows come
+    together or one at a time."""
+    rows = [_entropy_words(seed) + _entropy_words(index) for index in SEEDING_INDICES]
+    states = _pcg64_states(rows)
+    assert states == [_default_rng_state(words) for words in rows]
+    assert states == [np.random.default_rng([seed, index]).bit_generator.state for index in SEEDING_INDICES]
+    for words, state in zip(rows, states):
+        assert _pcg64_states([words]) == [state]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_stream_states_of_rows_with_mixed_entropy_lengths_in_one_call():
+    """Rows of 2 to 7 words, interleaved, hash in groups by length and come
+    back in input order; rows past four words take the extra-word mixing."""
+    rows = [_entropy_words(seed) + _entropy_words(index) for index in SEEDING_INDICES for seed in SEEDING_SEEDS]
+    assert {len(words) for words in rows} == {2, 3, 4, 5, 6, 7}
+    assert _pcg64_states(rows) == [_default_rng_state(words) for words in rows]
+
+
+def test_column_draw_builds_no_per_index_generator(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("draw_tasks called default_rng")
+
+    dist = DRAW_CASES["beta redraws"]
+    expected = draw_tasks(dist, 2024, range(20))
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    tasks = draw_tasks(dist, 2024, range(20))
+    for name in ("alpha", "beta", "x0", "iterations"):
+        assert getattr(tasks, name).tobytes() == getattr(expected, name).tobytes()
 
 
 @pytest.mark.parametrize("budget, rounded", [(0.5, 1), (1.5, 2), (2.5, 2), (3.5, 4), (-7.0, 1)])
