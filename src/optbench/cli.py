@@ -9,8 +9,9 @@ its sampled configs as one population of networks, so --parallelism is
 accepted for compatibility and has no effect.
 Existing output files are never replaced unless --overwrite is passed.
 
-Exit codes: 0 on success, 2 for malformed configs or refused overwrites,
-3 when a tuning run diverged at every grid point.
+Exit codes: 0 on success, 2 for malformed configs, refused overwrites or
+an output path that cannot be written, 3 when a tuning run diverged at
+every grid point.
 """
 from __future__ import annotations
 
@@ -19,7 +20,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -49,14 +49,6 @@ EXIT_CONFIG = 2
 EXIT_ALL_DIVERGED = 3
 
 
-@dataclass
-class RunManifest:
-    """Resolved invocation: where outputs go and the fallback seed."""
-
-    output_dir: Path
-    seed: int
-
-
 def _sci(x: float) -> str:
     """Scientific notation with 9 fractional digits (10 significant)."""
     return f"{x:.9e}"
@@ -71,8 +63,15 @@ def _write_text(path: Path, text: str) -> None:
         fh.write(text)
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    _write_text(path, json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    """A header line, then one line per row of formatted cells."""
+    lines = [",".join(header), *map(",".join, rows)]
+    _write_text(path, "\n".join(lines) + "\n")
+
+
+def _write_json(path: Path, command: str, payload: dict) -> None:
+    document = {"schema_version": 1, "command": command, **payload}
+    _write_text(path, json.dumps(document, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _finite_or_none(x: float) -> float | None:
@@ -81,13 +80,21 @@ def _finite_or_none(x: float) -> float | None:
 
 
 def _prepare_output(out_dir: Path, names: list[str], overwrite: bool) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    if overwrite:
-        return
+    """Make out_dir, before anything is written, or refuse the run: when
+    out_dir cannot be a directory, when a target exists and is not a
+    regular file, or, without overwrite, when a target exists."""
     for name in names:
         target = out_dir / name
-        if target.exists():
+        if not target.exists():
+            continue
+        if not target.is_file():
+            raise ConfigError("", f"{target} exists and is not a regular file; it cannot be replaced")
+        if not overwrite:
             raise ConfigError("", f"{target} already exists; pass --overwrite to replace it")
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError("", f"cannot use {out_dir} as the output directory: {exc.strerror}") from None
 
 
 # ------------------------------------------------------------------- writers
@@ -97,37 +104,28 @@ def write_leaderboard_csv(path: Path, result: TuneResult) -> None:
     columns = [[repr(v) for v in axis] for axis in result.rates.T.tolist()]
     columns.append([_sci(d) for d in distances])
     columns.append(["true" if math.isinf(d) else "false" for d in distances])
-    lines = [",".join([*result.axes, "final_distance", "diverged"])]
-    lines.extend(map(",".join, zip(*columns)))
-    _write_text(path, "\n".join(lines) + "\n")
+    _write_csv(path, [*result.axes, "final_distance", "diverged"], zip(*columns))
 
 
 def write_trajectory_csv(path: Path, record: TrialRecord) -> None:
-    lines = ["iteration,distance"]
-    lines.extend(f"{i},{_sci(d)}" for i, d in enumerate(record.distances))
-    _write_text(path, "\n".join(lines) + "\n")
+    rows = ((str(i), _sci(d)) for i, d in enumerate(record.distances))
+    _write_csv(path, ["iteration", "distance"], rows)
 
 
 def write_scores_csv(path: Path, stats: ScoreStats) -> None:
-    lines = ["index,score,diverged"]
-    for i, s in enumerate(stats.scores):
-        lines.append(f"{i},{_sci(s)},{'true' if math.isinf(s) else 'false'}")
-    _write_text(path, "\n".join(lines) + "\n")
+    rows = ((str(i), _sci(s), "true" if math.isinf(s) else "false") for i, s in enumerate(stats.scores))
+    _write_csv(path, ["index", "score", "diverged"], rows)
 
 
 def write_surface_csv(path: Path, grid) -> None:
-    header = "x0," + ",".join(_lit(v) for v in grid.x1_axis)
-    lines = [header]
-    for i, a in enumerate(grid.x0_axis):
-        row = ",".join(_sci(s) for s in grid.scores[i])
-        lines.append(f"{_lit(a)},{row}")
-    _write_text(path, "\n".join(lines) + "\n")
+    rows = ([_lit(a), *map(_sci, scores)] for a, scores in zip(grid.x0_axis, grid.scores))
+    _write_csv(path, ["x0", *map(_lit, grid.x1_axis)], rows)
 
 
 # ------------------------------------------------------------------ commands
 
-def cmd_tune(plan: TunePlan, manifest: RunManifest, overwrite: bool) -> int:
-    _prepare_output(manifest.output_dir, ["leaderboard.csv", "best.json"], overwrite)
+def cmd_tune(plan: TunePlan, out_dir: Path, seed: int, overwrite: bool) -> int:
+    _prepare_output(out_dir, ["leaderboard.csv", "best.json"], overwrite)
     result = grid_search(
         plan.task,
         plan.family,
@@ -135,12 +133,11 @@ def cmd_tune(plan: TunePlan, manifest: RunManifest, overwrite: bool) -> int:
         grids=plan.grids,
         mix=plan.mix,
     )
-    write_leaderboard_csv(manifest.output_dir / "leaderboard.csv", result)
+    write_leaderboard_csv(out_dir / "leaderboard.csv", result)
     _write_json(
-        manifest.output_dir / "best.json",
+        out_dir / "best.json",
+        "tune",
         {
-            "schema_version": 1,
-            "command": "tune",
             "family": plan.family,
             "update_rule": plan.update_kind,
             "task": task_to_dict(plan.task),
@@ -156,15 +153,14 @@ def cmd_tune(plan: TunePlan, manifest: RunManifest, overwrite: bool) -> int:
     return EXIT_OK
 
 
-def cmd_trial(plan: TrialPlan, manifest: RunManifest, overwrite: bool) -> int:
-    _prepare_output(manifest.output_dir, ["trajectory.csv", "summary.json"], overwrite)
+def cmd_trial(plan: TrialPlan, out_dir: Path, seed: int, overwrite: bool) -> int:
+    _prepare_output(out_dir, ["trajectory.csv", "summary.json"], overwrite)
     record = run_trial(plan.task, plan.spec)
-    write_trajectory_csv(manifest.output_dir / "trajectory.csv", record)
+    write_trajectory_csv(out_dir / "trajectory.csv", record)
     _write_json(
-        manifest.output_dir / "summary.json",
+        out_dir / "summary.json",
+        "trial",
         {
-            "schema_version": 1,
-            "command": "trial",
             "task": task_to_dict(plan.task),
             "optimizer": spec_to_dict(plan.spec),
             "initial_distance": _finite_or_none(record.initial_distance),
@@ -177,16 +173,15 @@ def cmd_trial(plan: TrialPlan, manifest: RunManifest, overwrite: bool) -> int:
     return EXIT_OK
 
 
-def cmd_robustness(plan: RobustnessPlan, manifest: RunManifest, overwrite: bool) -> int:
-    _prepare_output(manifest.output_dir, ["scores.csv", "stats.json"], overwrite)
-    seed = plan.seed if plan.seed is not None else manifest.seed
+def cmd_robustness(plan: RobustnessPlan, out_dir: Path, seed: int, overwrite: bool) -> int:
+    _prepare_output(out_dir, ["scores.csv", "stats.json"], overwrite)
+    seed = plan.seed if plan.seed is not None else seed
     stats = evaluate_robustness(plan.distribution, plan.spec, plan.n, seed)
-    write_scores_csv(manifest.output_dir / "scores.csv", stats)
+    write_scores_csv(out_dir / "scores.csv", stats)
     _write_json(
-        manifest.output_dir / "stats.json",
+        out_dir / "stats.json",
+        "robustness",
         {
-            "schema_version": 1,
-            "command": "robustness",
             "optimizer": spec_to_dict(plan.spec),
             "seed": seed,
             "total_trials": plan.n,
@@ -200,8 +195,8 @@ def cmd_robustness(plan: RobustnessPlan, manifest: RunManifest, overwrite: bool)
     return EXIT_OK
 
 
-def cmd_scan(plan: ScanPlan, manifest: RunManifest, overwrite: bool) -> int:
-    _prepare_output(manifest.output_dir, ["surface.csv"], overwrite)
+def cmd_scan(plan: ScanPlan, out_dir: Path, seed: int, overwrite: bool) -> int:
+    _prepare_output(out_dir, ["surface.csv"], overwrite)
     grid = surface_scan(
         plan.task,
         plan.spec,
@@ -209,25 +204,25 @@ def cmd_scan(plan: ScanPlan, manifest: RunManifest, overwrite: bool) -> int:
         x1_range=plan.x1_range,
         grid_size=plan.grid_size,
     )
-    write_surface_csv(manifest.output_dir / "surface.csv", grid)
+    write_surface_csv(out_dir / "surface.csv", grid)
     return EXIT_OK
 
 
-def cmd_train_toy(plan: TrainToyPlan, manifest: RunManifest, overwrite: bool) -> int:
+def cmd_train_toy(plan: TrainToyPlan, out_dir: Path, seed: int, overwrite: bool) -> int:
     names = [f"run_{i:02d}.csv" for i in range(plan.n_configs)] + ["summary.json"]
-    _prepare_output(manifest.output_dir, names, overwrite)
-    master_seed = plan.master_seed if plan.master_seed is not None else manifest.seed
+    _prepare_output(out_dir, names, overwrite)
+    master_seed = plan.master_seed if plan.master_seed is not None else seed
     configs, results = train_sampled_configs(
         plan.settings, plan.optimizer, plan.n_configs, master_seed
     )
     run_rows = []
     for i, (config, result) in enumerate(zip(configs, results)):
-        lines = ["epoch,train_accuracy,val_accuracy,train_loss"]
-        for m in result.metrics:
-            lines.append(
-                f"{m.epoch},{_lit(m.train_accuracy)},{_lit(m.val_accuracy)},{_lit(m.train_loss)}"
-            )
-        _write_text(manifest.output_dir / f"run_{i:02d}.csv", "\n".join(lines) + "\n")
+        rows = [
+            (str(m.epoch), _lit(m.train_accuracy), _lit(m.val_accuracy), _lit(m.train_loss))
+            for m in result.metrics
+        ]
+        header = ["epoch", "train_accuracy", "val_accuracy", "train_loss"]
+        _write_csv(out_dir / f"run_{i:02d}.csv", header, rows)
         run_rows.append(
             {
                 "index": i,
@@ -243,10 +238,9 @@ def cmd_train_toy(plan: TrainToyPlan, manifest: RunManifest, overwrite: bool) ->
     e5_mean, e5_std = mean_std([r["epoch5_val_accuracy"] for r in run_rows])
     fin_mean, fin_std = mean_std([r["final_val_accuracy"] for r in run_rows])
     _write_json(
-        manifest.output_dir / "summary.json",
+        out_dir / "summary.json",
+        "train-toy",
         {
-            "schema_version": 1,
-            "command": "train-toy",
             "family": plan.family,
             "update_rule": plan.update_kind,
             "optimizer": spec_to_dict(plan.optimizer),
@@ -325,9 +319,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.seed < 0:
         print("error: --seed must be >= 0", file=sys.stderr)
         return EXIT_CONFIG
-    manifest = RunManifest(output_dir=_resolve_out(args), seed=args.seed)
     try:
-        return _COMMANDS[args.command][0](plan, manifest, args.overwrite)
+        return _COMMANDS[args.command][0](plan, _resolve_out(args), args.seed, args.overwrite)
     except (ConfigError, InvalidConfigError, InvalidGridError, InvalidRateError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -1,30 +1,12 @@
 """Running optimizers against benchmark tasks.
 
 A trial is one deterministic optimization run recorded as a distance
-trajectory.  Trials run as populations: tasks that share a function and
-optimizer rules step together as one (N, 2) optim.Population, with
-per-row start points, task parameters, rates and budgets as columns,
-so a grid search, a robustness evaluation or a surface scan is one
-vectorized loop and a single trial is the N = 1 case of the same loop.
-A population's rows run longest budget first: the rows whose budgets end
-on a step are its tail and leave as a slice, which leaves the rest as
-views, and rows that diverge leave by a mask.
-
-run_batch takes (TaskConfig, OptimizerSpec) pairs, as a single trial
-does, and turns each group into columns.  A grid search, a robustness
-evaluation and a surface scan build their columns directly, with no
-per-trial objects.  A grid search (see the tuning module) runs copies of
-one task with a block of per-row rate columns.  A robustness evaluation
-(many trials with task parameters drawn from per-field distributions)
-draws its tasks straight into columns, one random stream per draw, and
-checks each column once; the streams are the ones default_rng gives,
-and their PCG64 states are worked out for the whole run in one
-vectorized pass and set, one by one, into a single reused generator.  A
-surface scan (final scores over a grid of starting points) lays its
-start points out as one (N, 2) array around a single task.  The last
-two share one spec across the population, so its rates stay scalars.
-Runs that blow up are recorded with an infinite score instead of
-raising, so sweeps over unstable configurations always complete.
+trajectory.  Trials that share a function and optimizer rules run as one
+population.  A grid search, a robustness evaluation and a surface scan
+build their task and rate columns directly, with no per-trial objects;
+the last two share one spec across the population, so its rates stay
+scalars.  Runs that blow up are recorded with an infinite score instead
+of raising, so sweeps over unstable configurations always complete.
 """
 from __future__ import annotations
 
@@ -99,10 +81,10 @@ def _run_population(tasks: TaskColumns, spec: OptimizerSpec, rows: np.ndarray, o
     A row stops after its own budget, or at the first step whose gradient
     or resulting distance is non-finite; that step does not count.  Rows
     that stop are dropped from the population, whose alpha and beta sit
-    in one block next to their minimizer.  The rows run longest budget first, so the rows whose
-    budgets end on a step are the population's tail and leave as a slice,
-    which keeps the rest as views; rows that diverge leave by a mask,
-    which keeps the order.
+    in one block next to their minimizer.  The rows run longest budget
+    first, so the rows whose budgets end on a step are the population's
+    tail and leave as a slice, which keeps the rest as views; rows that
+    diverge leave by a mask, which keeps the order.
     """
     order = np.argsort(-tasks.iterations, kind="stable")
     if isinstance(spec.update, RateColumns):
@@ -242,8 +224,8 @@ def run_trial(task: TaskConfig, spec: OptimizerSpec) -> TrialRecord:
 
 @dataclass(frozen=True)
 class Sampler:
-    """Normal sampler for one task field; std = 0 means the value is fixed
-    and no randomness is consumed."""
+    """Normal distribution of one task field, drawn by draw_tasks; std = 0
+    means the value is fixed and no randomness is consumed."""
 
     mean: float
     std: float = 0.0
@@ -251,11 +233,6 @@ class Sampler:
     def __post_init__(self):
         if self.std < 0.0:
             raise InvalidConfigError(f"std must be non-negative, got {self.std}")
-
-    def draw(self, rng: np.random.Generator) -> float:
-        if self.std == 0.0:
-            return self.mean
-        return float(rng.normal(self.mean, self.std))
 
 
 @dataclass(frozen=True)
@@ -422,7 +399,7 @@ def draw_tasks(dist: EvalDistribution, seed: int, indices) -> TaskColumns:
             )
         row += (b, budget_mean if budget_std == 0.0 else normal(budget_mean, budget_std))
         draws.append(row)
-    draws = np.array(draws)
+    draws = np.array(draws).reshape(-1, 5)  # (0, 5), not (0,), for no indices
     budget = draws[:, 4]
     within = budget <= MAX_ITERATIONS
     if not within.all():

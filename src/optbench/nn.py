@@ -93,26 +93,19 @@ def _log_softmax_columns(logits: np.ndarray) -> list[np.ndarray]:
     return [s - log_total for s in shifted]
 
 
-def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    """Log-softmax over the last axis."""
-    return np.stack(_log_softmax_columns(logits), axis=-1)
-
-
-def _mean_nll(log_probs: np.ndarray, labels: np.ndarray) -> float:
-    return float(-log_probs[np.arange(len(labels)), labels].mean())
-
-
 def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
     """Mean softmax cross-entropy of (n, classes) logits."""
-    return _mean_nll(_log_softmax(logits), labels)
+    # _losses tests labels == k, which for a list is a plain False.
+    return float(_losses(logits[None], np.asarray(labels))[0])
 
 
 def _losses(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Mean cross-entropy of each network of (C, n, classes) logits.
+    """Mean cross-entropy of each network of (C, n, classes) logits;
+    cross_entropy is the C = 1 case.
 
     The labelled log-probabilities form one C-contiguous (C, n) array, so
-    each row's mean sums in the pairwise order of a single network's
-    cross_entropy."""
+    each row's mean sums in the pairwise order of a 1-D mean over that
+    network's labelled log-probabilities alone."""
     columns = _log_softmax_columns(logits)
     picked = columns[0]
     for k, column in enumerate(columns[1:], 1):

@@ -179,12 +179,12 @@ def rosenbrock(alpha, beta) -> Objective:
     return _rosenbrock(alpha, beta)
 
 
-OBJECTIVES = {"convex2d": convex2d, "rosenbrock": rosenbrock}
 _BUILDERS = {"convex2d": _convex2d, "rosenbrock": _rosenbrock}
 
 
 def make_objective(task: TaskConfig) -> Objective:
-    return OBJECTIVES[task.function](task.alpha, task.beta)
+    """The task's objective; TaskConfig has already checked beta."""
+    return _BUILDERS[task.function](task.alpha, task.beta)
 
 
 def population_objective(function: str, alpha: np.ndarray, beta: np.ndarray) -> Objective:

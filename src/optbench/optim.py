@@ -183,9 +183,8 @@ class UpdateRule(_Rule):
         return blend_weights(self.mix)
 
 
-MOMENTUM_KINDS = tuple(MomentumRule.FIELDS)
-ADAPTIVE_KINDS = tuple(AdaptiveRule.FIELDS)
 UPDATE_KINDS = tuple(UpdateRule.FIELDS)
+_DEFAULT_PAIRS = {"multiplicative": DEFAULT_MULTIPLICATIVE_RATES, "hybrid": DEFAULT_HYBRID_RATES}
 
 
 @dataclass(frozen=True)
@@ -245,23 +244,15 @@ def default_update_rule(family: str, kind: str) -> UpdateRule:
     """Calibrated default rates for a family/update-rule combination."""
     if family not in FAMILIES:
         raise ValueError(f"unknown optimizer family {family!r}")
-    if kind == "additive":
-        return UpdateRule("additive", lr=DEFAULT_LR[family])
-    if kind == "multiplicative":
-        try:
-            inner, outer = DEFAULT_MULTIPLICATIVE_RATES[family]
-        except KeyError:
-            raise ValueError(f"no default multiplicative rates for {family!r}") from None
-        return UpdateRule("multiplicative", lr_inner=inner, lr_outer=outer)
-    if kind == "hybrid":
-        try:
-            inner, outer = DEFAULT_HYBRID_RATES[family]
-        except KeyError:
-            raise ValueError(f"no default hybrid rates for {family!r}") from None
-        return UpdateRule(
-            "hybrid", lr=DEFAULT_LR[family], lr_inner=inner, lr_outer=outer, mix=DEFAULT_MIX
-        )
-    raise ValueError(f"unknown update kind {kind!r}")
+    if kind not in UPDATE_KINDS:
+        raise ValueError(f"unknown update kind {kind!r}")
+    rates = {} if kind == "multiplicative" else {"lr": DEFAULT_LR[family]}
+    if kind != "additive":
+        pairs = _DEFAULT_PAIRS[kind]
+        if family not in pairs:
+            raise ValueError(f"no default {kind} rates for {family!r}")
+        rates["lr_inner"], rates["lr_outer"] = pairs[family]
+    return UpdateRule(kind, **rates)
 
 
 def _check_finite_gradient(g: np.ndarray) -> None:
@@ -373,12 +364,21 @@ def adaptive_rate(rule: AdaptiveRule, state: OptimizerState, g: np.ndarray) -> n
     return _rate(rule, state, g)
 
 
-def additive_update(theta: np.ndarray, m: np.ndarray, l: np.ndarray, lr: float) -> np.ndarray:
-    """Classical step lr * m * l (theta only participates in the shape check)."""
+def _checked_update(kind: str, theta, m, l, **rates) -> np.ndarray:
+    """apply_update of UpdateRule(kind, **rates) once the arrays agree in
+    shape.  A mix given as None is refused, where UpdateRule would give it
+    the default."""
     theta, m, l = (np.asarray(a, dtype=float) for a in (theta, m, l))
     _check_same_shape(theta, m, l)
-    check_rate("lr", lr)
-    return _additive(m * l, lr)
+    rule = UpdateRule(kind, **rates)
+    if "mix" in rates and rates["mix"] is None:
+        check_rate("mix", None)
+    return apply_update(rule, theta, m, l)
+
+
+def additive_update(theta: np.ndarray, m: np.ndarray, l: np.ndarray, lr: float) -> np.ndarray:
+    """Classical step lr * m * l (theta only participates in the shape check)."""
+    return _checked_update("additive", theta, m, l, lr=lr)
 
 
 def multiplicative_update(
@@ -390,11 +390,7 @@ def multiplicative_update(
     lr_outer * |theta_i|, so a nonzero coordinate can never cross zero and a
     zero coordinate never moves.
     """
-    theta, m, l = (np.asarray(a, dtype=float) for a in (theta, m, l))
-    _check_same_shape(theta, m, l)
-    for name, rate in (("lr_inner", lr_inner), ("lr_outer", lr_outer)):
-        check_rate(name, rate)
-    return _multiplicative(theta, m * l, lr_inner, lr_outer)
+    return _checked_update("multiplicative", theta, m, l, lr_inner=lr_inner, lr_outer=lr_outer)
 
 
 def hybrid_update(
@@ -411,11 +407,7 @@ def hybrid_update(
     The endpoints select the pure rules, so mix = 0 and mix = 1 reproduce
     them exactly.
     """
-    theta, m, l = (np.asarray(a, dtype=float) for a in (theta, m, l))
-    _check_same_shape(theta, m, l)
-    for name, rate in (("lr", lr), ("lr_inner", lr_inner), ("lr_outer", lr_outer), ("mix", mix)):
-        check_rate(name, rate)
-    return _hybrid(theta, m * l, lr, lr_inner, lr_outer, blend_weights(mix))
+    return _checked_update("hybrid", theta, m, l, lr=lr, lr_inner=lr_inner, lr_outer=lr_outer, mix=mix)
 
 
 def apply_update(rule: UpdateRule, theta: np.ndarray, m: np.ndarray, l: np.ndarray) -> np.ndarray:

@@ -182,6 +182,33 @@ def test_overwrite_protection(tmp_path, capsys):
     assert main([*args, "--overwrite"]) == EXIT_OK
 
 
+def test_out_naming_a_file_exits_2_naming_it(tmp_path, capsys):
+    config = _write_config(tmp_path, "trial.json", _trial_doc())
+    out = tmp_path / "afile"
+    out.write_text("kept")
+    assert main(["trial", "--config", str(config), "--out", str(out)]) == EXIT_CONFIG
+    assert f"error: cannot use {out} as the output directory" in capsys.readouterr().err
+    assert out.read_text() == "kept"
+
+
+def test_out_under_a_file_exits_2_naming_it(tmp_path, capsys):
+    config = _write_config(tmp_path, "trial.json", _trial_doc())
+    (tmp_path / "afile").write_text("kept")
+    out = tmp_path / "afile" / "sub"
+    assert main(["trial", "--config", str(config), "--out", str(out)]) == EXIT_CONFIG
+    assert f"error: cannot use {out} as the output directory" in capsys.readouterr().err
+
+
+def test_overwrite_refuses_a_target_that_is_a_directory_before_writing(tmp_path, capsys):
+    config = _write_config(tmp_path, "trial.json", _trial_doc())
+    out = tmp_path / "o"
+    (out / "summary.json").mkdir(parents=True)
+    args = ["trial", "--config", str(config), "--out", str(out), "--overwrite"]
+    assert main(args) == EXIT_CONFIG
+    assert f"error: {out / 'summary.json'} exists and is not a regular file" in capsys.readouterr().err
+    assert not (out / "trajectory.csv").exists()
+
+
 def test_parallelism_must_be_positive(tmp_path, capsys):
     config = _write_config(tmp_path, "trial.json", _trial_doc())
     args = ["trial", "--config", str(config), "--out", str(tmp_path / "o"), "--parallelism", "0"]

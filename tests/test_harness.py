@@ -88,16 +88,6 @@ def test_multiplicative_trial_preserves_signs_throughout():
         assert np.array_equal(np.sign(theta), signs0)
 
 
-def test_sampler_fixed_value_consumes_no_randomness():
-    rng_a = np.random.default_rng(0)
-    rng_b = np.random.default_rng(0)
-    fixed = Sampler(3.5)
-    assert fixed.draw(rng_a) == 3.5
-    assert fixed.draw(rng_a) == 3.5
-    # rng_a must be in the same state as the untouched rng_b
-    assert rng_a.normal() == rng_b.normal()
-
-
 def test_sampler_rejects_negative_std():
     with pytest.raises(InvalidConfigError):
         Sampler(1.0, -0.5)
@@ -661,6 +651,13 @@ def test_infinitely_negative_budget_draw_clamps_to_one():
         iterations=Sampler(-1e308, 1e308),
     )
     assert draw_tasks(dist, 1, range(4)).iterations.tolist() == [1, 1, 1, 1]
+
+
+def test_column_draw_of_no_indices_gives_empty_columns():
+    tasks = draw_tasks(DRAW_CASES["convex2d"], 0, [])
+    assert tasks.function == "convex2d"
+    assert tasks.alpha.shape == tasks.beta.shape == tasks.iterations.shape == (0,)
+    assert tasks.x0.shape == (0, 2) and tasks.iterations.dtype.kind == "i"
 
 
 def test_robustness_equals_run_batch_over_per_index_tasks_bitwise():

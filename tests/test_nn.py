@@ -21,7 +21,7 @@ from optbench.nn import (
     train,
     train_population,
     _accuracies,
-    _log_softmax,
+    _log_softmax_columns,
     _losses,
     train_sampled_configs,
     xavier_init,
@@ -217,7 +217,7 @@ def test_head_columns_match_last_axis_reductions_bitwise(shape, seed):
         e = np.exp(shifted)
         want_softmax = e / e.sum(axis=-1, keepdims=True)
         want_log_softmax = shifted - np.log(e.sum(axis=-1, keepdims=True))
-        got_softmax, got_log_softmax = softmax(logits), _log_softmax(logits)
+        got_softmax, got_log_softmax = softmax(logits), np.stack(_log_softmax_columns(logits), -1)
         accuracies = _accuracies(logits, labels)
         stacked = logits.reshape(-1, *shape[-2:])
         losses = _losses(stacked, labels)
