@@ -16,6 +16,7 @@ every grid point.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -99,9 +100,19 @@ def _prepare_output(out_dir: Path, names: list[str], overwrite: bool) -> None:
 
 # ------------------------------------------------------------------- writers
 
+def _repr_cells(column: np.ndarray) -> list[str]:
+    """The repr of every value of a float column, worked out once per
+    distinct value.  Values are told apart by their bits, so -0.0 keeps
+    its own text."""
+    distinct, index = np.unique(column.view(np.int64), return_inverse=True)
+    text = np.array([repr(v) for v in distinct.view(float).tolist()], dtype=object)
+    return text[index].tolist()
+
+
 def write_leaderboard_csv(path: Path, result: TuneResult) -> None:
     distances = result.distances.tolist()
-    columns = [[repr(v) for v in axis] for axis in result.rates.T.tolist()]
+    # A rate column repeats the few values of its grid axis.
+    columns = [_repr_cells(column) for column in result.rates.T]
     columns.append([_sci(d) for d in distances])
     columns.append(["true" if math.isinf(d) else "false" for d in distances])
     _write_csv(path, [*result.axes, "final_distance", "diverged"], zip(*columns))
@@ -265,8 +276,10 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """One flat parser: the command, then the options every command takes."""
+    """One flat parser: the command, then the options every command takes.
+    It is built once per process; parsing leaves it unchanged."""
     commands = "\n".join(f"  {name:<12}{help_text}" for name, (_, help_text) in _COMMANDS.items())
     parser = argparse.ArgumentParser(
         prog="optbench",

@@ -94,9 +94,18 @@ def _log_softmax_columns(logits: np.ndarray) -> list[np.ndarray]:
 
 
 def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
-    """Mean softmax cross-entropy of (n, classes) logits."""
+    """Mean softmax cross-entropy of (n, classes) logits against n labels,
+    each a class index in [0, classes); other labels raise ValueError."""
     # _losses tests labels == k, which for a list is a plain False.
-    return float(_losses(logits[None], np.asarray(labels))[0])
+    labels = np.asarray(labels)
+    n, classes = logits.shape
+    if labels.shape != (n,):
+        raise ValueError(f"labels must have shape ({n},) for {logits.shape} logits, got {labels.shape}")
+    known = np.isin(labels, np.arange(classes))
+    if not known.all():
+        bad = labels[np.argmin(known)].item()
+        raise ValueError(f"labels must be class indices in [0, {classes}), got {bad!r}")
+    return float(_losses(logits[None], labels)[0])
 
 
 def _losses(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:

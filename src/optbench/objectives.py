@@ -124,20 +124,18 @@ def _check_beta(beta) -> None:
 # bits are the same.
 
 def _convex2d(alpha, beta) -> Objective:
-    slope0, slope1 = 2.0 * beta, 20.0 * beta
+    # (..., 2) blocks of the point's shape, so the gradient is one subtract
+    # and one multiply with operands of one shape.
+    shift = np.stack([alpha, alpha], axis=-1)
+    slope = np.stack([2.0 * beta, 20.0 * beta], axis=-1)
 
     def evaluate(x):
         x = np.asarray(x, dtype=float)
         return float(beta * (x[0] - alpha) ** 2 + 10.0 * beta * (x[1] - alpha) ** 2)
 
     def gradient(x):
-        x = np.asarray(x, dtype=float)
-        g = np.empty_like(x)
-        g0, g1 = g[..., 0], g[..., 1]
-        np.subtract(x[..., 0], alpha, out=g0)
-        g0 *= slope0
-        np.subtract(x[..., 1], alpha, out=g1)
-        g1 *= slope1
+        g = np.subtract(x, shift, dtype=float)
+        g *= slope
         return g
 
     return Objective("convex2d", evaluate, gradient, (alpha, alpha))

@@ -276,7 +276,8 @@ def _check_started(state: OptimizerState) -> None:
 # The underscored rule functions below are the unchecked math shared by the
 # public checked functions, step() and Population.  They are elementwise,
 # so every argument may be a single vector or an (N, dim) population;
-# rates may be scalars or (N, 1) columns.  The update rules take
+# rates may be scalars or (N, dim) blocks of per-row rates (see
+# RateColumns).  The update rules take
 # ml = m * l, the product both formulas start from, so the hybrid rule
 # forms it once.  Work is done in place on arrays a function allocated
 # itself, in the order the formulas state: a product of two factors has
@@ -323,7 +324,7 @@ def blend_weights(mix):
     1 - mix, whether any entry of mix is 0 or 1).
 
     A rule passed to apply_update carries these as .blend, so a
-    population of per-row mix columns works them out once, not every step.
+    population of per-row mix blocks works them out once, not every step.
     """
     at_additive, at_multiplicative = mix == 0.0, mix == 1.0
     return mix, at_additive, at_multiplicative, 1.0 - mix, bool(np.any(at_additive | at_multiplicative))
@@ -416,7 +417,7 @@ def apply_update(rule: UpdateRule, theta: np.ndarray, m: np.ndarray, l: np.ndarr
     The rates are read from the rule unchecked (an UpdateRule validates
     them on construction).  Any object with the kind's rate attributes
     (and, for a hybrid rule, blend) works, which lets a population pass
-    per-row (N, 1) rate columns (see RateColumns).
+    per-row rates as blocks of theta's (N, dim) shape (see RateColumns).
     """
     ml = m * l
     if rule.kind == "additive":
@@ -431,8 +432,8 @@ def advance(spec: OptimizerSpec, state: OptimizerState, theta: np.ndarray, g: np
     return the new parameters, which may be non-finite.
 
     theta and g may be one parameter vector or an (N, dim) population
-    whose rows share the step counter; spec.update may then carry (N, 1)
-    rate columns (see RateColumns).
+    whose rows share the step counter; spec.update may then carry (N, dim)
+    rate blocks (see RateColumns).
     """
     state.t += 1
     m = _direction(spec.momentum, state, g)
@@ -472,42 +473,60 @@ def _rows(a: np.ndarray, live) -> np.ndarray:
 
 class RateColumns:
     """The update rates of a population, read by apply_update like an
-    UpdateRule: each field in names is an (N, 1) column view of the (N, k)
-    block, one column per name, and each field in shared is one scalar for
-    every row, which numpy applies faster than a column.  A hybrid rule's
-    blend weights are worked out here, once per set of rows."""
+    UpdateRule.  wide is a (k, N, width) array: each field in names is one
+    (N, width) block of it, every row holding its rate across its width,
+    so that each product with the population's (N, width) arrays has
+    operands of one shape (numpy multiplies an (N, 1) column into them
+    several times slower).  block is the (N, k) table of the rates, one
+    column per name, as a view of wide.  Each field in shared is one
+    scalar for every row.  A hybrid rule's blend weights are worked out
+    here, on the blocks, once per set of rows."""
 
-    def __init__(self, kind: str, names: tuple[str, ...], block: np.ndarray, shared: dict | None = None):
-        self.kind, self.names, self.block, self.shared = kind, names, block, shared or {}
+    def __init__(self, kind: str, names: tuple[str, ...], wide: np.ndarray, shared: dict | None = None):
+        self.kind, self.names, self.wide, self.shared = kind, names, wide, shared or {}
+        self.block = wide[:, :, 0].T
         self.__dict__.update(self.shared)
-        for i, name in enumerate(names):
-            setattr(self, name, block[:, i : i + 1])
+        self.__dict__.update(zip(names, wide))
         if kind == "hybrid":
             self.blend = blend_weights(self.mix)
+
+    @classmethod
+    def of(cls, kind: str, names: tuple[str, ...], block: np.ndarray, shared: dict | None = None, width: int = 1):
+        """The rates of an (N, k) block, one column per name, at width; a
+        Population spreads them over the width of its rows."""
+        return cls(kind, names, np.repeat(block.T[:, :, None], width, axis=2), shared)
 
     @classmethod
     def stack(cls, kind: str, rules) -> RateColumns:
         """Every field of each rule as a column of its own."""
         names = UpdateRule.FIELDS[kind]
         rates = [[getattr(rule, name) for name in names] for rule in rules]
-        return cls(kind, names, np.array(rates, dtype=float))
+        return cls.of(kind, names, np.array(rates, dtype=float))
+
+    def widen(self, width: int) -> RateColumns:
+        """The same rates, each row's spread over width entries."""
+        return RateColumns.of(self.kind, self.names, self.block, self.shared, width)
 
     def take(self, live) -> RateColumns:
         """The rates of the rows that live, a leading slice or an array of
-        row indices, indexes."""
-        return RateColumns(self.kind, self.names, _rows(self.block, live), self.shared)
+        row indices, indexes, at the same width."""
+        wide = self.wide[:, live] if isinstance(live, slice) else self.wide.take(live, axis=1)
+        return RateColumns(self.kind, self.names, wide, self.shared)
 
 
 class Population(OptimizerState):
     """Parameter rows stepped together by one spec: an OptimizerState whose
     (C, P) m and v rows share the step counter t, the (C, P) parameters
     theta, and the caller's per-row columns as attributes.  spec.update is
-    one UpdateRule, whose scalar rates numpy applies faster than columns,
-    or a RateColumns of each row's own rates.  The caller writes the steps
-    it accepts to theta."""
+    one UpdateRule, whose scalar rates numpy applies faster than blocks,
+    or a RateColumns of each row's own rates, which the population spreads
+    over the P entries of its rows once.  The caller writes the steps it
+    accepts to theta."""
 
     def __init__(self, spec: OptimizerSpec, theta: np.ndarray, **columns):
         super().__init__(t=0, m=np.zeros_like(theta), v=np.zeros_like(theta))
+        if isinstance(spec.update, RateColumns):
+            spec = OptimizerSpec(spec.momentum, spec.adaptive, spec.update.widen(theta.shape[1]))
         self.spec, self.theta = spec, theta
         self._per_row = ("theta", "m", "v", *columns)
         self.__dict__.update(columns)

@@ -2,12 +2,12 @@
 
 A tune runs its whole grid as one column population: the grid is an
 (N, k) block with one column per rate axis and one row per point, run
-through the harness's trial kernel as per-row rate columns over copies of
-one task, with no per-point rule or spec objects.  Each candidate is
-scored by the final distance to the minimum after a fixed-budget trial.
-Diverged candidates score infinity and therefore sort last; ties prefer
-the smallest lr, then lr_inner, then lr_outer, so the winner is unique
-and reruns are reproducible.
+through the harness's trial kernel as per-row rates (optim.RateColumns)
+over copies of one task, with no per-point rule or spec objects.  Each
+candidate is scored by the final distance to the minimum after a
+fixed-budget trial.  Diverged candidates score infinity and therefore
+sort last; ties prefer the smallest lr, then lr_inner, then lr_outer, so
+the winner is unique and reruns are reproducible.
 """
 from __future__ import annotations
 
@@ -184,7 +184,7 @@ def grid_search(
     """Try every grid point and rank by final distance.
 
     The points, in itertools.product order of the kind's axes, run as one
-    population of rate columns; a hybrid's mix is one scalar shared by
+    population of per-row rates; a hybrid's mix is one scalar shared by
     every row.  The ranking is a stable sort on (distance, lr, lr_inner,
     lr_outer), an axis the kind lacks counting as 0.0, and covers the full
     Cartesian grid: diverged points stay in it with distance = inf.
@@ -201,7 +201,7 @@ def grid_search(
         shared["mix"] = mix
     mesh = np.meshgrid(*(np.asarray(values, dtype=float) for values in axes), indexing="ij")
     block = np.stack(mesh, axis=-1).reshape(-1, len(names))
-    spec = make_spec(family, RateColumns(update_kind, names, block, shared))
+    spec = make_spec(family, RateColumns.of(update_kind, names, block, shared))
     distances = _run_tasks(TaskColumns.repeat(task, len(block)), spec).final_distance
     # Every kind's axes run in (lr, lr_inner, lr_outer) order; lexsort ranks
     # by its last key first, so distance goes last and the axes in reverse.

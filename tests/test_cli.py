@@ -8,7 +8,9 @@ import pytest
 from optbench.cli import _COMMANDS, EXIT_ALL_DIVERGED, EXIT_CONFIG, EXIT_OK, _build_parser, main
 from optbench.config import SCHEMA_VERSION, distribution_to_dict, spec_to_dict
 from optbench.harness import default_eval_distribution
+from optbench.objectives import TaskConfig
 from optbench.optim import AdaptiveRule, OptimizerSpec, UpdateRule, default_update_rule, make_spec
+from optbench.tuning import RateGrids, grid_search
 
 
 def _write_config(tmp_path, name, doc):
@@ -121,6 +123,30 @@ def test_tune_single_point_grid(tmp_path):
     assert best["grid_points"] == 1
     assert best["n_diverged"] == 0
     assert 0.5 <= best["final_distance"] <= 1.0
+
+
+@pytest.mark.parametrize(
+    "kind, grids",
+    [
+        ("additive", {"lr": [-0.0, 0.001, 0.01]}),
+        ("hybrid", {"lr": [0.001, 0.01], "lr_inner": [0.5, 1.0, 3.0], "lr_outer": [0.01, 0.3]}),
+    ],
+)
+def test_tune_leaderboard_writes_every_rate_as_its_repr(tmp_path, kind, grids):
+    config = _write_config(tmp_path, "tune.json", dict(_tune_doc(grids=grids), update_rule=kind))
+    out = tmp_path / "out"
+    assert main(["tune", "--config", str(config), "--out", str(out)]) == EXIT_OK
+
+    task = TaskConfig(**dict(_task_doc(), x0=(50.0, 50.0)))
+    result = grid_search(task, "sgd", kind, grids=RateGrids(**{k: tuple(v) for k, v in grids.items()}))
+    rows = [
+        ",".join([*map(repr, point), f"{d:.9e}", "true" if math.isinf(d) else "false"])
+        for point, d in zip(result.rates.tolist(), result.distances.tolist())
+    ]
+    expected = ",".join([*result.axes, "final_distance", "diverged"]) + "\n" + "".join(f"{r}\n" for r in rows)
+    assert (out / "leaderboard.csv").read_bytes() == expected.encode()
+    if kind == "additive":
+        assert sum(line.startswith("-0.0,") for line in expected.splitlines()) == 1
 
 
 @pytest.mark.parametrize("kind", ["additive", "multiplicative"])
@@ -412,6 +438,25 @@ def test_unknown_or_missing_command_exits_2(capsys, argv):
         main(argv)
     assert exc.value.code == 2
     assert "command" in capsys.readouterr().err
+
+
+def test_the_parser_is_built_once_and_answers_alike_on_every_call(tmp_path, capsys):
+    assert _build_parser() is _build_parser()
+
+    def outcome(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        return code, *capsys.readouterr()
+
+    first = [outcome([]), outcome(["--help"])]
+    config = _write_config(tmp_path, "tune.json", _tune_doc(grids={"lr": [0.001, 0.01]}))
+    assert outcome(["tune", "--config", str(config), "--out", str(tmp_path / "out")]) == (EXIT_OK, "", "")
+    assert [outcome([]), outcome(["--help"])] == first
+    assert [code for code, _, _ in first] == [2, 0]
+    assert "command" in first[0][2] and "commands:" in first[1][1]
+    assert _build_parser() is _build_parser()
 
 
 def test_help_lists_every_command_with_its_help(capsys):

@@ -387,7 +387,7 @@ def test_batched_multiplicative_population_keeps_signs_and_bound(monkeypatch):
 
     def checked(rule, theta, m, l):
         delta = apply_update(rule, theta, m, l)
-        assert theta.ndim == 2 and rule.lr_outer.shape == (theta.shape[0], 1)
+        assert theta.ndim == 2 and rule.lr_outer.shape == theta.shape
         assert np.all(np.abs(delta) <= rule.lr_outer * np.abs(theta))
         moved = theta - delta
         assert np.array_equal(np.sign(moved), np.sign(theta))

@@ -186,6 +186,21 @@ def test_cross_entropy_is_finite_for_extreme_logits():
     assert flipped == pytest.approx(2e8)
 
 
+@pytest.mark.parametrize(
+    "labels, message",
+    [([0, 1, 5], r"class indices in \[0, 2\), got 5"), ([-1, 0, 1], r"class indices in \[0, 2\), got -1"),
+     ([1], r"shape \(3,\) for \(3, 2\) logits, got \(1,\)")],
+)
+def test_cross_entropy_and_evaluate_refuse_labels_that_do_not_fit_the_logits(labels, message):
+    logits = np.array([[0.5, -1.0], [2.0, 0.0], [-0.3, 0.3]])
+    with pytest.raises(ValueError, match=message):
+        cross_entropy(logits, np.array(labels))
+    model = MLP([2, 2], rng=np.random.default_rng(0))
+    with pytest.raises(ValueError, match=message):
+        model.evaluate(logits, np.array(labels))
+    assert cross_entropy(logits, np.array([0, 1, 1])) == float(_losses(logits[None], np.array([0, 1, 1]))[0])
+
+
 def _edge_logits(shape, seed):
     """Normal logits with rows holding NaN, +-inf, +-0.0 and exact ties."""
     rng = np.random.default_rng(seed)

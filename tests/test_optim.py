@@ -514,9 +514,9 @@ def test_population_keep_compacts_every_row_array_and_steps_as_if_never_batched(
     if per_row:
         assert np.array_equal(update.block, rates[mask])
         for i, name in enumerate(update.names):
-            assert np.array_equal(getattr(update, name), rates[mask][:, i : i + 1])
+            assert np.array_equal(getattr(update, name), np.repeat(rates[mask][:, i : i + 1], 3, axis=1))
         if kind == "hybrid":
-            alone = RateColumns.stack(kind, [_POPULATION_RULES[kind][i] for i in kept]).blend
+            alone = RateColumns.stack(kind, [_POPULATION_RULES[kind][i] for i in kept]).widen(3).blend
             assert all(np.array_equal(a, b) for a, b in zip(update.blend, alone))
     else:
         assert update is _POPULATION_RULES[kind][0]
