@@ -1,20 +1,23 @@
-"""Benchmark a git revision against the working tree in alternating pairs.
+"""Benchmark a git revision against the working tree, or against a second
+revision, in alternating pairs.
 
-Usage: python3 scripts/bench_pairs.py REV --workload W [--pairs N] [--seconds S]
+Usage: python3 scripts/bench_pairs.py REV [CHANGE] --workload W [--pairs N] [--seconds S]
 
 Checks REV out as a detached git worktree under .bench-pairs/ at the top
-of the repository, then runs `bench/run.py --workload W --seconds S
---trace 0` N times in each tree, alternating between them and which tree
-runs first in a pair: REV first in the first pair, the working tree first
-in the second, and so on.  Every __pycache__ directory in both trees is
-deleted before every run, so neither tree imports bytecode compiled from
-the other's sources or from an earlier state of its own.
+of the repository, and CHANGE, when given, as a second one beside it;
+without CHANGE the working tree is the change side.  Then runs
+`bench/run.py --workload W --seconds S --trace 0` N times in each tree,
+alternating between them and which tree runs first in a pair: REV first
+in the first pair, the change first in the second, and so on.  Every
+__pycache__ directory in both trees is deleted before every run, so
+neither tree imports bytecode compiled from the other's sources or from
+an earlier state of its own.
 
 Writes BENCH_<W>.json at the top of the repository: every pair's
 end-to-end metrics, and for each metric the median of both sides, REV's
 quartiles and their distance, the change of the median and the number of
-pairs the working tree wins, with the machine record bench/run.py
-reports.  The worktree is removed on exit.  Exits 1 if a run fails a check.
+pairs the change wins, with the machine record bench/run.py reports.  The
+worktrees are removed on exit.  Exits 1 if a run fails a check.
 """
 from __future__ import annotations
 
@@ -32,6 +35,19 @@ PAIRS_DIR = ROOT / ".bench-pairs"
 
 def _git(*args: str) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True, check=True).stdout.strip()
+
+
+def _commit(rev: str) -> str:
+    return _git("rev-parse", "--verify", f"{rev}^{{commit}}")
+
+
+def _add_worktree(side: str, commit: str) -> Path:
+    """A fresh detached worktree of commit under .bench-pairs/<side>-<commit>."""
+    tree = PAIRS_DIR / f"{side}-{commit[:12]}"
+    if tree.exists():
+        _git("worktree", "remove", "--force", str(tree))
+    _git("worktree", "add", "--detach", str(tree), commit)
+    return tree
 
 
 def _clear_bytecode(tree: Path) -> None:
@@ -79,7 +95,8 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("rev", help="the git revision to compare the working tree with")
+    parser.add_argument("rev", help="the git revision to compare the change with")
+    parser.add_argument("change", nargs="?", help="the git revision to measure as the change (default: the working tree)")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=36.0)
@@ -87,19 +104,21 @@ def main(argv=None) -> int:
     if args.pairs < 1 or args.seconds <= 0:
         parser.error("--pairs must be >= 1 and --seconds positive")
 
-    base_commit = _git("rev-parse", "--verify", f"{args.rev}^{{commit}}")
-    change = {"commit": _git("rev-parse", "HEAD"), "uncommitted_changes": bool(_git("status", "--porcelain"))}
+    base_commit = _commit(args.rev)
+    if args.change is None:
+        change = {"commit": _git("rev-parse", "HEAD"), "uncommitted_changes": bool(_git("status", "--porcelain"))}
+    else:
+        change = {"rev": args.change, "commit": _commit(args.change)}
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     units = {m["name"]: m["unit"] for m in spec["end_to_end"]}
-    tree = PAIRS_DIR / base_commit[:12]
-    if tree.exists():
-        _git("worktree", "remove", "--force", str(tree))
-    _git("worktree", "add", "--detach", str(tree), base_commit)
+    base_tree, change_tree = _add_worktree("base", base_commit), ROOT
     pairs, machine, failed = [], None, 0
     try:
+        if args.change is not None:
+            change_tree = _add_worktree("change", change["commit"])
         for i in range(args.pairs):
-            sides = (("base", tree), ("change", ROOT))[:: 1 if i % 2 == 0 else -1]
+            sides = (("base", base_tree), ("change", change_tree))[:: 1 if i % 2 == 0 else -1]
             pair = {"first": sides[0][0]}
             for side, where in sides:
                 report, result = _run(where, args.workload, args.seconds)
@@ -109,7 +128,8 @@ def main(argv=None) -> int:
             pairs.append(pair)
             print(f"pair {i + 1}/{args.pairs}: wall_s {pair['base']['wall_s']:.4f} -> {pair['change']['wall_s']:.4f}")
     finally:
-        _git("worktree", "remove", "--force", str(tree))
+        for tree in {base_tree, change_tree} - {ROOT}:
+            _git("worktree", "remove", "--force", str(tree))
         try:
             PAIRS_DIR.rmdir()
         except OSError:

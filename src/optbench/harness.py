@@ -84,7 +84,9 @@ def _run_population(tasks: TaskColumns, spec: OptimizerSpec, rows: np.ndarray, o
     in one block next to their minimizer.  The rows run longest budget
     first, so the rows whose budgets end on a step are the population's
     tail and leave as a slice, which keeps the rest as views; rows that
-    diverge leave by a mask, which keeps the order.
+    diverge leave by a mask, which keeps the order.  Distances are
+    computed only where they are written: at the start, for rows that
+    finish, for trajectories, and on a step that fails the finiteness test.
     """
     order = np.argsort(-tasks.iterations, kind="stable")
     if isinstance(spec.update, RateColumns):
@@ -109,29 +111,31 @@ def _run_population(tasks: TaskColumns, spec: OptimizerSpec, rows: np.ndarray, o
     while True:
         g = gradient(pop.theta)
         pop.theta = pop.advance(g)
-        d = point_distance(pop.theta, pop.minimizer)
         t = pop.t
-        # A non-finite parameter makes its distance non-finite, so d and g
-        # cover all three of the scalar step's divergence checks, and any
-        # non-finite entry makes their sum non-finite: on almost every step
-        # this one test shows that no row diverged.
-        if math.isfinite(d.sum() + g.sum()):
+        # One exact test covers the scalar step's three divergence checks:
+        # a non-finite gradient entry makes g's sum non-finite, and each
+        # row's squared distance sums two of this dot's non-negative terms,
+        # so a dot below 2**1000 (NaN compares False) keeps every parameter
+        # and distance finite, far from overflow at 2**1024.
+        flat = (pop.theta - pop.minimizer).ravel()
+        if math.isfinite(g.sum()) and np.dot(flat, flat) < 2.0**1000:
             if trajectories is not None:
-                trajectories[pop.rows, t] = d
+                trajectories[pop.rows, t] = point_distance(pop.theta, pop.minimizer)
             if t < stop:
                 continue
             n = int(np.count_nonzero(pop.budget > t))
-            out.final_distance[pop.rows[n:]] = d[n:]
+            out.final_distance[pop.rows[n:]] = point_distance(pop.theta[n:], pop.minimizer[n:])
             out.iterations_run[pop.rows[n:]] = t
             if not n:
                 return
             live = slice(n)
         else:
+            d = point_distance(pop.theta, pop.minimizer)
             ok = np.isfinite(d) & np.isfinite(g[:, 0]) & np.isfinite(g[:, 1])
             if trajectories is not None:
                 trajectories[pop.rows[ok], t] = d[ok]
             live = ok & (pop.budget > t)
-            if live.all():  # the sum overflowed, but every entry is finite
+            if live.all():  # the test failed, but every entry is finite
                 continue
             finished = ok & ~live
             out.final_distance[pop.rows[finished]] = d[finished]

@@ -196,7 +196,8 @@ def point_distance(x: np.ndarray, point: np.ndarray) -> float | np.ndarray:
 
     The dot product goes through matmul, which runs the same BLAS dot as
     np.linalg.norm, so a row of a population gets the same bits as the
-    point on its own.
+    point on its own.  Callers: distance_to_minimum, and the trial kernel
+    (harness._run_population) wherever it writes a distance.
     """
     d = x - point
     return np.sqrt(np.matmul(d[..., None, :], d[..., :, None])[..., 0, 0])

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import Phase, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from optbench import optim
+from optbench import harness, optim
 from optbench.harness import (
     EvalDistribution,
     Sampler,
@@ -21,7 +21,14 @@ from optbench.harness import (
     surface_scan,
 )
 from optbench.harness import _entropy_words, _pcg64_states
-from optbench.objectives import FUNCTIONS, InvalidConfigError, TaskConfig, distance_to_minimum, make_objective
+from optbench.objectives import (
+    FUNCTIONS,
+    InvalidConfigError,
+    TaskConfig,
+    distance_to_minimum,
+    make_objective,
+    point_distance,
+)
 from optbench.optim import (
     FAMILIES,
     UPDATE_KINDS,
@@ -34,6 +41,7 @@ from optbench.optim import (
     make_spec,
     step,
 )
+from optbench.tuning import RateGrids, grid_search
 
 CONVEX = TaskConfig("convex2d", alpha=1.0, beta=20.0, x0=(50.0, 50.0), iterations=100)
 
@@ -426,10 +434,15 @@ _DRAWN_TASK = st.builds(
     alpha=st.floats(-3.0, 3.0),
     # A beta of 1e307 overflows the first gradient.
     beta=st.floats(1e-3, 1e3) | st.sampled_from([1.0, 20.0, 60.0, 1e300, 1e307]),
-    # Signed zeros, small round values, and start points whose distance
-    # or first step overflows.
+    # Signed zeros, small round values, start points whose distance or
+    # first step overflows, and far but finite ones whose squared
+    # distances fail the kernel's 2**1000 finiteness test.
     x0=st.tuples(
-        *2 * [st.floats(-60.0, 60.0) | st.sampled_from([0.0, -0.0, 1.0, 2.0, 4.0, 50.0, 1e154, -1e300, 1e308])]
+        *2
+        * [
+            st.floats(-60.0, 60.0)
+            | st.sampled_from([0.0, -0.0, 1.0, 2.0, 4.0, 50.0, 1e150, 3e153, 1e154, -1e200, -1e300, 1e308])
+        ]
     ),
     # Ragged budgets: rows stop at many different steps.
     iterations=st.integers(1, 25),
@@ -449,6 +462,9 @@ def test_run_batch_matches_scalar_reference_on_drawn_populations(rules, rows):
         family, beta1, beta2, eps = rules[which % len(rules)]
         pairs.append((task, make_spec(family, update, beta1=beta1, beta2=beta2, eps=eps)))
     batch = run_batch(pairs, trajectories=True)
+    # Without trajectories the kernel measures distances only where it
+    # writes them, so its outcomes are checked on their own as well.
+    fast = run_batch(pairs)
     for i, (task, spec) in enumerate(pairs):
         # The reference measures the start outside its errstate; a start
         # point near overflow has an infinite distance, which the kernel
@@ -457,12 +473,27 @@ def test_run_batch_matches_scalar_reference_on_drawn_populations(rules, rows):
             distances, reason = _reference_trial(task, spec)
         k = len(distances) - 1
         where = f"row {i}: {task} {spec}"
-        assert batch.iterations_run[i] == k and batch.diverged[i] == (reason is not None), where
         assert batch.trajectories[i, : k + 1].tobytes() == np.array(distances).tobytes(), where
         assert np.isnan(batch.trajectories[i, k + 1 :]).all(), where
-        final = math.inf if reason is not None else distances[-1]
-        assert batch.initial_distance[i].tobytes() == np.float64(distances[0]).tobytes(), where
-        assert batch.final_distance[i].tobytes() == np.float64(final).tobytes(), where
+        initial = np.float64(distances[0])
+        final = np.float64(math.inf if reason is not None else distances[-1])
+        if reason is not None:
+            score = np.float64(math.inf)
+        elif initial > 0.0:
+            with np.errstate(over="ignore"):
+                score = final / initial
+        else:
+            score = np.float64(0.0 if final == 0.0 else math.inf)
+        expected = {
+            "initial_distance": initial,
+            "final_distance": final,
+            "score": score,
+            "diverged": np.bool_(reason is not None),
+            "iterations_run": np.int64(k),
+        }
+        for outcome in (batch, fast):
+            for name, value in expected.items():
+                assert getattr(outcome, name)[i].tobytes() == value.tobytes(), f"{name}, {where}"
 
 
 def test_run_batch_of_shuffled_pairs_gives_each_row_the_same_bytes():
@@ -496,6 +527,32 @@ def test_kernel_matches_scalar_reference_where_budget_ends_and_divergence_share_
         assert np.isnan(batch.trajectories[i, k + 1 :]).all(), i
         final = math.inf if reason is not None else distances[-1]
         assert batch.final_distance[i] == final, i
+
+
+def test_kernel_measures_distances_only_where_it_writes_them(monkeypatch):
+    """Without trajectories, a population measures its distances at the
+    start and where rows finish, plus once on each step whose finiteness
+    test fails; a tune grid whose rows share one budget and never diverge
+    measures them twice."""
+    calls = []
+
+    def counted(x, point):
+        calls.append(len(x))
+        return point_distance(x, point)
+
+    monkeypatch.setattr(harness, "point_distance", counted)
+    grid_search(CONVEX, "sgd", "additive", grids=RateGrids(lr=[1e-4, 1e-3, 1e-2]))
+    assert calls == [3, 3]
+    # lr 1e60 reaches a distance of 7.8e126 at step 2, whose square is
+    # below 2**1000; step 3 overflows, and its row diverges there.
+    calls.clear()
+    grid_search(CONVEX, "sgd", "additive", grids=RateGrids(lr=[1e-4, 1e-3, 1e60]))
+    assert calls == [3, 3, 2]
+    # lr 5 reaches a finite distance of 3.4e153 at step 46, whose square
+    # fails the test, and overflows at step 47.
+    calls.clear()
+    grid_search(CONVEX, "sgd", "additive", grids=RateGrids(lr=[1e-3, 5.0]))
+    assert calls == [2, 2, 2, 1]
 
 
 # ------------------------------------------------------ column draws
