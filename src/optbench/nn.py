@@ -484,22 +484,15 @@ def train_population(
                 batch = slice(start, start + batch_size)
                 inputs, logits = _forward(weights, biases, x_epoch[:, batch], activation)
                 _backward(weights, inputs, logits, t_epoch[:, batch], activation, grad_w, grad_b)
-                new_theta = pop.advance(grad)
-                # Any non-finite entry makes the sum non-finite, so on almost
-                # every step this one test shows that every row is finite.
-                finite = math.isfinite(grad.sum() + new_theta.sum())
-                ok = finite or np.isfinite(grad).all(axis=1) & np.isfinite(new_theta).all(axis=1)
-                if finite or ok.all():
-                    pop.theta[...] = new_theta
-                    pop.flips += (pop.theta * pop.watch <= 0.0).sum(axis=1)
-                    continue
-                pop.theta[ok] = new_theta[ok]
-                pop.flips[ok] += (pop.theta[ok] * pop.watch[ok] <= 0.0).sum(axis=1)
-                diverged[pop.rows[~ok]] = True
-                x_epoch, t_epoch = x_epoch[ok], t_epoch[ok]
-                grad, weights, biases, grad_w, grad_b = retire(~ok)
-                if pop.rows.size == 0:
-                    break
+                new_theta, ok = pop.step(grad)
+                if ok is not None and not ok.all():
+                    diverged[pop.rows[~ok]] = True
+                    grad, weights, biases, grad_w, grad_b = retire(~ok)
+                    if pop.rows.size == 0:
+                        break
+                    new_theta, x_epoch, t_epoch = new_theta[ok], x_epoch[ok], t_epoch[ok]
+                pop.theta[...] = new_theta
+                pop.flips += (pop.theta * pop.watch <= 0.0).sum(axis=1)
             if pop.rows.size == 0:
                 break
             train_loss, train_acc, val_acc = evaluate(weights, biases)

@@ -14,11 +14,13 @@ parameter magnitude (tanh-squashed, so it can never cross zero), or a
 convex blend of the two.
 
 step() moves one checked parameter vector.  A Population steps the rows
-of the harness's trial kernel or of nn's classifier, unchecked, and drops
-the rows that stop; each caller keeps its own stop rule.
+of the harness's trial kernel or of nn's classifier, tests them for
+finiteness, and drops the rows that stop; each caller keeps its own
+commit and stop rules.
 """
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
@@ -531,9 +533,21 @@ class Population(OptimizerState):
         self._per_row = ("theta", "m", "v", *columns)
         self.__dict__.update(columns)
 
-    def advance(self, g: np.ndarray) -> np.ndarray:
-        """The parameters one step on, which may be non-finite."""
-        return advance(self.spec, self, self.theta, g)
+    def step(self, g: np.ndarray, origin=None) -> tuple[np.ndarray, np.ndarray | None]:
+        """The parameters one step on, uncommitted, and None when a fast test
+        shows every row's gradient, parameters and offset from origin
+        finite, else the exact mask of the rows whose gradient and
+        parameters are finite.  The test's dot is a BLAS dot, whose bits
+        choose only between None and the mask, so no output depends on them."""
+        theta = advance(self.spec, self, self.theta, g)
+        flat = (theta if origin is None else theta - origin).ravel()
+        # A non-finite entry makes g's sum non-finite, and each row's
+        # squared offset sums some of the dot's non-negative terms, so a
+        # dot below 2**1000 (NaN compares False) keeps them all far from
+        # overflow at 2**1024.
+        if math.isfinite(g.sum()) and np.dot(flat, flat) < 2.0**1000:
+            return theta, None
+        return theta, np.isfinite(g).all(axis=1) & np.isfinite(theta).all(axis=1)
 
     def keep(self, live) -> None:
         """Keep only the rows that live indexes, in order, in every per-row

@@ -496,6 +496,49 @@ def test_run_batch_matches_scalar_reference_on_drawn_populations(rules, rows):
                 assert getattr(outcome, name)[i].tobytes() == value.tobytes(), f"{name}, {where}"
 
 
+def _mirrored(task):
+    """The task reflected through alpha = 0: convex2d's start point flips
+    with its minimizer (alpha, alpha), rosenbrock's first coordinate with
+    its minimizer (alpha, alpha**2).  Every gradient entry of the mirror is
+    the negated or the same entry of the original's."""
+    x0, x1 = task.x0
+    return replace(task, alpha=-task.alpha, x0=(-x0, -x1 if task.function == "convex2d" else x1))
+
+
+_CELLS = [(function, family, kind) for function in FUNCTIONS for family in FAMILIES for kind in UPDATE_KINDS]
+
+
+# Every example holds rows of all 24 cells.  No shrink phase, as above.
+@settings(max_examples=15, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
+@given(
+    betas=st.tuples(_drawn_rate("beta1"), _drawn_rate("beta2"), _drawn_rate("eps")),
+    cells=st.tuples(
+        *[
+            st.lists(
+                st.tuples(
+                    _DRAWN_TASK.map(lambda task, f=function: replace(task, function=f)),
+                    st.builds(UpdateRule, st.just(kind), **{n: _drawn_rate(n) for n in UpdateRule.FIELDS[kind]}),
+                ),
+                min_size=1,
+                max_size=3,
+            )
+            for function, _, kind in _CELLS
+        ]
+    ),
+)
+def test_run_batch_of_mirrored_tasks_gives_the_same_outcomes(betas, cells):
+    beta1, beta2, eps = betas
+    pairs = [
+        (task, make_spec(family, update, beta1=beta1, beta2=beta2, eps=eps))
+        for (_, family, _), rows in zip(_CELLS, cells)
+        for task, update in rows
+    ]
+    batch = run_batch(pairs)
+    mirror = run_batch([(_mirrored(task), spec) for task, spec in pairs])
+    for name in ("initial_distance", "final_distance", "score", "diverged", "iterations_run"):
+        assert getattr(mirror, name).tobytes() == getattr(batch, name).tobytes(), name
+
+
 def test_run_batch_of_shuffled_pairs_gives_each_row_the_same_bytes():
     """The kernel orders each population's rows by budget itself, so the
     order of the pairs changes no row's outcome or trajectory."""

@@ -1,0 +1,38 @@
+"""scripts/loc.py gives every line of a module exactly one kind."""
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+REPO = Path(__file__).resolve().parent.parent
+_SPEC = importlib.util.spec_from_file_location("loc", REPO / "scripts" / "loc.py")
+loc = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(loc)
+
+
+def test_each_line_gets_its_kind():
+    source = (
+        '"""Module docstring.\n'
+        "\n"
+        '"""\n'
+        "import os  # a trailing comment\n"
+        "\n"
+        "# a comment line\n"
+        "def f():\n"
+        "    '''One line.'''\n"
+        "    text = '''\n"
+        "\n"
+        "'''\n"
+        "    return text\n"
+    )
+    assert loc.line_kinds(source) == [
+        "docstring", "docstring", "docstring", "code", "blank", "comment",
+        "code", "docstring", "code", "code", "code", "code",
+    ]  # fmt: skip
+    assert loc.count(source) == {"code": 6, "docstring": 4, "comment": 1, "blank": 1}
+
+
+@pytest.mark.parametrize("path", sorted((REPO / "src").rglob("*.py")), ids=lambda p: p.name)
+def test_the_four_counts_sum_to_the_line_count(path):
+    source = path.read_text(encoding="utf-8")
+    assert sum(loc.count(source).values()) == len(source.splitlines())

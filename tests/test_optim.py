@@ -491,7 +491,7 @@ def _population_run(family, kind, rows, per_row, steps, rng_seed=12):
         rngs=np.array([np.random.default_rng(i) for i in rows], dtype=object),
     )
     for g in gs:
-        pop.theta = pop.advance(g[rows])
+        pop.theta = pop.step(g[rows])[0]
     return pop
 
 
@@ -525,7 +525,7 @@ def test_population_keep_compacts_every_row_array_and_steps_as_if_never_batched(
     # population that never had the dropped rows.
     alone = _population_run(family, kind, kept, per_row, steps=4)
     g = np.random.default_rng(5).normal(size=(5, 3))[mask]
-    assert everyone.advance(g).tobytes() == alone.advance(g).tobytes()
+    assert everyone.step(g)[0].tobytes() == alone.step(g)[0].tobytes()
     assert everyone.m.tobytes() == alone.m.tobytes()
     assert everyone.v.tobytes() == alone.v.tobytes()
 
@@ -546,6 +546,44 @@ def test_population_keep_of_a_leading_slice_leaves_views_and_steps_as_a_mask_doe
         assert np.shares_memory(by_slice.spec.update.block, rates)
         assert np.array_equal(by_slice.spec.update.block, by_mask.spec.update.block)
     g = np.random.default_rng(5).normal(size=(3, 3))
-    assert by_slice.advance(g).tobytes() == by_mask.advance(g).tobytes()
+    assert by_slice.step(g)[0].tobytes() == by_mask.step(g)[0].tobytes()
     assert by_slice.m.tobytes() == by_mask.m.tobytes()
     assert by_slice.v.tobytes() == by_mask.v.tobytes()
+
+
+def _sgd_population(theta, lr=1.0):
+    return Population(make_spec("sgd", UpdateRule("additive", lr=lr)), np.array(theta, dtype=float))
+
+
+def test_population_step_of_finite_rows_returns_none_and_commits_nothing():
+    pop = _sgd_population([[1.0, 2.0], [3.0, -4.0]], lr=0.5)
+    theta, ok = pop.step(np.array([[1.0, 1.0], [2.0, -2.0]]))
+    assert ok is None
+    assert theta.tolist() == [[0.5, 1.5], [2.0, -3.0]]
+    assert pop.theta.tolist() == [[1.0, 2.0], [3.0, -4.0]]
+    assert pop.t == 1
+
+
+def test_population_step_masks_the_rows_whose_gradient_or_step_is_not_finite():
+    pop = _sgd_population([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]], lr=1e300)
+    g = np.array([[1e-300, 0.0], [np.nan, 0.0], [0.0, 1e10]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        theta, ok = pop.step(g)
+    assert ok.tolist() == [True, False, False]
+    assert theta[0].tolist() == [0.0, 2.0] and theta[2, 1] == -math.inf
+
+
+def test_population_step_leaves_a_finite_row_whose_offset_overflows_to_the_caller():
+    pop = _sgd_population([[1e308, 0.0], [1.0, 1.0]])
+    with np.errstate(over="ignore"):
+        theta, ok = pop.step(np.zeros((2, 2)), origin=np.array([[-1e308, 0.0], [0.0, 0.0]]))
+    assert ok.tolist() == [True, True]
+    assert theta.tolist() == [[1e308, 0.0], [1.0, 1.0]]
+
+
+def test_population_step_of_finite_rows_too_large_for_the_fast_test_passes_every_row():
+    pop = _sgd_population([[1e160, 0.0], [1.0, 1.0]])
+    with np.errstate(over="ignore"):
+        theta, ok = pop.step(np.zeros((2, 2)))
+    assert ok.tolist() == [True, True]
+    assert theta.tolist() == [[1e160, 0.0], [1.0, 1.0]]

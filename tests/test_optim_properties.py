@@ -4,16 +4,24 @@ The magnitude-proportional rule promises two exact guarantees: no step
 moves a coordinate by more than lr_outer times its current magnitude, and
 no nonzero coordinate ever changes sign.  Both are checked over a large
 randomized sample (well past the 10,000-step mark) plus a hypothesis
-sweep of awkward rate values.
+sweep of awkward rate values.  Every rule is also odd: a population
+stepped from mirrored parameters with mirrored gradients lands on the
+mirror of the original's parameters.
 """
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from optbench.optim import (
+    FAMILIES,
+    UPDATE_KINDS,
     InvalidRateError,
+    Population,
+    RateColumns,
+    UpdateRule,
     additive_update,
     hybrid_update,
+    make_spec,
     multiplicative_update,
 )
 
@@ -111,3 +119,43 @@ def test_multiplicative_bound_holds_for_adversarial_rates(theta, m, l, lr_inner,
 def test_outer_rate_above_one_always_rejected(lr_outer):
     with pytest.raises(InvalidRateError):
         multiplicative_update(np.ones(1), np.ones(1), np.ones(1), 1.0, lr_outer)
+
+
+def _random_rule(rng, kind):
+    """An UpdateRule of kind with log-uniform rates; lr_outer is often 1,
+    which can cancel a coordinate exactly, and mix often an endpoint."""
+    rates = {
+        "lr": 10.0 ** rng.uniform(-4.0, 1.0),
+        "lr_inner": 10.0 ** rng.uniform(-3.0, 3.0),
+        "lr_outer": 1.0 if rng.random() < 0.3 else 1.0 - rng.uniform(0.0, 1.0),
+        "mix": rng.choice([0.0, 1.0, rng.uniform(0.0, 1.0)]),
+    }
+    return UpdateRule(kind, **{name: rates[name] for name in UpdateRule.FIELDS[kind]})
+
+
+# No shrink phase, as for the harness's drawn populations.
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("kind", UPDATE_KINDS)
+@pytest.mark.parametrize("per_row", [False, True])
+@settings(max_examples=8, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
+@given(
+    rows=st.integers(1, 33), width=st.integers(1, 82), steps=st.integers(1, 3), seed=st.integers(0, 2**32 - 1)
+)
+def test_population_step_of_mirrored_rows_gives_the_mirrored_rows(family, kind, per_row, rows, width, steps, seed):
+    """Stepping (-theta, -g) gives -theta' for every rule.  Compared with
+    array_equal: where lr_outer = 1 cancels a coordinate, x - x is +0.0
+    on both sides."""
+    rng = np.random.default_rng(seed)
+    rules = [_random_rule(rng, kind) for _ in range(rows if per_row else 1)]
+    update = RateColumns.stack(kind, rules) if per_row else rules[0]
+    betas = rng.uniform(0.0, 0.99, 2)
+    spec = make_spec(family, update, beta1=betas[0], beta2=betas[1], eps=10.0 ** rng.uniform(-10.0, 0.0))
+    theta = rng.normal(0.0, 10.0 ** rng.uniform(-3.0, 3.0), (rows, width))
+    theta[rng.random((rows, width)) < 0.1] = 0.0
+    pop, mirror = Population(spec, theta), Population(spec, -theta)
+    for _ in range(steps):
+        g = rng.normal(0.0, 10.0 ** rng.uniform(-3.0, 3.0), (rows, width))
+        (pop.theta, ok), (mirror.theta, mirror_ok) = pop.step(g), mirror.step(-g)
+        assert ok is None and mirror_ok is None
+        assert np.array_equal(mirror.theta, -pop.theta)
+        assert np.array_equal(mirror.m, -pop.m) and mirror.v.tobytes() == pop.v.tobytes()
