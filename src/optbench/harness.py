@@ -80,29 +80,29 @@ def _run_population(tasks: TaskColumns, spec: OptimizerSpec, rows: np.ndarray, o
     Every trial starts at t = 0, so all live rows share the step counter.
     A row stops after its own budget, or at the first step whose gradient
     or resulting distance is non-finite; that step does not count.  Rows
-    that stop are dropped from the population, whose alpha and beta sit
-    in one block next to their minimizer.  The rows run longest budget
-    first, so the rows whose budgets end on a step are the population's
-    tail and leave as a slice, which keeps the rest as views; rows that
-    diverge leave by a mask, which keeps the order.  Distances are
-    computed only where they are written: at the start, for rows that
-    finish, for trajectories, and on a step that fails Population.step's
-    finiteness test.
+    that stop are dropped from the population.  The objective is built
+    once: its per-row gradient constants and minimizer are population
+    columns, so they leave with their rows and the rest never need
+    rebuilding.  The rows run longest budget first, so the rows whose
+    budgets end on a step are the population's tail and leave as a
+    slice, which keeps the rest as views; rows that diverge leave by a
+    mask, which keeps the order.  Distances are computed only where they
+    are written: at the start, for rows that finish, for trajectories,
+    and on a step that fails Population.step's finiteness test.
     """
     order = np.argsort(-tasks.iterations, kind="stable")
     if isinstance(spec.update, RateColumns):
         spec = OptimizerSpec(spec.momentum, spec.adaptive, spec.update.take(order))
-    block = np.column_stack([tasks.alpha, tasks.beta])[order]
-    objective = population_objective(tasks.function, block[:, 0], block[:, 1])
+    objective = population_objective(tasks.function, tasks.alpha[order], tasks.beta[order])
     pop = Population(
         spec,
         tasks.x0[order],
         rows=rows[order],
         budget=tasks.iterations[order],
-        block=block,
+        constants=objective.gradient.args,
         minimizer=np.stack(objective.minimum, axis=-1),
     )
-    gradient = objective.gradient
+    gradient = objective.gradient.func
     stop = pop.budget[-1]
     trajectories = out.trajectories
     d = point_distance(pop.theta, pop.minimizer)
@@ -110,7 +110,7 @@ def _run_population(tasks: TaskColumns, spec: OptimizerSpec, rows: np.ndarray, o
     if trajectories is not None:
         trajectories[pop.rows, 0] = d
     while True:
-        pop.theta, ok = pop.step(gradient(pop.theta), pop.minimizer)
+        pop.theta, ok = pop.step(gradient(*pop.constants, pop.theta), pop.minimizer)
         t = pop.t
         if ok is None:
             if trajectories is not None:
@@ -137,7 +137,6 @@ def _run_population(tasks: TaskColumns, spec: OptimizerSpec, rows: np.ndarray, o
             if not live.any():
                 return
         pop.keep(live)
-        gradient = population_objective(tasks.function, pop.block[:, 0], pop.block[:, 1]).gradient
         stop = pop.budget[-1]
 
 
@@ -365,37 +364,48 @@ def draw_tasks(dist: EvalDistribution, seed: int, indices) -> TaskColumns:
     seeded in one vectorized pass: the PCG64 state default_rng would
     build from the uint32 entropy words of [seed, index] (the seed's
     words, worked out once, then the index's) is computed for every
-    index at once, and each index's draws come from one reused generator
-    set to its state, which gives the same stream.  A field with std = 0
+    index at once, and one reused generator, set to each index's state,
+    fills that index's row of standard normals with one call, one per
+    field whose std is not 0, in field order.  A field with std = 0
     takes its mean and consumes no randomness.  beta is redrawn until
-    positive, at most MAX_BETA_DRAWS times; the iteration budget is
-    rounded to the nearest integer and clamped to at least 1, and a draw
-    above MAX_ITERATIONS is rejected.  The columns are then checked
+    positive, at most MAX_BETA_DRAWS times: each redraw shifts the draws
+    after beta's down by one and draws the next into the last place,
+    which is the order the stream gives them.  Each drawn column is then
+    mean + std * z, the arithmetic numpy's normal(mean, std) does, so
+    every value has the bits of a per-field draw.  The iteration budget
+    is rounded to the nearest integer and clamped to at least 1, and a
+    draw above MAX_ITERATIONS is rejected.  The columns are then checked
     against the task rules, each once; an error names the distribution's
     field and the row of the first draw that breaks it.
     """
     seed_words = _entropy_words(seed)
-    leading = [(s.mean, s.std) for s in (*dist.x0, dist.alpha)]
+    states = _pcg64_states([seed_words + _entropy_words(index) for index in indices])
+    fields = (*dist.x0, dist.alpha, dist.beta, dist.iterations)
+    means, stds = np.array([(s.mean, s.std) for s in fields], dtype=float).T
+    drawn = np.flatnonzero(stds)
+    z = np.empty((len(states), drawn.size))
+    beta = int(np.count_nonzero(drawn < 3))  # beta's column of z when it is drawn
     beta_mean, beta_std = dist.beta.mean, dist.beta.std
-    budget_mean, budget_std = dist.iterations.mean, dist.iterations.std
     # The reused generator's own seed is overwritten by every stream's state.
     rng = np.random.Generator(np.random.PCG64(0))
-    bit_generator, normal = rng.bit_generator, rng.normal
-    draws = []
-    for state in _pcg64_states([seed_words + _entropy_words(index) for index in indices]):
+    bit_generator, standard_normal = rng.bit_generator, rng.standard_normal
+    for row, state in zip(z, states):
         bit_generator.state = state
-        row = [mean if std == 0.0 else normal(mean, std) for mean, std in leading]
+        standard_normal(out=row)
         for _ in range(MAX_BETA_DRAWS):
-            b = beta_mean if beta_std == 0.0 else normal(beta_mean, beta_std)
-            if b > 0.0:
+            if beta_mean + (beta_std and beta_std * row.item(beta)) > 0.0:
                 break
+            if beta_std:
+                row[beta:-1] = row[beta + 1 :]
+                row[-1] = standard_normal()
         else:
             raise InvalidConfigError(
                 f"distribution.beta: no positive draw from {dist.beta} in {MAX_BETA_DRAWS} tries"
             )
-        row += (b, budget_mean if budget_std == 0.0 else normal(budget_mean, budget_std))
-        draws.append(row)
-    draws = np.array(draws).reshape(-1, 5)  # (0, 5), not (0,), for no indices
+    draws = np.repeat(means[None], len(z), axis=0)
+    # A draw may overflow to inf, as normal's does; the task rules reject it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        draws[:, drawn] = means[drawn] + stds[drawn] * z
     budget = draws[:, 4]
     within = budget <= MAX_ITERATIONS
     if not within.all():
@@ -405,14 +415,9 @@ def draw_tasks(dist: EvalDistribution, seed: int, indices) -> TaskColumns:
             f"distribution.iterations must be at most MAX_ITERATIONS = {MAX_ITERATIONS},"
             f" got {budget[row].item()!r}{where}"
         )
-    tasks = TaskColumns(
-        dist.function,
-        draws[:, 2],
-        draws[:, 3],
-        draws[:, :2].copy(),
-        # rint rounds half to even, as round() does; clamping first keeps -inf out.
-        np.rint(np.maximum(budget, 1.0)).astype(int),
-    )
+    # rint rounds half to even, as round() does; clamping first keeps -inf out.
+    budget = np.rint(np.maximum(budget, 1.0)).astype(int)
+    tasks = TaskColumns(dist.function, draws[:, 2], draws[:, 3], draws[:, :2].copy(), budget)
     tasks.check("distribution.")
     return tasks
 

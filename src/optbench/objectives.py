@@ -7,6 +7,7 @@ than the first, and "rosenbrock" is the classic banana-shaped valley.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -103,8 +104,11 @@ class Objective:
 
     The parameters may also be (N,) arrays, one task per row: gradient
     then takes an (N, 2) population of points and minimum holds two (N,)
-    arrays, which is how the harness runs many trials at once.  evaluate
-    always takes a single point.
+    arrays, which is how the harness runs many trials at once.  gradient
+    is a functools.partial of the function's gradient rule over the
+    rule's per-task constants, worked out once from (alpha, beta), so the
+    harness reads gradient.func and gradient.args and keeps the constants
+    with their rows.  evaluate always takes a single point.
     """
 
     name: str
@@ -121,47 +125,47 @@ def _check_beta(beta) -> None:
 # The builders below are unchecked.  Each works out the gradient's
 # per-task constants once, when the objective is built, since a population
 # calls the gradient every step; 2.0 * beta * d is (2.0 * beta) * d, so the
-# bits are the same.
+# bits are the same.  A gradient rule takes the constants, then the point.
+
+def _convex2d_gradient(shift, slope, x):
+    g = np.subtract(x, shift, dtype=float)
+    g *= slope
+    return g
+
 
 def _convex2d(alpha, beta) -> Objective:
     # (..., 2) blocks of the point's shape, so the gradient is one subtract
     # and one multiply with operands of one shape.
-    shift = np.stack([alpha, alpha], axis=-1)
-    slope = np.stack([2.0 * beta, 20.0 * beta], axis=-1)
+    shift, slope = np.stack([alpha, alpha], axis=-1), np.stack([2.0 * beta, 20.0 * beta], axis=-1)
 
     def evaluate(x):
         x = np.asarray(x, dtype=float)
         return float(beta * (x[0] - alpha) ** 2 + 10.0 * beta * (x[1] - alpha) ** 2)
 
-    def gradient(x):
-        g = np.subtract(x, shift, dtype=float)
-        g *= slope
-        return g
+    return Objective("convex2d", evaluate, partial(_convex2d_gradient, shift, slope), (alpha, alpha))
 
-    return Objective("convex2d", evaluate, gradient, (alpha, alpha))
+
+def _rosenbrock_gradient(alpha, slope, curve, x):
+    x = np.asarray(x, dtype=float)
+    x0 = x[..., 0]
+    # float_power squares through pow(), as a scalar ** 2 does; the
+    # array ** 2 shortcut (x * x) can differ in the last bit.
+    valley = x[..., 1] - np.float_power(x0, 2.0)
+    g = np.empty_like(x)
+    g0 = g[..., 0]
+    np.subtract(alpha, x0, out=g0)
+    g0 *= -2.0
+    g0 -= curve * x0 * valley
+    np.multiply(slope, valley, out=g[..., 1])
+    return g
 
 
 def _rosenbrock(alpha, beta) -> Objective:
-    slope, curve = 2.0 * beta, 4.0 * beta
-
     def evaluate(x):
         x = np.asarray(x, dtype=float)
         return float((alpha - x[0]) ** 2 + beta * (x[1] - x[0] ** 2) ** 2)
 
-    def gradient(x):
-        x = np.asarray(x, dtype=float)
-        x0 = x[..., 0]
-        # float_power squares through pow(), as a scalar ** 2 does; the
-        # array ** 2 shortcut (x * x) can differ in the last bit.
-        valley = x[..., 1] - np.float_power(x0, 2.0)
-        g = np.empty_like(x)
-        g0 = g[..., 0]
-        np.subtract(alpha, x0, out=g0)
-        g0 *= -2.0
-        g0 -= curve * x0 * valley
-        np.multiply(slope, valley, out=g[..., 1])
-        return g
-
+    gradient = partial(_rosenbrock_gradient, alpha, 2.0 * beta, 4.0 * beta)
     return Objective("rosenbrock", evaluate, gradient, (alpha, np.float_power(alpha, 2.0)))
 
 

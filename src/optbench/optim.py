@@ -466,10 +466,13 @@ def step(
     return new_theta, state
 
 
-def _rows(a: np.ndarray, live) -> np.ndarray:
+def _rows(a: np.ndarray | tuple, live) -> np.ndarray | tuple:
     """The rows of a that live indexes: a leading slice gives a view, and
     an array of row indices gives one take (several times faster in numpy
-    than indexing by a mask or by the index array)."""
+    than indexing by a mask or by the index array).  A tuple of arrays
+    gives the tuple of their rows."""
+    if isinstance(a, tuple):
+        return tuple(_rows(column, live) for column in a)
     return a[live] if isinstance(live, slice) else a.take(live, axis=0)
 
 
@@ -519,11 +522,11 @@ class RateColumns:
 class Population(OptimizerState):
     """Parameter rows stepped together by one spec: an OptimizerState whose
     (C, P) m and v rows share the step counter t, the (C, P) parameters
-    theta, and the caller's per-row columns as attributes.  spec.update is
-    one UpdateRule, whose scalar rates numpy applies faster than blocks,
-    or a RateColumns of each row's own rates, which the population spreads
-    over the P entries of its rows once.  The caller writes the steps it
-    accepts to theta."""
+    theta, and the caller's per-row columns (arrays, or tuples of arrays)
+    as attributes.  spec.update is one UpdateRule, whose scalar rates
+    numpy applies faster than blocks, or a RateColumns of each row's own
+    rates, which the population spreads over the P entries of its rows
+    once.  The caller writes the steps it accepts to theta."""
 
     def __init__(self, spec: OptimizerSpec, theta: np.ndarray, **columns):
         super().__init__(t=0, m=np.zeros_like(theta), v=np.zeros_like(theta))

@@ -273,15 +273,18 @@ def test_fixed_nonpositive_beta_is_rejected_at_parse_time(tmp_path, capsys):
     assert "distribution.beta" in capsys.readouterr().err
 
 
-def test_beta_distribution_without_positive_draws_stops(tmp_path, capsys):
+@pytest.mark.parametrize("mean", [-100.0, -1e6])
+def test_beta_distribution_without_positive_draws_stops(tmp_path, capsys, mean):
     doc = _robustness_doc()
-    doc["distribution"]["beta"] = {"mean": -100.0, "std": 1.0}
+    doc["distribution"]["beta"] = {"mean": mean, "std": 1.0}
     config = _write_config(tmp_path, "rob.json", doc)
     out = tmp_path / "o"
     started = time.monotonic()
     assert main(["robustness", "--config", str(config), "--out", str(out)]) == EXIT_CONFIG
     assert time.monotonic() - started < 5.0
-    assert "beta" in capsys.readouterr().err
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: distribution.beta: no positive draw from Sampler(mean={mean!r}, std=1.0) in 1000 tries"
+    ]
     assert not (out / "stats.json").exists()
 
 

@@ -177,6 +177,22 @@ def test_sample_eval_config_redraws_nonpositive_beta():
         assert sample_eval_config(dist, seed=9, index=index).beta > 0.0
 
 
+@pytest.mark.parametrize(
+    "beta, shown",
+    [
+        (Sampler(-1e6, 1.0), "Sampler(mean=-1000000.0, std=1.0)"),
+        (Sampler(math.nan, 1.0), "Sampler(mean=nan, std=1.0)"),
+    ],
+    ids=["negative", "nan"],
+)
+def test_draw_refuses_a_beta_distribution_without_positive_draws(beta, shown):
+    # A NaN draw is not positive either, so it is redrawn like a negative one.
+    dist = replace(default_eval_distribution("convex2d"), beta=beta)
+    with pytest.raises(InvalidConfigError) as refusal:
+        draw_tasks(dist, 2024, range(3))
+    assert str(refusal.value) == f"distribution.beta: no positive draw from {shown} in 1000 tries"
+
+
 def test_evaluate_robustness_single_trial():
     dist = default_eval_distribution("convex2d")
     stats = evaluate_robustness(dist, _sgd(1e-3), n=1, seed=42)
@@ -539,6 +555,87 @@ def test_run_batch_of_mirrored_tasks_gives_the_same_outcomes(betas, cells):
         assert getattr(mirror, name).tobytes() == getattr(batch, name).tobytes(), name
 
 
+# Convex tasks on a grid of sixteenths and sixty-fourths, with rates that
+# keep a run of up to 25 steps, and its rescaling, clear of overflow and
+# subnormals, except where a beta of 1e307 makes the first gradient
+# infinite or an lr of 1e300 the first step, so those rows diverge at
+# either scale.
+_RESCALABLE_TASK = st.builds(
+    TaskConfig,
+    st.just("convex2d"),
+    alpha=st.integers(-192, 192).map(lambda k: k / 64),
+    beta=st.floats(1e-3, 1e2) | st.sampled_from([1.0, 20.0, 60.0, 1e307]),
+    x0=st.tuples(*2 * [st.integers(-960, 960).map(lambda k: k / 16)]),
+    iterations=st.integers(1, 25),
+)
+_SAFE_RATE = {
+    "lr": st.floats(1e-6, 1.0) | st.sampled_from([0.0, 1e-3, 1.0, 1e300]),
+    "lr_inner": st.floats(1e-3, 1e3),
+    "lr_outer": st.floats(0.01, 0.9),
+    "mix": _drawn_rate("mix"),
+}
+_CONVEX_CELLS = [(family, kind) for family in FAMILIES for kind in UPDATE_KINDS]
+
+
+def _rescaled(task, spec, c):
+    """The convex2d task with alpha and x0 times the power of two c, and
+    the rates that make its run the original's times c.  Every gradient
+    is c times the original's, so sgd keeps lr and divides lr_inner by c;
+    an adaptive family's rate multiplier is 1/c times the original's once
+    eps is c times it, so it multiplies eps and lr by c and keeps
+    lr_inner.  lr_outer and mix stay."""
+    task = replace(task, alpha=c * task.alpha, x0=(c * task.x0[0], c * task.x0[1]))
+    adaptive, update = spec.adaptive, spec.update
+    if adaptive.kind == "identity":
+        if update.lr_inner is not None:
+            update = replace(update, lr_inner=update.lr_inner / c)
+    else:
+        adaptive = replace(adaptive, eps=c * adaptive.eps)
+        if update.lr is not None:
+            update = replace(update, lr=c * update.lr)
+    return task, replace(spec, adaptive=adaptive, update=update)
+
+
+# Every example holds rows of all 12 family x rule cells.  No shrink
+# phase, as above.
+@pytest.mark.parametrize("c", [2.0, 2.0**-3])
+@settings(max_examples=15, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
+@given(
+    betas=st.tuples(_drawn_rate("beta1"), _drawn_rate("beta2"), st.floats(1e-12, 1e-2)),
+    cells=st.tuples(
+        *[
+            st.lists(
+                st.tuples(
+                    _RESCALABLE_TASK,
+                    st.builds(UpdateRule, st.just(kind), **{n: _SAFE_RATE[n] for n in UpdateRule.FIELDS[kind]}),
+                ),
+                min_size=1,
+                max_size=3,
+            )
+            for _, kind in _CONVEX_CELLS
+        ]
+    ),
+)
+def test_run_batch_of_rescaled_convex_tasks_scales_every_distance(c, betas, cells):
+    """Power-of-two rescaling: each row's distances are c times the
+    original's, bit for bit, so its score is the same; the same rows
+    diverge, and the others run as many steps."""
+    beta1, beta2, eps = betas
+    pairs = [
+        (task, make_spec(family, update, beta1=beta1, beta2=beta2, eps=eps))
+        for (family, _), rows in zip(_CONVEX_CELLS, cells)
+        for task, update in rows
+    ]
+    batch = run_batch(pairs)
+    scaled = run_batch([_rescaled(task, spec, c) for task, spec in pairs])
+    kept = ~batch.diverged
+    assert scaled.diverged.tobytes() == batch.diverged.tobytes()
+    assert scaled.initial_distance.tobytes() == (c * batch.initial_distance).tobytes()
+    assert scaled.final_distance[kept].tobytes() == (c * batch.final_distance[kept]).tobytes()
+    assert scaled.score.tobytes() == batch.score.tobytes()
+    assert scaled.iterations_run[kept].tobytes() == batch.iterations_run[kept].tobytes()
+
+
 def test_run_batch_of_shuffled_pairs_gives_each_row_the_same_bytes():
     """The kernel orders each population's rows by budget itself, so the
     order of the pairs changes no row's outcome or trajectory."""
@@ -550,15 +647,29 @@ def test_run_batch_of_shuffled_pairs_gives_each_row_the_same_bytes():
         assert getattr(shuffled, name).tobytes() == getattr(batch, name)[order].tobytes(), name
 
 
-def test_kernel_matches_scalar_reference_where_budget_ends_and_divergence_share_a_step():
-    """One sgd population with per-row rates: at step 3 row 1 diverges
-    while rows 0 and 6 reach their budgets, so that step compacts by mask;
-    row 1 sits between rows 2 and 3, whose equal budgets of 5 then end on
-    one step.  Row 4 diverges on the step its budget of 1 ends, and row 7
-    diverges where no budget ends."""
-    bowl = dict(function="convex2d", alpha=1.0, beta=20.0, x0=(50.0, 50.0))
-    rows = [(3, 1e-3), (5, 1e60), (5, 2e-3), (5, 1e-3), (1, 1e306), (7, 1e-3), (3, 5e-3), (7, 1e100)]
-    pairs = [(TaskConfig(**bowl, iterations=budget), _sgd(lr)) for budget, lr in rows]
+@pytest.mark.parametrize(
+    "function, x0, beta, rates",
+    [
+        ("convex2d", (50.0, 50.0), 20.0, (1e60, 1e306, 1e100)),
+        ("rosenbrock", (0.5, 3.0), 60.0, (1e10, 1e160, 1e40)),
+    ],
+    ids=["convex2d", "rosenbrock"],
+)
+def test_kernel_matches_scalar_reference_where_budget_ends_and_divergence_share_a_step(function, x0, beta, rates):
+    """One sgd population with per-row rates, and per-row alpha and beta
+    so that every row has gradient constants of its own.  Row 4 diverges
+    on the step its budget of 1 ends and row 7 at step 2, where no budget
+    ends; at step 3 row 1, one of three rows with a budget of 5, diverges
+    while rows 0 and 6 reach their budgets.  Those three steps compact by
+    mask before rows 2 and 3 leave as a slice at step 5, so every kept
+    row must carry its own constants through both kinds of keep."""
+    # sgd rates that diverge at steps 3, 1 and 2 of the function's task.
+    third, first, second = rates
+    rows = [(3, 1e-3), (5, third), (5, 2e-3), (5, 1e-3), (1, first), (7, 1e-3), (3, 5e-3), (7, second)]
+    pairs = [
+        (TaskConfig(function, alpha=1.0 + i / 8, beta=beta + i, x0=x0, iterations=budget), _sgd(lr))
+        for i, (budget, lr) in enumerate(rows)
+    ]
     batch = run_batch(pairs, trajectories=True)
     assert batch.iterations_run.tolist() == [3, 2, 5, 5, 0, 7, 3, 1]
     assert batch.diverged.tolist() == [False, True, False, False, True, False, False, True]
@@ -640,6 +751,15 @@ DRAW_CASES = {
         alpha=Sampler(1.0, 1.0),
         beta=Sampler(20.0, 2.0),
         iterations=Sampler(1.0, 3.0),
+    ),
+    # beta is the last drawn field and redraws about half the time, so a
+    # redraw has no later draw to shift down.
+    "beta drawn last": EvalDistribution(
+        function="convex2d",
+        x0=(Sampler(50.0, 5.0), Sampler(50.0)),
+        alpha=Sampler(1.0, 1.0),
+        beta=Sampler(0.0, 1.0),
+        iterations=Sampler(20.0),
     ),
 }
 

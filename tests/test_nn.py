@@ -1,3 +1,4 @@
+import functools
 import math
 import warnings
 from dataclasses import replace
@@ -21,6 +22,7 @@ from optbench.nn import (
     train,
     train_population,
     _accuracies,
+    _backward,
     _log_softmax_columns,
     _losses,
     train_sampled_configs,
@@ -247,6 +249,33 @@ def test_head_columns_match_last_axis_reductions_bitwise(shape, seed):
         for log_probs in want_log_softmax.reshape(stacked.shape)
     ]
     assert _same_bits(entropies, want_entropies)
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 16])
+def test_backward_bias_gradient_sums_the_batch_in_a_pinned_order(width):
+    """_backward's bias gradient sums delta over the batch axis.  For a
+    layer of width 1 a unit's batch entries are contiguous and numpy sums
+    them pairwise, as a 1-D sum does; for widths of 2 and up it adds the
+    batch rows left to right.  A rewrite of the batch sum must keep these
+    orders to keep the bits.  Targets are random, not one-hot, so that a
+    width-1 delta is not all zeros."""
+    rng = np.random.default_rng(width)
+    differ = 0
+    for _ in range(100):
+        nets, batch, fan_in = (int(v) for v in rng.integers((1, 1, 1), (11, 400, 4)))
+        x = rng.normal(size=(nets, batch, fan_in))
+        logits = rng.normal(0.0, 3.0, size=(nets, batch, width))
+        targets = rng.uniform(size=(nets, batch, width))
+        grad_w, grad_b = [np.empty((nets, fan_in, width))], [np.empty((nets, 1, width))]
+        _backward([rng.normal(size=(nets, fan_in, width))], [x], logits, targets, "relu", grad_w, grad_b)
+        delta = (softmax(logits) - targets) / batch
+        sequential = functools.reduce(np.add, delta.swapaxes(0, 1))
+        pairwise = np.array([[delta[k, :, j].copy().sum() for j in range(width)] for k in range(nets)])
+        pinned, other = (pairwise, sequential) if width == 1 else (sequential, pairwise)
+        assert _same_bits(grad_b[0][:, 0], pinned)
+        differ += not _same_bits(pinned, other)
+    # The two orders give other bits for most shapes, so the test tells them apart.
+    assert differ > 50
 
 
 def test_make_dataset_determinism_and_split():
