@@ -9,13 +9,16 @@ optimizer state drives all tensors with any update rule from the optim
 module.  Same-shaped networks train together as an optim.Population: a
 (C, P) buffer of C flat vectors, stepped by stacked forward and backward
 passes and one optimizer call per minibatch.  A single model is the C = 1
-case.
+case.  The passes fill per-population workspaces in place (see
+_Workspace), so a minibatch allocates next to nothing.
 
 No reduction or broadcast runs along the class axis of the logits: the
-softmax head, the losses and the accuracies work on each class column as
-a whole (C, n) array, because numpy's inner loop over a row's two classes
-costs far more than their arithmetic.  The column forms give the same
-bits as numpy's last-axis max, sum and argmax.
+logits bias, the softmax head, the losses and the accuracies work on each
+class column as a whole (C, n) array, because numpy's inner loop over a
+row's two classes costs far more than their arithmetic.  The column forms
+give the same bits as numpy's last-axis max, sum and argmax.  The batch
+sums of the bias gradients still run along the batch axis, in the order
+numpy gives them (see _backward).
 """
 from __future__ import annotations
 
@@ -75,22 +78,16 @@ def _shifted(logits: np.ndarray) -> list[np.ndarray]:
     return [c - top for c in columns]
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis."""
-    e = [np.exp(s) for s in _shifted(logits)]
+def softmax(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Softmax over the last axis, written to out when given."""
+    e = _shifted(logits)
+    for column in e:
+        np.exp(column, out=column)
     total = functools.reduce(np.add, e)
-    out = np.empty(logits.shape)
+    out = np.empty(logits.shape) if out is None else out
     for k, column in enumerate(e):
         np.divide(column, total, out=out[..., k])
     return out
-
-
-def _log_softmax_columns(logits: np.ndarray) -> list[np.ndarray]:
-    """The log-softmax class columns, via log-sum-exp so that large logits
-    cannot overflow."""
-    shifted = _shifted(logits)
-    log_total = np.log(functools.reduce(np.add, [np.exp(s) for s in shifted]))
-    return [s - log_total for s in shifted]
 
 
 def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
@@ -112,14 +109,19 @@ def _losses(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """Mean cross-entropy of each network of (C, n, classes) logits;
     cross_entropy is the C = 1 case.
 
-    The labelled log-probabilities form one C-contiguous (C, n) array, so
-    each row's mean sums in the pairwise order of a 1-D mean over that
-    network's labelled log-probabilities alone."""
-    columns = _log_softmax_columns(logits)
-    picked = columns[0]
-    for k, column in enumerate(columns[1:], 1):
-        np.copyto(picked, column, where=labels == k)
-    return -picked.mean(axis=-1)
+    The labelled log-probabilities are the labelled shifted logits minus
+    the log-sum-exp, so that large logits cannot overflow.  They form one
+    C-contiguous (C, n) array, so each row's mean sums in the pairwise
+    order of a 1-D mean over that network's labelled log-probabilities
+    alone."""
+    shifted = _shifted(logits)
+    log_total = np.log(functools.reduce(np.add, [np.exp(s) for s in shifted]))
+    picked = shifted[0]
+    for k, column in enumerate(shifted[1:], 1):
+        picked = np.where(labels == k, column, picked)
+    picked -= log_total
+    # The bits of -picked.mean(axis=-1), without mean's wrapper.
+    return -(picked.sum(axis=-1) / labels.shape[-1])
 
 
 def _accuracies(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -128,19 +130,21 @@ def _accuracies(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
     predicted = np.zeros(best.shape, dtype=np.intp)
     for k in range(1, logits.shape[-1]):
         column = logits[..., k]
-        better = (column > best) | (np.isnan(column) & ~np.isnan(best))
-        predicted[better] = k
+        # Not better where best is NaN; better where only column is.
+        better = ~((column <= best) | np.isnan(best))
+        np.putmask(predicted, better, k)
         best = np.where(better, column, best)
-    return (predicted == labels).mean(axis=-1)
+    # An exact count over n: the bits of the bool mean.
+    return (predicted == labels).sum(axis=-1) / labels.shape[-1]
 
 
 # The stacked passes below run C networks at once.  Weights are
 # (C, n_in, n_out) and biases (C, 1, n_out); activations are (C, batch,
 # width).  Stacked matmul runs the same gemm on each network's slice as a
-# 2-D product, so every network gets the bits it would get alone.  Only
-# the head touches the class axis, through its column folds, and the
-# minibatch targets are one-hot rows so the backward pass subtracts them
-# instead of indexing by label.
+# 2-D product, so every network gets the bits it would get alone; writing
+# it through out= keeps those bits.  Only the head touches the class axis,
+# through its column folds, and the minibatch targets are one-hot rows so
+# the backward pass subtracts them instead of indexing by label.
 
 def param_count(layer_sizes: list[int]) -> int:
     """Weights and biases of a network with these layer sizes."""
@@ -161,23 +165,54 @@ def _views(buffer: np.ndarray, layer_sizes: list[int]) -> tuple[list[np.ndarray]
     return weights, biases
 
 
+class _Workspace:
+    """The (C, n, width) arrays that the stacked passes of C networks on n
+    samples fill in place: each layer's output (the last is the logits),
+    each layer's delta, and each hidden layer's activation slope."""
+
+    def __init__(self, layer_sizes: list[int], c: int, n: int):
+        widths = layer_sizes[1:]
+        self.outputs = [np.empty((c, n, w)) for w in widths]
+        self.deltas = [np.empty((c, n, w)) for w in widths]
+        self.slopes = [np.empty((c, n, w)) for w in widths[:-1]]
+
+
+class _Workspaces(dict):
+    """The _Workspace of each sample count, made on first use, for C
+    networks of these layer sizes."""
+
+    def __init__(self, layer_sizes: list[int], c: int):
+        super().__init__()
+        self.layer_sizes, self.c = layer_sizes, c
+
+    def __missing__(self, n: int) -> _Workspace:
+        self[n] = space = _Workspace(self.layer_sizes, self.c, n)
+        return space
+
+
 def _forward(
-    weights: list[np.ndarray], biases: list[np.ndarray], x: np.ndarray, activation: str
+    weights: list[np.ndarray], biases: list[np.ndarray], x: np.ndarray, activation: str, space: _Workspace
 ) -> tuple[list[np.ndarray], np.ndarray]:
     """(inputs, logits): the input of every layer and the output of the
     last, for a (C, batch, n_in) or shared (batch, n_in) input.  Each layer
-    fills one new array in place."""
+    fills its output array of the workspace."""
     a, inputs = x, []
     last = len(weights) - 1
-    for i, (w, b) in enumerate(zip(weights, biases)):
+    for i, (w, b, out) in enumerate(zip(weights, biases, space.outputs)):
         inputs.append(a)
-        a = a @ w
-        a += b
+        a = np.matmul(a, w, out=out)
         if i < last:
+            a += b
             if activation == "relu":
                 np.maximum(a, 0.0, out=a)
             else:
                 np.tanh(a, out=a)
+        else:
+            # One class column at a time: numpy's inner loop over a row's
+            # classes costs more than the adds (see the module docstring).
+            for k in range(a.shape[-1]):
+                column = a[..., k]
+                column += b[..., k]
     return inputs, a
 
 
@@ -193,22 +228,29 @@ def _backward(
     activation: str,
     grad_w: list[np.ndarray],
     grad_b: list[np.ndarray],
+    space: _Workspace,
 ) -> None:
     """Write the mean cross-entropy gradients of (C, batch, classes)
-    one-hot targets into the grad_w/grad_b views."""
-    delta = softmax(logits)
+    one-hot targets into the grad_w/grad_b views.  The deltas and slopes
+    are filled in the workspace; inputs and logits are only read."""
+    delta = softmax(logits, out=space.deltas[-1])
     delta -= targets
     delta /= targets.shape[1]
     for i in range(len(weights) - 1, -1, -1):
-        grad_w[i][...] = inputs[i].swapaxes(1, 2) @ delta
-        grad_b[i][...] = delta.sum(axis=1, keepdims=True)
+        np.matmul(inputs[i].swapaxes(1, 2), delta, out=grad_w[i])
+        # numpy adds the batch rows left to right for widths of 2 and up,
+        # and pairwise for width 1; tests pin both orders.
+        np.add.reduce(delta, axis=1, keepdims=True, out=grad_b[i])
         if i > 0:
-            da = delta @ weights[i].swapaxes(1, 2)
+            delta = np.matmul(delta, weights[i].swapaxes(1, 2), out=space.deltas[i - 1])
+            slope = space.slopes[i - 1]
             if activation == "relu":
                 # relu(z) > 0 exactly where z > 0, also for -0.0 and NaN.
-                delta = da * (inputs[i] > 0.0)
+                np.greater(inputs[i], 0.0, out=slope)
             else:
-                delta = da * (1.0 - inputs[i] ** 2)
+                np.square(inputs[i], out=slope)
+                np.subtract(1.0, slope, out=slope)
+            delta *= slope
 
 
 @dataclass
@@ -264,7 +306,8 @@ class MLP:
         a = np.asarray(x, dtype=float)
         if a.ndim != 2 or a.shape[1] != self.layer_sizes[0]:
             raise ValueError(f"expected (batch, {self.layer_sizes[0]}) input, got {a.shape}")
-        inputs, logits = _forward(*self._stacked, a[None], self.activation)
+        space = _Workspace(self.layer_sizes, 1, len(a))
+        inputs, logits = _forward(*self._stacked, a[None], self.activation, space)
         cache = ForwardCache(inputs=[v[0] for v in inputs], logits=logits[0], n_layers=len(self.weights))
         return cache.logits, cache
 
@@ -285,6 +328,7 @@ class MLP:
             self.activation,
             grad_w,
             grad_b,
+            _Workspace(self.layer_sizes, 1, n),
         )
         out = []
         for gw, gb in zip(grad_w, grad_b):
@@ -407,6 +451,20 @@ class TrainResult:
         return self.metrics[min(epoch, len(self.metrics)) - 1]
 
 
+def _evaluate(
+    weights: list[np.ndarray], biases: list[np.ndarray], activation: str, spaces: _Workspaces, train: tuple, val: tuple
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Train loss, train accuracy and validation accuracy of each network
+    on the (features, labels) of the train and validation splits.  The
+    train metrics are read before the validation pass, which reuses the
+    workspace when the splits are the same size."""
+    (x, y), (x_val, y_val) = train, val
+    logits = _forward(weights, biases, x, activation, spaces[len(y)])[1]
+    loss, accuracy = _losses(logits, y), _accuracies(logits, y)
+    val_logits = _forward(weights, biases, x_val, activation, spaces[len(y_val)])[1]
+    return loss, accuracy, _accuracies(val_logits, y_val)
+
+
 def train_population(
     models: list[MLP], dataset: SyntheticDataset, configs: list[TrainingConfig]
 ) -> list[TrainResult]:
@@ -432,11 +490,10 @@ def train_population(
         raise ValueError("config.optimizer must be set before training")
     if any(c.optimizer != spec or c.batch_size != batch_size for c in configs):
         raise ValueError("the configs of a population must share the optimizer and batch size")
-    x_train = dataset.features[dataset.train_idx]
-    y_train = dataset.labels[dataset.train_idx]
+    train = dataset.features[dataset.train_idx], dataset.labels[dataset.train_idx]
+    val = dataset.features[dataset.val_idx], dataset.labels[dataset.val_idx]
+    x_train, y_train = train
     targets = _one_hot(y_train, layer_sizes[-1])
-    x_val = dataset.features[dataset.val_idx]
-    y_val = dataset.labels[dataset.val_idx]
     n_train = len(y_train)
     final = np.stack([m.flat for m in models])  # each row's last committed parameters
     pop = Population(
@@ -454,16 +511,13 @@ def train_population(
     sign_flips = np.zeros(len(models), dtype=int)
     diverged = np.zeros(len(models), dtype=bool)
 
-    def evaluate(weights, biases) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Train loss, train accuracy and validation accuracy per row."""
-        logits = _forward(weights, biases, x_train, activation)[1]
-        val_logits = _forward(weights, biases, x_val, activation)[1]
-        return _losses(logits, y_train), _accuracies(logits, y_train), _accuracies(val_logits, y_val)
-
     def buffers():
-        """The gradient buffer and the layer views of theta and of it."""
+        """The gradient buffer, the layer views of theta and of it, the
+        workspaces and the epoch order block of the live rows."""
         grad = np.empty_like(pop.theta)
-        return (grad, *_views(pop.theta, layer_sizes), *_views(grad, layer_sizes))
+        spaces = _Workspaces(layer_sizes, len(grad))
+        order = np.empty((len(grad), n_train), dtype=np.intp)
+        return (grad, *_views(pop.theta, layer_sizes), *_views(grad, layer_sizes), spaces, order)
 
     def retire(stop: np.ndarray):
         """Record and drop the rows where stop is True; buffers() of the rest."""
@@ -472,22 +526,28 @@ def train_population(
         pop.keep(~stop)
         return buffers()
 
-    grad, weights, biases, grad_w, grad_b = buffers()
+    grad, weights, biases, grad_w, grad_b, spaces, order = buffers()
+    positions = np.arange(n_train)
     with np.errstate(over="ignore", invalid="ignore"):
         epoch = 0
         while pop.rows.size:
             epoch += 1
-            # One gather per epoch; each minibatch is a slice of it.
-            order = np.stack([rng.permutation(n_train) for rng in pop.rngs])
+            # Each row shuffles its own arange, the bits of permutation(n);
+            # one gather per epoch, and each minibatch is a slice of it.
+            order[...] = positions
+            for rng, row in zip(pop.rngs, order):
+                rng.shuffle(row)
             x_epoch, t_epoch = np.take(x_train, order, axis=0), np.take(targets, order, axis=0)
             for start in range(0, n_train, batch_size):
                 batch = slice(start, start + batch_size)
-                inputs, logits = _forward(weights, biases, x_epoch[:, batch], activation)
-                _backward(weights, inputs, logits, t_epoch[:, batch], activation, grad_w, grad_b)
+                x, t = x_epoch[:, batch], t_epoch[:, batch]
+                space = spaces[x.shape[1]]
+                inputs, logits = _forward(weights, biases, x, activation, space)
+                _backward(weights, inputs, logits, t, activation, grad_w, grad_b, space)
                 new_theta, ok = pop.step(grad)
                 if ok is not None and not ok.all():
                     diverged[pop.rows[~ok]] = True
-                    grad, weights, biases, grad_w, grad_b = retire(~ok)
+                    grad, weights, biases, grad_w, grad_b, spaces, order = retire(~ok)
                     if pop.rows.size == 0:
                         break
                     new_theta, x_epoch, t_epoch = new_theta[ok], x_epoch[ok], t_epoch[ok]
@@ -495,7 +555,7 @@ def train_population(
                 pop.flips += (pop.theta * pop.watch <= 0.0).sum(axis=1)
             if pop.rows.size == 0:
                 break
-            train_loss, train_acc, val_acc = evaluate(weights, biases)
+            train_loss, train_acc, val_acc = _evaluate(weights, biases, activation, spaces, train, val)
             bad = ~np.isfinite(train_loss)
             for row, loss, t_acc, v_acc, b in zip(
                 pop.rows.tolist(), train_loss.tolist(), train_acc.tolist(), val_acc.tolist(), bad
@@ -505,12 +565,14 @@ def train_population(
             diverged[pop.rows[bad]] = True
             stop = bad | (pop.epochs == epoch)
             if stop.any():
-                grad, weights, biases, grad_w, grad_b = retire(stop)
+                grad, weights, biases, grad_w, grad_b, spaces, order = retire(stop)
         # A run that diverged before finishing its first epoch records the
         # model as of its last committed step.
         unfinished = [i for i, m in enumerate(metrics) if not m]
         if unfinished:
-            train_loss, train_acc, val_acc = evaluate(*_views(final[unfinished], layer_sizes))
+            spaces = _Workspaces(layer_sizes, len(unfinished))
+            views = _views(final[unfinished], layer_sizes)
+            train_loss, train_acc, val_acc = _evaluate(*views, activation, spaces, train, val)
             for i, loss, t_acc, v_acc in zip(
                 unfinished, train_loss.tolist(), train_acc.tolist(), val_acc.tolist()
             ):

@@ -421,7 +421,9 @@ def apply_update(rule: UpdateRule, theta: np.ndarray, m: np.ndarray, l: np.ndarr
     (and, for a hybrid rule, blend) works, which lets a population pass
     per-row rates as blocks of theta's (N, dim) shape (see RateColumns).
     """
-    ml = m * l
+    # The identity adaptive rate is the scalar 1.0 and m * 1.0 == m, so ml
+    # may be m itself (the caller's gradient): no rule writes into ml.
+    ml = m if isinstance(l, float) and l == 1.0 else m * l
     if rule.kind == "additive":
         return _additive(ml, rule.lr)
     if rule.kind == "multiplicative":

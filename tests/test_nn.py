@@ -5,9 +5,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from optbench.nn import (
+    ACTIVATIONS,
     BIAS_INIT,
     MLP,
     EpochMetrics,
@@ -22,13 +24,17 @@ from optbench.nn import (
     train,
     train_population,
     _accuracies,
+    _Workspace,
     _backward,
-    _log_softmax_columns,
+    _views,
+    param_count,
     _losses,
     train_sampled_configs,
     xavier_init,
 )
 from optbench.optim import (
+    FAMILIES,
+    UPDATE_KINDS,
     DivergenceError,
     NonFiniteGradientError,
     UpdateRule,
@@ -234,7 +240,11 @@ def test_head_columns_match_last_axis_reductions_bitwise(shape, seed):
         e = np.exp(shifted)
         want_softmax = e / e.sum(axis=-1, keepdims=True)
         want_log_softmax = shifted - np.log(e.sum(axis=-1, keepdims=True))
-        got_softmax, got_log_softmax = softmax(logits), np.stack(_log_softmax_columns(logits), -1)
+        got_softmax = softmax(logits)
+        # A network of one sample has the negated log-probability of its
+        # label as its loss, so these are the log-softmax class columns.
+        one_each = logits.reshape(-1, 1, 2)
+        got_log_softmax = np.stack([-_losses(one_each, np.array([k])) for k in (0, 1)], -1).reshape(shape)
         accuracies = _accuracies(logits, labels)
         stacked = logits.reshape(-1, *shape[-2:])
         losses = _losses(stacked, labels)
@@ -257,22 +267,31 @@ def test_backward_bias_gradient_sums_the_batch_in_a_pinned_order(width):
     layer of width 1 a unit's batch entries are contiguous and numpy sums
     them pairwise, as a 1-D sum does; for widths of 2 and up it adds the
     batch rows left to right.  A rewrite of the batch sum must keep these
-    orders to keep the bits.  Targets are random, not one-hot, so that a
-    width-1 delta is not all zeros."""
+    orders to keep the bits.  The gradients are written both to arrays of
+    their own and, as train_population writes them, to the views of one
+    NaN-filled (C, P) buffer, which must hold no NaN after.  Targets are
+    random, not one-hot, so that a width-1 delta is not all zeros."""
     rng = np.random.default_rng(width)
     differ = 0
     for _ in range(100):
         nets, batch, fan_in = (int(v) for v in rng.integers((1, 1, 1), (11, 400, 4)))
+        sizes = [fan_in, width]
         x = rng.normal(size=(nets, batch, fan_in))
         logits = rng.normal(0.0, 3.0, size=(nets, batch, width))
         targets = rng.uniform(size=(nets, batch, width))
-        grad_w, grad_b = [np.empty((nets, fan_in, width))], [np.empty((nets, 1, width))]
-        _backward([rng.normal(size=(nets, fan_in, width))], [x], logits, targets, "relu", grad_w, grad_b)
+        w = rng.normal(size=(nets, fan_in, width))
+        own = [np.empty((nets, fan_in, width))], [np.empty((nets, 1, width))]
+        buffer = np.full((nets, param_count(sizes)), np.nan)
+        for grad_w, grad_b in (own, _views(buffer, sizes)):
+            _backward([w], [x], logits, targets, "relu", grad_w, grad_b, _Workspace(sizes, nets, batch))
+        assert not np.isnan(buffer).any()
         delta = (softmax(logits) - targets) / batch
         sequential = functools.reduce(np.add, delta.swapaxes(0, 1))
         pairwise = np.array([[delta[k, :, j].copy().sum() for j in range(width)] for k in range(nets)])
         pinned, other = (pairwise, sequential) if width == 1 else (sequential, pairwise)
-        assert _same_bits(grad_b[0][:, 0], pinned)
+        assert _same_bits(own[1][0][:, 0], pinned)
+        assert _same_bits(_views(buffer, sizes)[1][0][:, 0], pinned)
+        assert _same_bits(_views(buffer, sizes)[0][0], own[0][0])
         differ += not _same_bits(pinned, other)
     # The two orders give other bits for most shapes, so the test tells them apart.
     assert differ > 50
@@ -627,6 +646,82 @@ def test_population_matches_reference_when_runs_diverge(kind, lr):
     configs = _configs(spec, 16, epochs=(4, 4, 3, 5), gains=(1.0, 1e3, 1e154, 1e156))
     results = _check_against_reference(ProtocolSettings(dataset_n=120), configs)
     assert any(r.diverged for r in results)
+
+
+@st.composite
+def _drawn_population(draw):
+    """Protocol settings, a batch size and one to four (gain, epochs,
+    seed) draws.  Hidden widths include 1, whose batch sum is pairwise;
+    the batch size is 1, leaves a short last minibatch, or covers the
+    whole train split; gains of 2e154 and up overflow."""
+    protocol = ProtocolSettings(
+        dataset_n=draw(st.integers(8, 30)),
+        dataset_seed=draw(st.integers(0, 3)),
+        hidden=tuple(draw(st.lists(st.integers(1, 5), min_size=1, max_size=2))),
+        activation=draw(st.sampled_from(ACTIVATIONS)),
+    )
+    n_train = len(make_dataset(protocol.dataset_n, protocol.dataset_noise, protocol.dataset_seed).train_idx)
+    batch_size = draw(
+        st.one_of(
+            st.just(1),
+            st.sampled_from([b for b in range(2, n_train) if n_train % b]),
+            st.integers(n_train, n_train + 5),
+        )
+    )
+    runs = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from([0.3, 1.0, 2.5, 6.0, 2e154, 1e156]),
+                st.integers(1, 3),
+                st.integers(0, 2**31 - 1),
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    return protocol, batch_size, runs
+
+
+# No shrink phase: a failing population is reported as drawn.
+@pytest.mark.parametrize("family,kind", [(f, k) for f in FAMILIES for k in UPDATE_KINDS])
+@settings(max_examples=8, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
+@given(population=_drawn_population(), scale=st.sampled_from([1.0, 1e10, 1e300]))
+def test_population_rows_equal_the_per_tensor_reference_on_drawn_runs(family, kind, population, scale):
+    """Every row of a drawn population equals its solo run and the
+    reference's run bit for bit: its metrics and its final parameters.
+    scale multiplies the rule's lr and lr_inner, so that some steps
+    overflow.  adam, which has no calibrated multiplicative or hybrid
+    rates, takes rmsprop's."""
+    protocol, batch_size, runs = population
+    rule = default_update_rule("rmsprop" if family == "adam" and kind != "additive" else family, kind)
+    scaled = [name for name in ("lr", "lr_inner") if name in rule.FIELDS[kind]]
+    rule = replace(rule, **{name: getattr(rule, name) * scale for name in scaled})
+    spec = make_spec(family, rule)
+    configs = [
+        TrainingConfig(gain=gain, epochs=epochs, batch_size=batch_size, seed=seed, optimizer=spec)
+        for gain, epochs, seed in runs
+    ]
+    dataset, sizes, models, results = _population(protocol, configs)
+    for model, config, result in zip(models, configs, results):
+        solo = MLP(sizes, protocol.activation, config.gain, np.random.default_rng(config.seed))
+        _assert_same_bits(result, train(solo, dataset, config))
+        assert model.flat.tobytes() == solo.flat.tobytes()
+        want, parameters = _reference_train(sizes, protocol.activation, dataset, config)
+        if want.metrics[0].epoch == 0:
+            # The run diverged in its first epoch, and the reference records
+            # parameters that a rejected step may have partly updated (see
+            # test_a_rejected_step_leaves_no_tensor_updated); the solo run
+            # above checks that record.
+            want = replace(want, metrics=result.metrics)
+        _assert_same_bits(result, want)
+        if not want.diverged:
+            assert model.flat.tobytes() == parameters.tobytes()
+
+
+def _assert_same_bits(got, want):
+    _assert_same_run(got, want)
+    values = [[(m.train_accuracy, m.val_accuracy, m.train_loss) for m in r.metrics] for r in (got, want)]
+    assert _same_bits(*values)
 
 
 # ------------------------------------------ row independence and divergence

@@ -90,6 +90,13 @@ def test_population_rows_match_single_points_bitwise(factory):
 def test_rosenbrock_gradient_squares_like_a_scalar():
     # x ** 2 on an array multiplies, a numpy scalar ** 2 calls pow(); the
     # two differ in the last bit for some x, and the gradient follows pow().
+    # At this x0 they differ, and with beta = 0.5 and x1 = 0 the second
+    # gradient entry is -pow(x0, 2.0) exactly, for a point and for rows.
+    x0 = -1.4394943995478604
+    assert math.pow(x0, 2.0) == 2.0721441263296554 != x0 * x0 == 2.072144126329655
+    pinned = rosenbrock(alpha=1.0, beta=0.5)
+    assert pinned.gradient(np.array([x0, 0.0]))[1] == -2.0721441263296554
+    assert (pinned.gradient(np.array([[x0, 0.0]] * 3))[:, 1] == -2.0721441263296554).all()
     rng = np.random.default_rng(8)
     obj = rosenbrock(alpha=1.0, beta=60.0)
     for x in rng.normal(0.0, 3.0, (20_000, 2)):
