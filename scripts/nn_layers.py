@@ -13,14 +13,13 @@ microseconds per call:
   evaluate    one epoch's evaluation: the train loss, train accuracy and
               validation accuracy of all ten networks.
 
-Each figure is the least mean of --repeat timeit runs of --number calls.
+Each figure is the least mean of REPEAT timeit runs of NUMBER calls.
 The first line records nproc, Python and numpy.
 
-Usage: python3 scripts/nn_layers.py [--number N] [--repeat R]
+Usage: python3 scripts/nn_layers.py
 """
 from __future__ import annotations
 
-import argparse
 import os
 import platform
 import sys
@@ -31,6 +30,9 @@ import numpy as np
 
 from optbench import nn
 from optbench.optim import Population, default_update_rule, make_spec
+
+NUMBER = 2000  # calls per timeit run
+REPEAT = 7  # timeit runs per layer
 
 
 def layer_calls() -> dict:
@@ -52,31 +54,25 @@ def layer_calls() -> dict:
     order = np.stack([np.random.default_rng(c.seed).permutation(len(train[1])) for c in configs])
     batch = order[:, : settings.batch_size]
     x, targets = train[0][batch], nn._one_hot(train[1], sizes[-1])[batch]
-    spaces = nn._Workspaces(sizes, len(configs))
-    space = spaces[settings.batch_size]
-    inputs, logits = nn._forward(weights, biases, x, settings.activation, space)
+    inputs, logits = nn._forward(weights, biases, x, settings.activation)
 
     def backward():
-        nn._backward(weights, inputs, logits, targets, settings.activation, grad_w, grad_b, space)
+        nn._backward(weights, inputs, logits, targets, settings.activation, grad_w, grad_b)
 
     backward()  # the step is timed on this minibatch's gradient
     return {
-        "forward": lambda: nn._forward(weights, biases, x, settings.activation, space),
+        "forward": lambda: nn._forward(weights, biases, x, settings.activation),
         "backward": backward,
         "step": lambda: pop.step(grad),
-        "evaluate": lambda: nn._evaluate(weights, biases, settings.activation, spaces, train, val),
+        "evaluate": lambda: nn._evaluate(weights, biases, settings.activation, train, val),
     }
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--number", type=int, default=2000, help="calls per timeit run")
-    parser.add_argument("--repeat", type=int, default=7, help="timeit runs per layer")
-    args = parser.parse_args(argv)
+def main() -> int:
     print(f"nproc {os.cpu_count()}, Python {platform.python_version()}, numpy {np.__version__}")
     with np.errstate(over="ignore", invalid="ignore"):
         for name, call in layer_calls().items():
-            best = min(timeit.repeat(call, number=args.number, repeat=args.repeat)) / args.number
+            best = min(timeit.repeat(call, number=NUMBER, repeat=REPEAT)) / NUMBER
             print(f"{name:10s} {best * 1e6:8.2f} us")
     return 0
 

@@ -9,8 +9,7 @@ optimizer state drives all tensors with any update rule from the optim
 module.  Same-shaped networks train together as an optim.Population: a
 (C, P) buffer of C flat vectors, stepped by stacked forward and backward
 passes and one optimizer call per minibatch.  A single model is the C = 1
-case.  The passes fill per-population workspaces in place (see
-_Workspace), so a minibatch allocates next to nothing.
+case.
 
 No reduction or broadcast runs along the class axis of the logits: the
 logits bias, the softmax head, the losses and the accuracies work on each
@@ -78,13 +77,13 @@ def _shifted(logits: np.ndarray) -> list[np.ndarray]:
     return [c - top for c in columns]
 
 
-def softmax(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Softmax over the last axis, written to out when given."""
+def softmax(logits: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis."""
     e = _shifted(logits)
     for column in e:
         np.exp(column, out=column)
     total = functools.reduce(np.add, e)
-    out = np.empty(logits.shape) if out is None else out
+    out = np.empty(logits.shape)
     for k, column in enumerate(e):
         np.divide(column, total, out=out[..., k])
     return out
@@ -165,42 +164,17 @@ def _views(buffer: np.ndarray, layer_sizes: list[int]) -> tuple[list[np.ndarray]
     return weights, biases
 
 
-class _Workspace:
-    """The (C, n, width) arrays that the stacked passes of C networks on n
-    samples fill in place: each layer's output (the last is the logits),
-    each layer's delta, and each hidden layer's activation slope."""
-
-    def __init__(self, layer_sizes: list[int], c: int, n: int):
-        widths = layer_sizes[1:]
-        self.outputs = [np.empty((c, n, w)) for w in widths]
-        self.deltas = [np.empty((c, n, w)) for w in widths]
-        self.slopes = [np.empty((c, n, w)) for w in widths[:-1]]
-
-
-class _Workspaces(dict):
-    """The _Workspace of each sample count, made on first use, for C
-    networks of these layer sizes."""
-
-    def __init__(self, layer_sizes: list[int], c: int):
-        super().__init__()
-        self.layer_sizes, self.c = layer_sizes, c
-
-    def __missing__(self, n: int) -> _Workspace:
-        self[n] = space = _Workspace(self.layer_sizes, self.c, n)
-        return space
-
-
 def _forward(
-    weights: list[np.ndarray], biases: list[np.ndarray], x: np.ndarray, activation: str, space: _Workspace
+    weights: list[np.ndarray], biases: list[np.ndarray], x: np.ndarray, activation: str
 ) -> tuple[list[np.ndarray], np.ndarray]:
     """(inputs, logits): the input of every layer and the output of the
     last, for a (C, batch, n_in) or shared (batch, n_in) input.  Each layer
-    fills its output array of the workspace."""
+    fills one new array in place."""
     a, inputs = x, []
     last = len(weights) - 1
-    for i, (w, b, out) in enumerate(zip(weights, biases, space.outputs)):
+    for i, (w, b) in enumerate(zip(weights, biases)):
         inputs.append(a)
-        a = np.matmul(a, w, out=out)
+        a = a @ w
         if i < last:
             a += b
             if activation == "relu":
@@ -228,12 +202,11 @@ def _backward(
     activation: str,
     grad_w: list[np.ndarray],
     grad_b: list[np.ndarray],
-    space: _Workspace,
 ) -> None:
     """Write the mean cross-entropy gradients of (C, batch, classes)
-    one-hot targets into the grad_w/grad_b views.  The deltas and slopes
-    are filled in the workspace; inputs and logits are only read."""
-    delta = softmax(logits, out=space.deltas[-1])
+    one-hot targets into the grad_w/grad_b views; inputs and logits are
+    only read."""
+    delta = softmax(logits)
     delta -= targets
     delta /= targets.shape[1]
     for i in range(len(weights) - 1, -1, -1):
@@ -242,15 +215,12 @@ def _backward(
         # and pairwise for width 1; tests pin both orders.
         np.add.reduce(delta, axis=1, keepdims=True, out=grad_b[i])
         if i > 0:
-            delta = np.matmul(delta, weights[i].swapaxes(1, 2), out=space.deltas[i - 1])
-            slope = space.slopes[i - 1]
+            delta = delta @ weights[i].swapaxes(1, 2)
             if activation == "relu":
                 # relu(z) > 0 exactly where z > 0, also for -0.0 and NaN.
-                np.greater(inputs[i], 0.0, out=slope)
+                delta *= inputs[i] > 0.0
             else:
-                np.square(inputs[i], out=slope)
-                np.subtract(1.0, slope, out=slope)
-            delta *= slope
+                delta *= 1.0 - inputs[i] ** 2
 
 
 @dataclass
@@ -306,8 +276,7 @@ class MLP:
         a = np.asarray(x, dtype=float)
         if a.ndim != 2 or a.shape[1] != self.layer_sizes[0]:
             raise ValueError(f"expected (batch, {self.layer_sizes[0]}) input, got {a.shape}")
-        space = _Workspace(self.layer_sizes, 1, len(a))
-        inputs, logits = _forward(*self._stacked, a[None], self.activation, space)
+        inputs, logits = _forward(*self._stacked, a[None], self.activation)
         cache = ForwardCache(inputs=[v[0] for v in inputs], logits=logits[0], n_layers=len(self.weights))
         return cache.logits, cache
 
@@ -328,7 +297,6 @@ class MLP:
             self.activation,
             grad_w,
             grad_b,
-            _Workspace(self.layer_sizes, 1, n),
         )
         out = []
         for gw, gb in zip(grad_w, grad_b):
@@ -452,17 +420,14 @@ class TrainResult:
 
 
 def _evaluate(
-    weights: list[np.ndarray], biases: list[np.ndarray], activation: str, spaces: _Workspaces, train: tuple, val: tuple
+    weights: list[np.ndarray], biases: list[np.ndarray], activation: str, train: tuple, val: tuple
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Train loss, train accuracy and validation accuracy of each network
-    on the (features, labels) of the train and validation splits.  The
-    train metrics are read before the validation pass, which reuses the
-    workspace when the splits are the same size."""
+    on the (features, labels) of the train and validation splits."""
     (x, y), (x_val, y_val) = train, val
-    logits = _forward(weights, biases, x, activation, spaces[len(y)])[1]
-    loss, accuracy = _losses(logits, y), _accuracies(logits, y)
-    val_logits = _forward(weights, biases, x_val, activation, spaces[len(y_val)])[1]
-    return loss, accuracy, _accuracies(val_logits, y_val)
+    logits = _forward(weights, biases, x, activation)[1]
+    val_logits = _forward(weights, biases, x_val, activation)[1]
+    return _losses(logits, y), _accuracies(logits, y), _accuracies(val_logits, y_val)
 
 
 def train_population(
@@ -512,12 +477,11 @@ def train_population(
     diverged = np.zeros(len(models), dtype=bool)
 
     def buffers():
-        """The gradient buffer, the layer views of theta and of it, the
-        workspaces and the epoch order block of the live rows."""
+        """The gradient buffer, the layer views of theta and of it, and
+        the epoch order block of the live rows."""
         grad = np.empty_like(pop.theta)
-        spaces = _Workspaces(layer_sizes, len(grad))
         order = np.empty((len(grad), n_train), dtype=np.intp)
-        return (grad, *_views(pop.theta, layer_sizes), *_views(grad, layer_sizes), spaces, order)
+        return (grad, *_views(pop.theta, layer_sizes), *_views(grad, layer_sizes), order)
 
     def retire(stop: np.ndarray):
         """Record and drop the rows where stop is True; buffers() of the rest."""
@@ -526,7 +490,7 @@ def train_population(
         pop.keep(~stop)
         return buffers()
 
-    grad, weights, biases, grad_w, grad_b, spaces, order = buffers()
+    grad, weights, biases, grad_w, grad_b, order = buffers()
     positions = np.arange(n_train)
     with np.errstate(over="ignore", invalid="ignore"):
         epoch = 0
@@ -540,14 +504,12 @@ def train_population(
             x_epoch, t_epoch = np.take(x_train, order, axis=0), np.take(targets, order, axis=0)
             for start in range(0, n_train, batch_size):
                 batch = slice(start, start + batch_size)
-                x, t = x_epoch[:, batch], t_epoch[:, batch]
-                space = spaces[x.shape[1]]
-                inputs, logits = _forward(weights, biases, x, activation, space)
-                _backward(weights, inputs, logits, t, activation, grad_w, grad_b, space)
+                inputs, logits = _forward(weights, biases, x_epoch[:, batch], activation)
+                _backward(weights, inputs, logits, t_epoch[:, batch], activation, grad_w, grad_b)
                 new_theta, ok = pop.step(grad)
                 if ok is not None and not ok.all():
                     diverged[pop.rows[~ok]] = True
-                    grad, weights, biases, grad_w, grad_b, spaces, order = retire(~ok)
+                    grad, weights, biases, grad_w, grad_b, order = retire(~ok)
                     if pop.rows.size == 0:
                         break
                     new_theta, x_epoch, t_epoch = new_theta[ok], x_epoch[ok], t_epoch[ok]
@@ -555,7 +517,7 @@ def train_population(
                 pop.flips += (pop.theta * pop.watch <= 0.0).sum(axis=1)
             if pop.rows.size == 0:
                 break
-            train_loss, train_acc, val_acc = _evaluate(weights, biases, activation, spaces, train, val)
+            train_loss, train_acc, val_acc = _evaluate(weights, biases, activation, train, val)
             bad = ~np.isfinite(train_loss)
             for row, loss, t_acc, v_acc, b in zip(
                 pop.rows.tolist(), train_loss.tolist(), train_acc.tolist(), val_acc.tolist(), bad
@@ -565,14 +527,13 @@ def train_population(
             diverged[pop.rows[bad]] = True
             stop = bad | (pop.epochs == epoch)
             if stop.any():
-                grad, weights, biases, grad_w, grad_b, spaces, order = retire(stop)
+                grad, weights, biases, grad_w, grad_b, order = retire(stop)
         # A run that diverged before finishing its first epoch records the
         # model as of its last committed step.
         unfinished = [i for i, m in enumerate(metrics) if not m]
         if unfinished:
-            spaces = _Workspaces(layer_sizes, len(unfinished))
             views = _views(final[unfinished], layer_sizes)
-            train_loss, train_acc, val_acc = _evaluate(*views, activation, spaces, train, val)
+            train_loss, train_acc, val_acc = _evaluate(*views, activation, train, val)
             for i, loss, t_acc, v_acc in zip(
                 unfinished, train_loss.tolist(), train_acc.tolist(), val_acc.tolist()
             ):

@@ -24,7 +24,6 @@ from optbench.nn import (
     train,
     train_population,
     _accuracies,
-    _Workspace,
     _backward,
     _views,
     param_count,
@@ -283,7 +282,7 @@ def test_backward_bias_gradient_sums_the_batch_in_a_pinned_order(width):
         own = [np.empty((nets, fan_in, width))], [np.empty((nets, 1, width))]
         buffer = np.full((nets, param_count(sizes)), np.nan)
         for grad_w, grad_b in (own, _views(buffer, sizes)):
-            _backward([w], [x], logits, targets, "relu", grad_w, grad_b, _Workspace(sizes, nets, batch))
+            _backward([w], [x], logits, targets, "relu", grad_w, grad_b)
         assert not np.isnan(buffer).any()
         delta = (softmax(logits) - targets) / batch
         sequential = functools.reduce(np.add, delta.swapaxes(0, 1))
