@@ -323,16 +323,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _, plan = load_plan(args.config, expected_command=args.command)
         check_work(plan)
-    except (ConfigError, InvalidConfigError, InvalidGridError, InvalidRateError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    if args.parallelism < 1:
-        print("error: --parallelism must be >= 1", file=sys.stderr)
-        return EXIT_CONFIG
-    if args.seed < 0:
-        print("error: --seed must be >= 0", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
+        if args.parallelism < 1:
+            raise ConfigError("", "--parallelism must be >= 1")
+        if args.seed < 0:
+            raise ConfigError("", "--seed must be >= 0")
         return _COMMANDS[args.command][0](plan, _resolve_out(args), args.seed, args.overwrite)
     except (ConfigError, InvalidConfigError, InvalidGridError, InvalidRateError) as exc:
         print(f"error: {exc}", file=sys.stderr)

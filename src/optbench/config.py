@@ -36,7 +36,7 @@ from functools import partial
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-from .harness import MAX_ITERATIONS, EvalDistribution, Sampler
+from .harness import MAX_ITERATIONS, MAX_TRIALS, EvalDistribution, Sampler
 from .nn import ACTIVATIONS, MIN_BATCH_SIZE, MIN_NOISE, MIN_SAMPLES, ProtocolSettings, param_count
 from .objectives import FUNCTIONS, TaskConfig
 from .optim import (
@@ -54,10 +54,6 @@ from .tuning import RATE_AXES, GridSpec, RateGrids, build_grid, check_axis, defa
 
 SCHEMA_VERSION = 1
 COMMANDS = ("tune", "trial", "robustness", "scan", "train-toy")
-
-# The most trials one command runs as a population: robustness draws, tune
-# grid points, and scan start points (grid_size squared).
-MAX_TRIALS = 100_000
 
 # The most work one run may do, a bound on the product of fields that the
 # tables bound one by one; check_work applies it to a loaded plan.  Tune,
@@ -315,11 +311,7 @@ def parse_optimizer_spec(d, path: str, base_dir: Path | None = None) -> Optimize
 # -------------------------------------------------------------------- grids
 
 def _grid(**fields) -> tuple[float, ...]:
-    spec = GridSpec(**fields)
-    # Count the points before making them.
-    if math.log10(spec.hi) - math.log10(spec.lo) > (MAX_TRIALS - 1) * spec.log10_step:
-        raise ValueError(f"grid holds more than MAX_TRIALS = {MAX_TRIALS} points")
-    return tuple(build_grid(spec))
+    return tuple(build_grid(GridSpec(**fields)))
 
 
 _GRID_SPEC = Table(

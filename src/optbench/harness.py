@@ -36,6 +36,10 @@ from .optim import (
 # proportion to it, and a single trial keeps a trajectory of that length.
 MAX_ITERATIONS = 100_000
 
+# The most trials one command runs as a population: robustness draws, tune
+# grid points, and scan start points (grid_size squared).
+MAX_TRIALS = 100_000
+
 
 @dataclass
 class TrialRecord:
@@ -83,26 +87,18 @@ def _run_population(tasks: TaskColumns, spec: OptimizerSpec, rows: np.ndarray, o
     that stop are dropped from the population.  The objective is built
     once: its per-row gradient constants and minimizer are population
     columns, so they leave with their rows and the rest never need
-    rebuilding.  The rows run longest budget first, so the rows whose
-    budgets end on a step are the population's tail and leave as a
+    rebuilding.  The population orders its rows longest budget first, so
+    the rows whose budgets end on a step are its tail and leave as a
     slice, which keeps the rest as views; rows that diverge leave by a
     mask, which keeps the order.  Distances are computed only where they
     are written: at the start, for rows that finish, for trajectories,
     and on a step that fails Population.step's finiteness test.
     """
-    order = np.argsort(-tasks.iterations, kind="stable")
-    if isinstance(spec.update, RateColumns):
-        spec = OptimizerSpec(spec.momentum, spec.adaptive, spec.update.take(order))
-    objective = population_objective(tasks.function, tasks.alpha[order], tasks.beta[order])
+    gradient, constants, minimizer = population_objective(tasks.function, tasks.alpha, tasks.beta)
     pop = Population(
-        spec,
-        tasks.x0[order],
-        rows=rows[order],
-        budget=tasks.iterations[order],
-        constants=objective.gradient.args,
-        minimizer=np.stack(objective.minimum, axis=-1),
+        spec, tasks.x0, rows=rows, budget=tasks.iterations, constants=constants, minimizer=minimizer
     )
-    gradient = objective.gradient.func
+    pop.keep(np.argsort(-tasks.iterations, kind="stable"))
     stop = pop.budget[-1]
     trajectories = out.trajectories
     d = point_distance(pop.theta, pop.minimizer)

@@ -11,13 +11,13 @@ module.  Same-shaped networks train together as an optim.Population: a
 passes and one optimizer call per minibatch.  A single model is the C = 1
 case.
 
-No reduction or broadcast runs along the class axis of the logits: the
-logits bias, the softmax head, the losses and the accuracies work on each
-class column as a whole (C, n) array, because numpy's inner loop over a
-row's two classes costs far more than their arithmetic.  The column forms
-give the same bits as numpy's last-axis max, sum and argmax.  The batch
-sums of the bias gradients still run along the batch axis, in the order
-numpy gives them (see _backward).
+No reduction runs along the class axis of the logits: the softmax head,
+the losses and the accuracies work on each class column as a whole
+(C, n) array, because numpy's inner loop over a row's two classes costs
+far more than their arithmetic.  The column forms give the same bits as
+numpy's last-axis max, sum and argmax.  The logits bias is one broadcast
+add, as every layer's is, and the batch sums of the bias gradients run
+along the batch axis, in the order numpy gives them (see _backward).
 """
 from __future__ import annotations
 
@@ -89,10 +89,10 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return out
 
 
-def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
-    """Mean softmax cross-entropy of (n, classes) logits against n labels,
-    each a class index in [0, classes); other labels raise ValueError."""
-    # _losses tests labels == k, which for a list is a plain False.
+def _class_labels(logits: np.ndarray, labels) -> np.ndarray:
+    """labels as integer class indices, once they fit the (n, classes)
+    logits: one label per row, each a class index in [0, classes), which
+    an integral float also is; other labels raise ValueError."""
     labels = np.asarray(labels)
     n, classes = logits.shape
     if labels.shape != (n,):
@@ -101,7 +101,13 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
     if not known.all():
         bad = labels[np.argmin(known)].item()
         raise ValueError(f"labels must be class indices in [0, {classes}), got {bad!r}")
-    return float(_losses(logits[None], labels)[0])
+    return labels.astype(np.intp)
+
+
+def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
+    """Mean softmax cross-entropy of (n, classes) logits against n labels,
+    each a class index in [0, classes); other labels raise ValueError."""
+    return float(_losses(logits[None], _class_labels(logits, labels))[0])
 
 
 def _losses(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -141,9 +147,9 @@ def _accuracies(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
 # (C, n_in, n_out) and biases (C, 1, n_out); activations are (C, batch,
 # width).  Stacked matmul runs the same gemm on each network's slice as a
 # 2-D product, so every network gets the bits it would get alone; writing
-# it through out= keeps those bits.  Only the head touches the class axis,
-# through its column folds, and the minibatch targets are one-hot rows so
-# the backward pass subtracts them instead of indexing by label.
+# it through out= keeps those bits.  Only the head reduces over the class
+# axis, through its column folds, and the minibatch targets are one-hot
+# rows so the backward pass subtracts them instead of indexing by label.
 
 def param_count(layer_sizes: list[int]) -> int:
     """Weights and biases of a network with these layer sizes."""
@@ -175,18 +181,12 @@ def _forward(
     for i, (w, b) in enumerate(zip(weights, biases)):
         inputs.append(a)
         a = a @ w
+        a += b
         if i < last:
-            a += b
             if activation == "relu":
                 np.maximum(a, 0.0, out=a)
             else:
                 np.tanh(a, out=a)
-        else:
-            # One class column at a time: numpy's inner loop over a row's
-            # classes costs more than the adds (see the module docstring).
-            for k in range(a.shape[-1]):
-                column = a[..., k]
-                column += b[..., k]
     return inputs, a
 
 
@@ -221,16 +221,6 @@ def _backward(
                 delta *= inputs[i] > 0.0
             else:
                 delta *= 1.0 - inputs[i] ** 2
-
-
-@dataclass
-class ForwardCache:
-    """What the backward pass needs of a forward pass: the input of every
-    layer and the logits."""
-
-    inputs: list[np.ndarray]  # input to each layer (inputs[0] is the batch)
-    logits: np.ndarray
-    n_layers: int
 
 
 class MLP:
@@ -271,33 +261,25 @@ class MLP:
             out.append(b)
         return out
 
-    def forward(self, x: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
-        """Return (logits, cache) for a (batch, n_in) input."""
+    def forward(self, x: np.ndarray) -> tuple[np.ndarray, tuple]:
+        """Return (logits, cache) for a (batch, n_in) input.  The cache is
+        the stacked pass's (inputs, logits) of this one network, which
+        backward takes as it is."""
         a = np.asarray(x, dtype=float)
         if a.ndim != 2 or a.shape[1] != self.layer_sizes[0]:
             raise ValueError(f"expected (batch, {self.layer_sizes[0]}) input, got {a.shape}")
-        inputs, logits = _forward(*self._stacked, a[None], self.activation)
-        cache = ForwardCache(inputs=[v[0] for v in inputs], logits=logits[0], n_layers=len(self.weights))
-        return cache.logits, cache
+        cache = _forward(*self._stacked, a[None], self.activation)
+        return cache[1][0], cache
 
-    def backward(self, cache: ForwardCache, labels: np.ndarray) -> list[np.ndarray]:
+    def backward(self, cache: tuple, labels: np.ndarray) -> list[np.ndarray]:
         """Mean cross-entropy gradients for every tensor, in parameters() order."""
-        labels = np.asarray(labels)
-        if cache.n_layers != len(self.weights) or len(cache.inputs) != len(self.weights):
+        inputs, logits = cache
+        if len(inputs) != len(self.weights):
             raise ValueError("cache does not match this model")
-        n = cache.inputs[0].shape[0]
-        if labels.shape != (n,):
-            raise ValueError(f"expected {n} labels, got shape {labels.shape}")
+        labels = _class_labels(logits[0], labels)
         grad_w, grad_b = _views(np.empty((1, self.flat.size)), self.layer_sizes)
-        _backward(
-            self._stacked[0],
-            [v[None] for v in cache.inputs],
-            cache.logits[None],
-            _one_hot(labels, self.layer_sizes[-1])[None],
-            self.activation,
-            grad_w,
-            grad_b,
-        )
+        targets = _one_hot(labels, self.layer_sizes[-1])[None]
+        _backward(self._stacked[0], inputs, logits, targets, self.activation, grad_w, grad_b)
         out = []
         for gw, gb in zip(grad_w, grad_b):
             out.append(gw[0])
@@ -360,7 +342,6 @@ class TrainingConfig:
     batch_size: int
     seed: int
     optimizer: OptimizerSpec | None = None
-    fan_mode: str = "product"
 
     def __post_init__(self):
         if self.gain <= 0.0:
@@ -587,11 +568,7 @@ def train_sampled_configs(
     each trained from scratch with the given optimizer, all as one
     population."""
     configs = [
-        replace(
-            sample_training_config(master_seed, i, batch_size=settings.batch_size),
-            optimizer=optimizer,
-            fan_mode=settings.fan_mode,
-        )
+        replace(sample_training_config(master_seed, i, batch_size=settings.batch_size), optimizer=optimizer)
         for i in range(n_configs)
     ]
     dataset = make_dataset(settings.dataset_n, settings.dataset_noise, settings.dataset_seed)
@@ -601,7 +578,7 @@ def train_sampled_configs(
             activation=settings.activation,
             gain=c.gain,
             rng=np.random.default_rng(c.seed),
-            fan_mode=c.fan_mode,
+            fan_mode=settings.fan_mode,
         )
         for c in configs
     ]

@@ -105,10 +105,10 @@ class Objective:
     The parameters may also be (N,) arrays, one task per row: gradient
     then takes an (N, 2) population of points and minimum holds two (N,)
     arrays, which is how the harness runs many trials at once.  gradient
-    is a functools.partial of the function's gradient rule over the
-    rule's per-task constants, worked out once from (alpha, beta), so the
-    harness reads gradient.func and gradient.args and keeps the constants
-    with their rows.  evaluate always takes a single point.
+    is the function's gradient rule over its per-task constants, worked
+    out once from (alpha, beta); population_objective hands out the rule
+    and the constants apart, so the harness keeps the constants with
+    their rows.  evaluate always takes a single point.
     """
 
     name: str
@@ -189,10 +189,14 @@ def make_objective(task: TaskConfig) -> Objective:
     return _BUILDERS[task.function](task.alpha, task.beta)
 
 
-def population_objective(function: str, alpha: np.ndarray, beta: np.ndarray) -> Objective:
-    """The objective over per-row alpha and beta columns of tasks that
-    TaskColumns.check (or TaskConfig) has passed; it checks nothing again."""
-    return _BUILDERS[function](alpha, beta)
+def population_objective(function: str, alpha: np.ndarray, beta: np.ndarray) -> tuple:
+    """(rule, constants, minimizer) of the objective over per-row alpha and
+    beta columns of tasks that TaskColumns.check (or TaskConfig) has
+    passed; it checks nothing again.  rule(*constants, x) is the gradient
+    at an (N, 2) population x, each constant is a per-row array, and
+    minimizer holds each row's minimum as an (N, 2) array."""
+    objective = _BUILDERS[function](alpha, beta)
+    return objective.gradient.func, objective.gradient.args, np.stack(objective.minimum, axis=-1)
 
 
 def point_distance(x: np.ndarray, point: np.ndarray) -> float | np.ndarray:

@@ -555,10 +555,12 @@ class Population(OptimizerState):
         return theta, np.isfinite(g).all(axis=1) & np.isfinite(theta).all(axis=1)
 
     def keep(self, live) -> None:
-        """Keep only the rows that live indexes, in order, in every per-row
-        array: live is a leading slice, which leaves every array a view of
-        the rows it had, or a boolean mask, which is one take per array."""
-        if not isinstance(live, slice):
+        """Keep only the rows that live indexes, in its order, in every
+        per-row array: live is a leading slice, which leaves every array a
+        view of the rows it had, a boolean mask, or an array of row
+        indices, which may also reorder the rows; a mask or indices is one
+        take per array."""
+        if not isinstance(live, slice) and live.dtype == bool:
             live = np.flatnonzero(live)
         for name in self._per_row:
             setattr(self, name, _rows(getattr(self, name), live))

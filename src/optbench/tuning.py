@@ -18,6 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .harness import (
+    MAX_TRIALS,
     _run_tasks,
     run_trials,  # noqa: F401  (kept importable: bench/tracer.py wraps tuning.run_trials)
 )
@@ -48,7 +49,11 @@ class GridSpec:
 
 
 def build_grid(spec: GridSpec) -> list[float]:
-    """Materialize a GridSpec as a strictly increasing list of rates."""
+    """Materialize a GridSpec as a strictly increasing list of rates; a grid
+    of more than MAX_TRIALS points raises InvalidGridError, before any
+    point is made."""
+    if math.log10(spec.hi) - math.log10(spec.lo) > (MAX_TRIALS - 1) * spec.log10_step:
+        raise InvalidGridError(f"grid holds more than MAX_TRIALS = {MAX_TRIALS} points")
     if spec.lo == spec.hi:
         return [spec.lo]
     values = []

@@ -99,7 +99,7 @@ def test_forward_identity_single_layer():
     model.biases[0][...] = 0.0
     logits, cache = model.forward([[1.0, 2.0]])
     assert_allclose(logits, [[1.0, 2.0]], rtol=0, atol=0)
-    assert cache.n_layers == 1
+    assert len(cache[0]) == 1
 
 
 def test_forward_hand_computed_tanh_chain():
@@ -111,7 +111,7 @@ def test_forward_hand_computed_tanh_chain():
     logits, cache = model.forward([[0.3, -0.7]])
     expected = [[math.tanh(0.3) + 0.5, -math.tanh(-0.7)]]
     assert_allclose(logits, expected, rtol=1e-15)
-    assert_allclose(cache.inputs[1], [[math.tanh(0.3), math.tanh(-0.7)]], rtol=1e-15)
+    assert_allclose(cache[0][1][0], [[math.tanh(0.3), math.tanh(-0.7)]], rtol=1e-15)
 
 
 def test_forward_rejects_wrong_width():
@@ -196,7 +196,8 @@ def test_cross_entropy_is_finite_for_extreme_logits():
 @pytest.mark.parametrize(
     "labels, message",
     [([0, 1, 5], r"class indices in \[0, 2\), got 5"), ([-1, 0, 1], r"class indices in \[0, 2\), got -1"),
-     ([1], r"shape \(3,\) for \(3, 2\) logits, got \(1,\)")],
+     ([1], r"shape \(3,\) for \(3, 2\) logits, got \(1,\)"),
+     ([0.0, 1.5, 1.0], r"class indices in \[0, 2\), got 1.5")],
 )
 def test_cross_entropy_and_evaluate_refuse_labels_that_do_not_fit_the_logits(labels, message):
     logits = np.array([[0.5, -1.0], [2.0, 0.0], [-0.3, 0.3]])
@@ -205,7 +206,13 @@ def test_cross_entropy_and_evaluate_refuse_labels_that_do_not_fit_the_logits(lab
     model = MLP([2, 2], rng=np.random.default_rng(0))
     with pytest.raises(ValueError, match=message):
         model.evaluate(logits, np.array(labels))
+    _, cache = model.forward(logits)
+    with pytest.raises(ValueError, match=message):
+        model.backward(cache, np.array(labels))
     assert cross_entropy(logits, np.array([0, 1, 1])) == float(_losses(logits[None], np.array([0, 1, 1]))[0])
+    # Integral float labels are class indices too.
+    as_floats, as_ints = model.backward(cache, np.array([0.0, 1.0, 1.0])), model.backward(cache, np.array([0, 1, 1]))
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(as_floats, as_ints))
 
 
 def _edge_logits(shape, seed):
@@ -462,13 +469,13 @@ def test_train_sampled_configs_pairs_draws_across_optimizers():
 # ------------------------------------------------- population trainer oracle
 
 
-def _reference_train(layer_sizes, activation, dataset, config):
+def _reference_train(layer_sizes, activation, dataset, config, fan_mode="product"):
     """The per-tensor training loop the population trainer replaced: 2-D
     forward and backward passes and one OptimizerState and step() per
     weight matrix and bias vector.  Returns (TrainResult, parameters)."""
     rng = np.random.default_rng(config.seed)
     pairs = list(zip(layer_sizes[:-1], layer_sizes[1:]))
-    weights = [xavier_init(n_in, n_out, config.gain, rng, config.fan_mode) for n_in, n_out in pairs]
+    weights = [xavier_init(n_in, n_out, config.gain, rng, fan_mode) for n_in, n_out in pairs]
     biases = [np.full(n_out, BIAS_INIT) for _, n_out in pairs]
     params = [p for wb in zip(weights, biases) for p in wb]
 
@@ -559,7 +566,7 @@ def _population(settings, configs):
     dataset = make_dataset(settings.dataset_n, settings.dataset_noise, settings.dataset_seed)
     sizes = [2, *settings.hidden, 2]
     models = [
-        MLP(sizes, settings.activation, c.gain, np.random.default_rng(c.seed), c.fan_mode)
+        MLP(sizes, settings.activation, c.gain, np.random.default_rng(c.seed), settings.fan_mode)
         for c in configs
     ]
     return dataset, sizes, models, train_population(models, dataset, configs)
@@ -568,7 +575,7 @@ def _population(settings, configs):
 def _check_against_reference(settings, configs):
     dataset, sizes, _, results = _population(settings, configs)
     for config, result in zip(configs, results):
-        want, _ = _reference_train(sizes, settings.activation, dataset, config)
+        want, _ = _reference_train(sizes, settings.activation, dataset, config, settings.fan_mode)
         _assert_same_run(result, want)
     return results
 
@@ -627,8 +634,7 @@ def test_population_matches_reference_for_every_family(family, kind):
 def test_population_matches_reference_across_shapes(settings, batch_size):
     for kind in ("additive", "multiplicative"):
         spec = make_spec("sgd", default_update_rule("sgd", kind))
-        configs = [replace(c, fan_mode=settings.fan_mode) for c in _configs(spec, batch_size)]
-        _check_against_reference(settings, configs)
+        _check_against_reference(settings, _configs(spec, batch_size))
 
 
 @pytest.mark.parametrize("n_configs", [1, 4])

@@ -11,6 +11,7 @@ from optbench.objectives import (
     distance_to_minimum,
     finite_difference_grad,
     make_objective,
+    population_objective,
     rosenbrock,
 )
 
@@ -70,7 +71,8 @@ def test_distance_to_minimum():
 def test_population_rows_match_single_points_bitwise(factory):
     """Per-row (alpha, beta) with an (N, 2) population gives each row the
     bits of the one-point call, and the one-point distance is exactly
-    np.linalg.norm."""
+    np.linalg.norm.  population_objective's rule over its constants and
+    its minimizer give each row the bits of that row's task objective."""
     rng = np.random.default_rng(5)
     n = 2_000
     alpha = rng.normal(1.0, 1.0, n)
@@ -79,12 +81,17 @@ def test_population_rows_match_single_points_bitwise(factory):
     population = factory(alpha, beta)
     grads = population.gradient(x)
     dists = distance_to_minimum(x, population)
-    assert grads.shape == (n, 2) and dists.shape == (n,)
+    rule, constants, minimizer = population_objective(factory.__name__, alpha, beta)
+    rows = rule(*constants, x)
+    assert grads.shape == rows.shape == minimizer.shape == (n, 2) and dists.shape == (n,)
     for i in range(0, n, 7):
         one = factory(float(alpha[i]), float(beta[i]))
         assert np.array_equal(grads[i], one.gradient(x[i]))
         assert dists[i] == distance_to_minimum(x[i], one)
         assert dists[i] == np.linalg.norm(x[i] - np.array(one.minimum))
+        task = make_objective(TaskConfig(factory.__name__, float(alpha[i]), float(beta[i]), (0.0, 0.0), 1))
+        assert rows[i].tobytes() == task.gradient(x[i]).tobytes()
+        assert minimizer[i].tobytes() == np.array(task.minimum, dtype=float).tobytes()
 
 
 def test_rosenbrock_gradient_squares_like_a_scalar():

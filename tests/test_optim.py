@@ -489,6 +489,7 @@ def _population_run(family, kind, rows, per_row, steps, rng_seed=12):
         rows=np.array(rows),
         block=np.arange(10.0).reshape(5, 2)[rows],
         rngs=np.array([np.random.default_rng(i) for i in rows], dtype=object),
+        pair=(np.arange(5.0)[rows], np.arange(10, 15)[rows]),
     )
     for g in gs:
         pop.theta = pop.step(g[rows])[0]
@@ -498,23 +499,26 @@ def _population_run(family, kind, rows, per_row, steps, rng_seed=12):
 @pytest.mark.parametrize("family", ["sgd", "adagrad", "adam"])
 @pytest.mark.parametrize("kind", ["additive", "multiplicative", "hybrid"])
 @pytest.mark.parametrize("per_row", [True, False])
-@pytest.mark.parametrize("kept", [[0, 2, 4], [1, 3], [4]])
+@pytest.mark.parametrize("kept", [[0, 2, 4], [1, 3], [4], [4, 0, 3, 1]])
 def test_population_keep_compacts_every_row_array_and_steps_as_if_never_batched(
     family, kind, per_row, kept
 ):
+    # A sorted kept is passed as a boolean mask, the reordering one as row
+    # indices.
     everyone = _population_run(family, kind, [0, 1, 2, 3, 4], per_row, steps=4)
     before = {name: getattr(everyone, name).copy() for name in ("theta", "m", "v", "rows", "block", "rngs")}
+    pair = tuple(column.copy() for column in everyone.pair)
     rates = everyone.spec.update.block.copy() if per_row else None
-    mask = np.isin(np.arange(5), kept)
-    everyone.keep(mask)
+    everyone.keep(np.isin(np.arange(5), kept) if kept == sorted(kept) else np.array(kept))
     for name, value in before.items():
-        assert np.array_equal(getattr(everyone, name), value[mask]), name
+        assert np.array_equal(getattr(everyone, name), value[kept]), name
+    assert all(np.array_equal(a, b[kept]) for a, b in zip(everyone.pair, pair, strict=True))
     assert everyone.t == 4
     update = everyone.spec.update
     if per_row:
-        assert np.array_equal(update.block, rates[mask])
+        assert np.array_equal(update.block, rates[kept])
         for i, name in enumerate(update.names):
-            assert np.array_equal(getattr(update, name), np.repeat(rates[mask][:, i : i + 1], 3, axis=1))
+            assert np.array_equal(getattr(update, name), np.repeat(rates[kept][:, i : i + 1], 3, axis=1))
         if kind == "hybrid":
             alone = RateColumns.stack(kind, [_POPULATION_RULES[kind][i] for i in kept]).widen(3).blend
             assert all(np.array_equal(a, b) for a, b in zip(update.blend, alone))
@@ -524,7 +528,7 @@ def test_population_keep_compacts_every_row_array_and_steps_as_if_never_batched(
     # One more step of the compacted rows gives the bits they get in a
     # population that never had the dropped rows.
     alone = _population_run(family, kind, kept, per_row, steps=4)
-    g = np.random.default_rng(5).normal(size=(5, 3))[mask]
+    g = np.random.default_rng(5).normal(size=(5, 3))[kept]
     assert everyone.step(g)[0].tobytes() == alone.step(g)[0].tobytes()
     assert everyone.m.tobytes() == alone.m.tobytes()
     assert everyone.v.tobytes() == alone.v.tobytes()

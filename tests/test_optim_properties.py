@@ -6,8 +6,13 @@ no nonzero coordinate ever changes sign.  Both are checked over a large
 randomized sample (well past the 10,000-step mark) plus a hypothesis
 sweep of awkward rate values.  Every rule is also odd: a population
 stepped from mirrored parameters with mirrored gradients lands on the
-mirror of the original's parameters.
+mirror of the original's parameters.  Every rule also rescales: a
+population stepped from c times the parameters with c times the
+gradients, under rates that undo c where the family needs it, lands on c
+times the original's parameters.
 """
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
@@ -16,6 +21,7 @@ from optbench.optim import (
     FAMILIES,
     UPDATE_KINDS,
     InvalidRateError,
+    OptimizerSpec,
     Population,
     RateColumns,
     UpdateRule,
@@ -159,3 +165,49 @@ def test_population_step_of_mirrored_rows_gives_the_mirrored_rows(family, kind, 
         assert ok is None and mirror_ok is None
         assert np.array_equal(mirror.theta, -pop.theta)
         assert np.array_equal(mirror.m, -pop.m) and mirror.v.tobytes() == pop.v.tobytes()
+
+
+def _rescaled(spec, rules, c):
+    """spec, with rules as its update rates, run on c times the parameters
+    and gradients: sgd's direction grows by c, so lr_inner shrinks by c;
+    an adaptive family's direction times rate does not, so lr and eps
+    grow by c."""
+    sgd = spec.adaptive.kind == "identity"
+    name, factor = ("lr_inner", 1.0 / c) if sgd else ("lr", c)
+    rules = [replace(r, **{name: getattr(r, name) * factor}) if name in r.FIELDS[r.kind] else r for r in rules]
+    adaptive = spec.adaptive if sgd else replace(spec.adaptive, eps=spec.adaptive.eps * c)
+    update = RateColumns.stack(rules[0].kind, rules) if isinstance(spec.update, RateColumns) else rules[0]
+    return OptimizerSpec(spec.momentum, adaptive, update)
+
+
+# No shrink phase, as for the mirror test above.
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("kind", UPDATE_KINDS)
+@pytest.mark.parametrize("per_row", [False, True])
+@settings(max_examples=8, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
+@given(
+    rows=st.integers(1, 33),
+    width=st.integers(1, 82),
+    steps=st.integers(1, 4),
+    c=st.sampled_from([2.0, 2.0**-3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_population_step_of_rescaled_rows_gives_the_rescaled_rows(family, kind, per_row, rows, width, steps, c, seed):
+    """Population(spec_c, c * theta).step(c * g) is c times the original
+    step, bit for bit, and so are the direction and, squared, the
+    variance track.  theta and g lie on a grid of sixteenths and c is a
+    power of two, so every scaling is exact."""
+    rng = np.random.default_rng(seed)
+    rules = [_random_rule(rng, kind) for _ in range(rows if per_row else 1)]
+    betas = rng.uniform(0.0, 0.99, 2)
+    update = RateColumns.stack(kind, rules) if per_row else rules[0]
+    spec = make_spec(family, update, beta1=betas[0], beta2=betas[1], eps=10.0 ** rng.uniform(-10.0, 0.0))
+    theta = rng.integers(-160, 161, (rows, width)) / 16.0
+    pop, scaled = Population(spec, theta), Population(_rescaled(spec, rules, c), c * theta)
+    for _ in range(steps):
+        g = rng.integers(-160, 161, (rows, width)) / 16.0
+        (pop.theta, ok), (scaled.theta, scaled_ok) = pop.step(g), scaled.step(c * g)
+        assert ok is None and scaled_ok is None
+        assert scaled.theta.tobytes() == (c * pop.theta).tobytes()
+        assert scaled.m.tobytes() == (c * pop.m).tobytes()
+        assert scaled.v.tobytes() == (c * c * pop.v).tobytes()

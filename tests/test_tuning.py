@@ -54,6 +54,9 @@ def test_build_grid_degenerate_and_invalid():
         build_grid(GridSpec(2.0, 1.0))
     with pytest.raises(InvalidGridError):
         build_grid(GridSpec(0.1, 1.0, log10_step=0.0))
+    # 300,001 points: counted and refused before any is made.
+    with pytest.raises(InvalidGridError, match="grid holds more than MAX_TRIALS = 100000 points"):
+        build_grid(GridSpec(1e-3, 1.0, 1e-5))
 
 
 def test_half_decade_grid_default_lr_axis():
