@@ -12,16 +12,21 @@ Every line of a module is one of four kinds:
 Tokens come from tokenize and docstrings from ast, so the four counts of
 a module sum to its line count.
 
-Usage: python3 scripts/loc.py [DIR]
+Usage: python3 scripts/loc.py [DIR] [--against REV]
 
 DIR defaults to src/ of this repository; every *.py file under it is
-counted, and the last row is the total.
+counted, and the last row is the total.  --against REV first counts the
+*.py files under DIR as git revision REV holds them (read through git
+show), then as they are now, then prints the difference, now minus REV;
+a module on one side only counts as empty on the other.  DIR must then
+lie inside this repository.
 """
 from __future__ import annotations
 
 import argparse
 import ast
 import io
+import subprocess
 import sys
 import tokenize
 from pathlib import Path
@@ -56,20 +61,64 @@ def count(source: str) -> dict[str, int]:
     return {kind: kinds.count(kind) for kind in KINDS}
 
 
+Counts = dict[str, dict[str, int]]  # module -> kind -> lines
+
+
+def count_all(sources: dict[str, str]) -> Counts:
+    """count() of every module's source, in module order."""
+    return {name: count(source) for name, source in sorted(sources.items())}
+
+
+def difference(before: Counts, after: Counts) -> Counts:
+    """after minus before, for each module and kind; a module that only
+    one side has counts as empty on the other."""
+    empty = dict.fromkeys(KINDS, 0)
+    return {
+        name: {kind: after.get(name, empty)[kind] - before.get(name, empty)[kind] for kind in KINDS}
+        for name in sorted(before.keys() | after.keys())
+    }
+
+
+def at_revision(rev: str, directory: Path) -> dict[str, str]:
+    """The source of every *.py file under directory at git revision rev,
+    keyed by its path relative to directory."""
+    prefix = directory.resolve().relative_to(ROOT).as_posix()
+
+    def git(*args: str) -> str:
+        done = subprocess.run(["git", "-C", str(ROOT), *args], capture_output=True, text=True, check=True)
+        return done.stdout
+
+    names = git("ls-tree", "-r", "--name-only", rev, "--", prefix).splitlines()
+    return {name[len(prefix) + 1 :]: git("show", f"{rev}:{name}") for name in names if name.endswith(".py")}
+
+
+def print_table(counts: Counts, sign: str = "") -> None:
+    """One row per module, then the total; sign "+" prints every count
+    with its sign."""
+    print(f"{'module':<32}" + "".join(f"{kind:>10}" for kind in (*KINDS, "total")))
+    total = {kind: sum(c[kind] for c in counts.values()) for kind in KINDS}
+    for name, row in [*counts.items(), ("total", total)]:
+        cells = [row[kind] for kind in KINDS]
+        print(f"{name:<32}" + "".join(f"{n:>{sign}10}" for n in (*cells, sum(cells))))
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("dir", nargs="?", type=Path, default=ROOT / "src", help="directory to count (default: src/)")
+    parser.add_argument("--against", metavar="REV", help="also count the files at REV, then the difference")
     args = parser.parse_args()
-    total = dict.fromkeys(KINDS, 0)
-    print(f"{'module':<32}" + "".join(f"{kind:>10}" for kind in (*KINDS, "total")))
-    for path in sorted(args.dir.rglob("*.py")):
-        counts = count(path.read_text(encoding="utf-8"))
-        for kind in KINDS:
-            total[kind] += counts[kind]
-        row = [counts[kind] for kind in KINDS]
-        print(f"{path.relative_to(args.dir).as_posix():<32}" + "".join(f"{n:>10}" for n in (*row, sum(row))))
-    row = [total[kind] for kind in KINDS]
-    print(f"{'total':<32}" + "".join(f"{n:>10}" for n in (*row, sum(row))))
+    files = args.dir.rglob("*.py")
+    after = count_all({p.relative_to(args.dir).as_posix(): p.read_text(encoding="utf-8") for p in files})
+    if args.against is None:
+        print_table(after)
+        return 0
+    before = count_all(at_revision(args.against, args.dir))
+    print(f"at {args.against}")
+    print_table(before)
+    print("\nnow")
+    print_table(after)
+    print(f"\nnow minus {args.against}")
+    print_table(difference(before, after), sign="+")
     return 0
 
 

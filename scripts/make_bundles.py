@@ -23,7 +23,7 @@ import tempfile
 from pathlib import Path
 
 from optbench.cli import main as cli_main
-from optbench.config import distribution_to_dict
+from optbench.config import to_json
 from optbench.harness import default_eval_distribution
 from optbench.optim import FAMILIES, UPDATE_KINDS
 
@@ -96,7 +96,7 @@ def tuned_specs(configs: Path, tune_paths: list[Path]) -> None:
 
 def robustness_configs(configs: Path) -> None:
     for function in TASKS:
-        dist = distribution_to_dict(default_eval_distribution(function))
+        dist = to_json(default_eval_distribution(function))
         for family in FAMILIES:
             for kind in UPDATE_KINDS:
                 name = f"{function}-{family}-{kind}"

@@ -26,6 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import (
+    SCHEMA_VERSION,
     ConfigError,
     RobustnessPlan,
     ScanPlan,
@@ -34,8 +35,7 @@ from .config import (
     TunePlan,
     check_work,
     load_plan,
-    spec_to_dict,
-    task_to_dict,
+    to_json,
 )
 from .harness import ScoreStats, TrialRecord, evaluate_robustness, run_trial, surface_scan
 from .nn import mean_std, train_sampled_configs
@@ -60,8 +60,11 @@ def _lit(x: float) -> str:
 
 
 def _write_text(path: Path, text: str) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError("", f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
@@ -71,7 +74,7 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 
 
 def _write_json(path: Path, command: str, payload: dict) -> None:
-    document = {"schema_version": 1, "command": command, **payload}
+    document = {"schema_version": SCHEMA_VERSION, "command": command, **payload}
     _write_text(path, json.dumps(document, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
@@ -83,10 +86,11 @@ def _finite_or_none(x: float) -> float | None:
 def _prepare_output(out_dir: Path, names: list[str], overwrite: bool) -> None:
     """Make out_dir, before anything is written, or refuse the run: when
     out_dir cannot be a directory, when a target exists and is not a
-    regular file, or, without overwrite, when a target exists."""
+    regular file (a dangling or looping symlink included), or, without
+    overwrite, when a target exists."""
     for name in names:
         target = out_dir / name
-        if not target.exists():
+        if not os.path.lexists(target):
             continue
         if not target.is_file():
             raise ConfigError("", f"{target} exists and is not a regular file; it cannot be replaced")
@@ -151,8 +155,8 @@ def cmd_tune(plan: TunePlan, out_dir: Path, seed: int, overwrite: bool) -> int:
         {
             "family": plan.family,
             "update_rule": plan.update_kind,
-            "task": task_to_dict(plan.task),
-            "optimizer": spec_to_dict(result.best_spec),
+            "task": to_json(plan.task),
+            "optimizer": to_json(result.best_spec),
             "final_distance": _finite_or_none(result.best_final_distance),
             "grid_points": len(result.distances),
             "n_diverged": int(np.isinf(result.distances).sum()),
@@ -172,8 +176,8 @@ def cmd_trial(plan: TrialPlan, out_dir: Path, seed: int, overwrite: bool) -> int
         out_dir / "summary.json",
         "trial",
         {
-            "task": task_to_dict(plan.task),
-            "optimizer": spec_to_dict(plan.spec),
+            "task": to_json(plan.task),
+            "optimizer": to_json(plan.spec),
             "initial_distance": _finite_or_none(record.initial_distance),
             "final_distance": _finite_or_none(record.final_distance),
             "score": _finite_or_none(record.score),
@@ -193,7 +197,7 @@ def cmd_robustness(plan: RobustnessPlan, out_dir: Path, seed: int, overwrite: bo
         out_dir / "stats.json",
         "robustness",
         {
-            "optimizer": spec_to_dict(plan.spec),
+            "optimizer": to_json(plan.spec),
             "seed": seed,
             "total_trials": plan.n,
             "mean_score": _finite_or_none(stats.mean),
@@ -254,7 +258,7 @@ def cmd_train_toy(plan: TrainToyPlan, out_dir: Path, seed: int, overwrite: bool)
         {
             "family": plan.family,
             "update_rule": plan.update_kind,
-            "optimizer": spec_to_dict(plan.optimizer),
+            "optimizer": to_json(plan.optimizer),
             "master_seed": master_seed,
             "n_runs": plan.n_configs,
             "epoch5": {"mean_val_accuracy": e5_mean, "std_val_accuracy": e5_std},

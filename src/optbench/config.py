@@ -37,7 +37,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from .harness import MAX_ITERATIONS, MAX_TRIALS, EvalDistribution, Sampler
-from .nn import ACTIVATIONS, MIN_BATCH_SIZE, MIN_NOISE, MIN_SAMPLES, ProtocolSettings, param_count
+from .nn import ACTIVATIONS, FAN_MODES, MIN_BATCH_SIZE, MIN_NOISE, MIN_SAMPLES, ProtocolSettings, param_count
 from .objectives import FUNCTIONS, TaskConfig
 from .optim import (
     DEFAULT_MIX,
@@ -50,7 +50,7 @@ from .optim import (
     default_update_rule,
     make_spec,
 )
-from .tuning import RATE_AXES, GridSpec, RateGrids, build_grid, check_axis, default_grids
+from .tuning import RATE_AXES, GridSpec, RateGrids, build_grid, check_axis, default_grids, grid_points
 
 SCHEMA_VERSION = 1
 COMMANDS = ("tune", "trial", "robustness", "scan", "train-toy")
@@ -243,11 +243,11 @@ class _SamplerTable(Table):
         return sampler.mean if sampler.std == 0.0 else super().write(sampler)
 
 
-_MOMENTUM, _ADAPTIVE, _UPDATE = (_RuleTables(c) for c in (MomentumRule, AdaptiveRule, UpdateRule))
+_MOMENTUM, _ADAPTIVE, parse_update = (_RuleTables(c) for c in (MomentumRule, AdaptiveRule, UpdateRule))
 _SPEC = Table(
-    OptimizerSpec, Field("momentum", _MOMENTUM), Field("adaptive", _ADAPTIVE), Field("update", _UPDATE)
+    OptimizerSpec, Field("momentum", _MOMENTUM), Field("adaptive", _ADAPTIVE), Field("update", parse_update)
 )
-_TASK = Table(
+parse_task = Table(
     TaskConfig,
     Field("function", _string),
     Field("alpha", _number),
@@ -256,26 +256,26 @@ _TASK = Table(
     Field("iterations", _bounded(_integer, hi=MAX_ITERATIONS)),
     Field("seed", _integer, optional=True),
 )
-_SAMPLER = _SamplerTable(Sampler, Field("mean", _number), Field("std", _number, optional=True))
-_DISTRIBUTION = Table(
+parse_sampler = _SamplerTable(Sampler, Field("mean", _number), Field("std", _number, optional=True))
+parse_distribution = Table(
     EvalDistribution,
     # EvalDistribution checks nothing itself: its function is first used
     # when the tasks are drawn.
     Field("function", _choice(FUNCTIONS)),
-    Field("x0", _items(_SAMPLER, 2)),
-    Field("alpha", _SAMPLER),
-    Field("beta", _check(_SAMPLER, lambda s: s.std > 0.0 or s.mean > 0.0, "positive when fixed")),
-    Field("iterations", _SAMPLER),
+    Field("x0", _items(parse_sampler, 2)),
+    Field("alpha", parse_sampler),
+    Field("beta", _check(parse_sampler, lambda s: s.std > 0.0 or s.mean > 0.0, "positive when fixed")),
+    Field("iterations", parse_sampler),
 )
 
 _WRITERS = {
     MomentumRule: _MOMENTUM,
     AdaptiveRule: _ADAPTIVE,
-    UpdateRule: _UPDATE,
+    UpdateRule: parse_update,
     OptimizerSpec: _SPEC,
-    TaskConfig: _TASK,
-    Sampler: _SAMPLER,
-    EvalDistribution: _DISTRIBUTION,
+    TaskConfig: parse_task,
+    Sampler: parse_sampler,
+    EvalDistribution: parse_distribution,
 }
 
 
@@ -287,8 +287,6 @@ def to_json(value):
     return value if writer is None else writer.write(value)
 
 
-spec_to_dict = task_to_dict = distribution_to_dict = to_json
-parse_update, parse_task, parse_sampler, parse_distribution = _UPDATE, _TASK, _SAMPLER, _DISTRIBUTION
 _REFERENCE = Table(lambda path: path, Field("path", _string))
 
 
@@ -341,28 +339,24 @@ def _rate_axis(name: str):
     return read
 
 
+def _grids(update_kind: str, **axes) -> RateGrids:
+    """The kind's stock grids with the given axes in place, refused by
+    tuning.grid_points past MAX_TRIALS points."""
+    grids = replace(default_grids(update_kind), **axes)
+    grid_points(grids, update_kind)
+    return grids
+
+
 # The grid table of each update kind: one optional axis per rate it grids,
 # an absent axis keeping its stock grid.
 _GRIDS = {
-    kind: Table(
-        partial(replace, default_grids(kind)),
-        *(Field(name, _rate_axis(name), optional=True) for name in axes),
-    )
+    kind: Table(partial(_grids, kind), *(Field(name, _rate_axis(name), optional=True) for name in axes))
     for kind, axes in RATE_AXES.items()
 }
 
 
-def _points(grids: RateGrids, update_kind: str) -> int:
-    return math.prod(len(getattr(grids, name)) for name in RATE_AXES[update_kind])
-
-
 def parse_grids(d, path: str, update_kind: str) -> RateGrids:
-    if d is None:
-        return default_grids(update_kind)
-    grids = _GRIDS[update_kind](d, path)
-    if _points(grids, update_kind) > MAX_TRIALS:
-        raise ConfigError(path, f"grid holds more than MAX_TRIALS = {MAX_TRIALS} points")
-    return grids
+    return default_grids(update_kind) if d is None else _GRIDS[update_kind](d, path)
 
 
 # ------------------------------------------------------------------ plans
@@ -445,7 +439,7 @@ def _train_toy(
     )
 
 
-_TASK_FIELD = Field("task", _TASK)
+_TASK_FIELD = Field("task", parse_task)
 _FAMILY = Field("family", _choice(FAMILIES))
 _UPDATE_KIND = Field("update_rule", _choice(UPDATE_KINDS), attr="update_kind")
 _RANGE = _check(_items(_number, 2), lambda r: r[0] <= r[1], "[lo, hi] where lo never exceeds hi")
@@ -477,7 +471,7 @@ def _plan_tables(base_dir: Path) -> dict[str, Table]:
         "trial": Table(TrialPlan, _TASK_FIELD, spec),
         "robustness": Table(
             RobustnessPlan,
-            Field("distribution", _DISTRIBUTION),
+            Field("distribution", parse_distribution),
             spec,
             Field("n", _bounded(_integer, 1, MAX_TRIALS)),
             Field("seed", _SEED, optional=True),
@@ -496,7 +490,7 @@ def _plan_tables(base_dir: Path) -> dict[str, Table]:
             Field("hidden", _items(_COUNT), optional=True),
             Field("activation", _choice(ACTIVATIONS), optional=True),
             Field("batch_size", _bounded(_integer, lo=MIN_BATCH_SIZE), optional=True),
-            Field("fan_mode", _choice(("product", "sum")), optional=True),
+            Field("fan_mode", _choice(tuple(FAN_MODES)), optional=True),
             _FAMILY,
             _UPDATE_KIND,
             Field("optimizer", optimizer, optional=True),
@@ -558,7 +552,7 @@ def check_work(plan) -> None:
             )
         return
     if isinstance(plan, TunePlan):
-        path, trials, iterations = "task.iterations", _points(plan.grids, plan.update_kind), plan.task.iterations
+        path, trials, iterations = "task.iterations", grid_points(plan.grids, plan.update_kind), plan.task.iterations
     elif isinstance(plan, ScanPlan):
         path, trials, iterations = "task.iterations", plan.grid_size**2, plan.task.iterations
     elif isinstance(plan, RobustnessPlan):

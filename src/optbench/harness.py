@@ -495,11 +495,11 @@ def surface_scan(
     """Run one trial per starting point on a grid_size x grid_size lattice."""
     if grid_size < 1:
         raise InvalidConfigError(f"grid_size must be >= 1, got {grid_size}")
-    default0, default1 = default_scan_ranges(task)
-    x0_range = default0 if x0_range is None else x0_range
-    x1_range = default1 if x1_range is None else x1_range
     axes = []
-    for name, (lo, hi) in (("x0_range", x0_range), ("x1_range", x1_range)):
+    # A range left out is the default around the task's start coordinate,
+    # which an error then names.
+    for i, (given, default) in enumerate(zip((x0_range, x1_range), default_scan_ranges(task))):
+        name, (lo, hi) = (f"x{i}_range", given) if given is not None else (f"task.x0[{i}]", default)
         if not (math.isfinite(lo) and math.isfinite(hi)) or lo > hi:
             raise InvalidConfigError(f"{name}: bad scan range ({lo}, {hi})")
         # The width of a range beyond the largest float overflows.

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -34,6 +35,8 @@ from .optim import (
 )
 
 ACTIVATIONS = ("relu", "tanh")
+# The denominator of xavier_init's variance for each fan mode.
+FAN_MODES = {"product": operator.mul, "sum": operator.add}
 
 # Biases start at a small nonzero constant instead of zero so that
 # magnitude-proportional update rules are not pinned at their zero fixed
@@ -54,13 +57,9 @@ def xavier_init(
         raise ValueError(f"fan_in and fan_out must be positive, got {fan_in}, {fan_out}")
     if gain <= 0.0:
         raise ValueError(f"gain must be positive, got {gain}")
-    if fan_mode == "product":
-        denom = fan_in * fan_out
-    elif fan_mode == "sum":
-        denom = fan_in + fan_out
-    else:
+    if fan_mode not in FAN_MODES:
         raise ValueError(f"unknown fan_mode {fan_mode!r}")
-    std = gain * math.sqrt(2.0 / denom)
+    std = gain * math.sqrt(2.0 / FAN_MODES[fan_mode](fan_in, fan_out))
     return rng.normal(0.0, std, size=(fan_in, fan_out))
 
 

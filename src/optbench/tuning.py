@@ -27,7 +27,10 @@ from .optim import DEFAULT_MIX, OptimizerSpec, RateColumns, UpdateRule, check_ra
 
 
 class InvalidGridError(ValueError):
-    """Raised for empty or out-of-order rate grids."""
+    """Raised for empty, out-of-order or oversized rate grids."""
+
+
+_TOO_MANY_POINTS = f"grid holds more than MAX_TRIALS = {MAX_TRIALS} points"
 
 
 @dataclass(frozen=True)
@@ -53,7 +56,7 @@ def build_grid(spec: GridSpec) -> list[float]:
     of more than MAX_TRIALS points raises InvalidGridError, before any
     point is made."""
     if math.log10(spec.hi) - math.log10(spec.lo) > (MAX_TRIALS - 1) * spec.log10_step:
-        raise InvalidGridError(f"grid holds more than MAX_TRIALS = {MAX_TRIALS} points")
+        raise InvalidGridError(_TOO_MANY_POINTS)
     if spec.lo == spec.hi:
         return [spec.lo]
     values = []
@@ -140,6 +143,16 @@ def default_grids(update_kind: str) -> RateGrids:
     return RateGrids(**{name: _STOCK_AXES[name] for name in _axes(update_kind)})
 
 
+def grid_points(grids: RateGrids, update_kind: str) -> int:
+    """The number of points of the update kind's grid, the product of its
+    axes' sizes; a grid of more than MAX_TRIALS points raises
+    InvalidGridError."""
+    points = math.prod(len(getattr(grids, name)) for name in _axes(update_kind))
+    if points > MAX_TRIALS:
+        raise InvalidGridError(_TOO_MANY_POINTS)
+    return points
+
+
 def check_axis(name: str, values) -> None:
     """Raise unless values is a non-empty axis of admissible name rates;
     each value is checked once."""
@@ -192,7 +205,9 @@ def grid_search(
     population of per-row rates; a hybrid's mix is one scalar shared by
     every row.  The ranking is a stable sort on (distance, lr, lr_inner,
     lr_outer), an axis the kind lacks counting as 0.0, and covers the full
-    Cartesian grid: diverged points stay in it with distance = inf.
+    Cartesian grid: diverged points stay in it with distance = inf.  A
+    grid of more than MAX_TRIALS points raises InvalidGridError before any
+    point runs.
     """
     if grids is None:
         grids = default_grids(update_kind)
@@ -200,6 +215,7 @@ def grid_search(
     axes = [getattr(grids, name) for name in names]
     for name, values in zip(names, axes):
         check_axis(name, values)
+    grid_points(grids, update_kind)
     shared = {}
     if "mix" in UpdateRule.FIELDS[update_kind]:
         check_rate("mix", mix)

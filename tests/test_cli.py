@@ -5,8 +5,9 @@ import time
 
 import pytest
 
+from optbench import cli
 from optbench.cli import _COMMANDS, EXIT_ALL_DIVERGED, EXIT_CONFIG, EXIT_OK, _build_parser, main
-from optbench.config import SCHEMA_VERSION, distribution_to_dict, spec_to_dict
+from optbench.config import SCHEMA_VERSION, to_json
 from optbench.harness import default_eval_distribution
 from optbench.objectives import TaskConfig
 from optbench.optim import AdaptiveRule, OptimizerSpec, UpdateRule, default_update_rule, make_spec
@@ -34,7 +35,7 @@ def _trial_doc(lr=0.001, iterations=5):
         "schema_version": SCHEMA_VERSION,
         "command": "trial",
         "task": _task_doc(iterations=iterations),
-        "optimizer": spec_to_dict(make_spec("sgd", UpdateRule("additive", lr=lr))),
+        "optimizer": to_json(make_spec("sgd", UpdateRule("additive", lr=lr))),
     }
 
 
@@ -42,8 +43,8 @@ def _robustness_doc(n=6, lr=0.001, seed=None):
     doc = {
         "schema_version": SCHEMA_VERSION,
         "command": "robustness",
-        "distribution": distribution_to_dict(default_eval_distribution("convex2d")),
-        "optimizer": spec_to_dict(make_spec("sgd", UpdateRule("additive", lr=lr))),
+        "distribution": to_json(default_eval_distribution("convex2d")),
+        "optimizer": to_json(make_spec("sgd", UpdateRule("additive", lr=lr))),
         "n": n,
     }
     if seed is not None:
@@ -235,6 +236,29 @@ def test_overwrite_refuses_a_target_that_is_a_directory_before_writing(tmp_path,
     assert not (out / "trajectory.csv").exists()
 
 
+# An output name taken by a symlink that leads to no regular file: into a
+# missing directory, to a missing file, or to itself.
+@pytest.mark.parametrize("link", ["missing/best.json", "nowhere.json", "best.json"], ids=["dir", "file", "loop"])
+def test_a_symlink_to_no_regular_file_exits_2_before_writing(tmp_path, capsys, link):
+    config = _write_config(tmp_path, "tune.json", _tune_doc(grids={"lr": [0.001]}))
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "best.json").symlink_to(link)
+    assert main(["tune", "--config", str(config), "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == f"error: {out / 'best.json'} exists and is not a regular file; it cannot be replaced\n"
+    assert list(out.iterdir()) == [out / "best.json"]
+
+
+def test_a_failed_write_exits_2_naming_the_file(tmp_path, capsys, monkeypatch):
+    config = _write_config(tmp_path, "trial.json", _trial_doc())
+    out = tmp_path / "missing"
+    monkeypatch.setattr(cli, "_prepare_output", lambda *args: None)
+    assert main(["trial", "--config", str(config), "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == f"error: cannot write {out / 'trajectory.csv'}: No such file or directory\n"
+
+
 def test_parallelism_must_be_positive(tmp_path, capsys):
     config = _write_config(tmp_path, "trial.json", _trial_doc())
     args = ["trial", "--config", str(config), "--out", str(tmp_path / "o"), "--parallelism", "0"]
@@ -293,8 +317,8 @@ def test_scores_csv_format(tmp_path):
     doc = {
         "schema_version": SCHEMA_VERSION,
         "command": "robustness",
-        "distribution": distribution_to_dict(default_eval_distribution("rosenbrock")),
-        "optimizer": spec_to_dict(make_spec("sgd", UpdateRule("additive", lr=5e-3))),
+        "distribution": to_json(default_eval_distribution("rosenbrock")),
+        "optimizer": to_json(make_spec("sgd", UpdateRule("additive", lr=5e-3))),
         "n": 10,
         "seed": 11,
     }
@@ -332,7 +356,7 @@ def test_scan_surface_layout(tmp_path):
         "schema_version": SCHEMA_VERSION,
         "command": "scan",
         "task": _task_doc(iterations=10),
-        "optimizer": spec_to_dict(make_spec("sgd", UpdateRule("additive", lr=0.001))),
+        "optimizer": to_json(make_spec("sgd", UpdateRule("additive", lr=0.001))),
         "grid_size": 3,
     }
     config = _write_config(tmp_path, "scan.json", doc)
@@ -400,7 +424,7 @@ def _adagrad_with_eps(eps):
     ],
 )
 def test_train_toy_rejects_an_optimizer_with_other_rates_than_its_family(tmp_path, capsys, family, spec):
-    doc = dict(_train_toy_doc("additive"), family=family, optimizer=spec_to_dict(spec))
+    doc = dict(_train_toy_doc("additive"), family=family, optimizer=to_json(spec))
     config = _write_config(tmp_path, "toy.json", doc)
     out = tmp_path / "out"
     assert main(["train-toy", "--config", str(config), "--out", str(out)]) == EXIT_CONFIG
@@ -498,7 +522,7 @@ def test_scan_range_wider_than_the_floats_names_its_field(tmp_path, capsys, fiel
         "schema_version": SCHEMA_VERSION,
         "command": "scan",
         "task": _task_doc(iterations=10),
-        "optimizer": spec_to_dict(make_spec("sgd", UpdateRule("additive", lr=0.001))),
+        "optimizer": to_json(make_spec("sgd", UpdateRule("additive", lr=0.001))),
         field: [-1e308, 1e308],
     }
     config = _write_config(tmp_path, "scan.json", doc)
@@ -507,4 +531,21 @@ def test_scan_range_wider_than_the_floats_names_its_field(tmp_path, capsys, fiel
     assert main(["scan", "--config", str(config), "--out", str(out)]) == EXIT_CONFIG
     assert time.monotonic() - started < 5.0
     assert f"error: {field}: " in capsys.readouterr().err
+    assert not (out / "surface.csv").exists()
+
+
+@pytest.mark.parametrize("i", [0, 1])
+def test_a_default_scan_range_past_the_floats_names_the_start_coordinate(tmp_path, capsys, i):
+    x0 = [50.0, 50.0]
+    x0[i] = 1.7e308  # 1.2 x0 is past the largest float
+    doc = {
+        "schema_version": SCHEMA_VERSION,
+        "command": "scan",
+        "task": _task_doc(iterations=10, x0=x0),
+        "optimizer": to_json(make_spec("sgd", UpdateRule("additive", lr=0.001))),
+    }
+    config = _write_config(tmp_path, "scan.json", doc)
+    out = tmp_path / "o"
+    assert main(["scan", "--config", str(config), "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: task.x0[{i}]: bad scan range ({0.8 * 1.7e308}, inf)\n"
     assert not (out / "surface.csv").exists()

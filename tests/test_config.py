@@ -6,7 +6,6 @@ from optbench.config import (
     SCHEMA_VERSION,
     ConfigError,
     TunePlan,
-    distribution_to_dict,
     load_plan,
     parse_distribution,
     parse_grid_axis,
@@ -15,8 +14,7 @@ from optbench.config import (
     parse_sampler,
     parse_task,
     parse_update,
-    spec_to_dict,
-    task_to_dict,
+    to_json,
 )
 from optbench.harness import Sampler, default_eval_distribution
 from optbench.objectives import TaskConfig
@@ -25,7 +23,7 @@ from optbench.tuning import build_grid, GridSpec
 
 
 def _roundtrip(spec):
-    return parse_optimizer_spec(spec_to_dict(spec), "optimizer")
+    return parse_optimizer_spec(to_json(spec), "optimizer")
 
 
 @pytest.mark.parametrize("family", ["sgd", "adagrad", "adam", "rmsprop"])
@@ -42,14 +40,14 @@ def test_spec_roundtrip_all_families_and_kinds(family, kind):
 
 def test_task_roundtrip():
     task = TaskConfig("rosenbrock", 1.0, 60.0, (0.5, 3.0), 100, seed=4)
-    assert parse_task(task_to_dict(task), "task") == task
+    assert parse_task(to_json(task), "task") == task
 
 
 def test_distribution_roundtrip():
     dist = default_eval_distribution("convex2d")
-    assert parse_distribution(distribution_to_dict(dist), "distribution") == dist
+    assert parse_distribution(to_json(dist), "distribution") == dist
     # the pinned rosenbrock alpha serializes as a bare number
-    rosen = distribution_to_dict(default_eval_distribution("rosenbrock"))
+    rosen = to_json(default_eval_distribution("rosenbrock"))
     assert rosen["alpha"] == 1.0
 
 
@@ -204,11 +202,11 @@ def test_optimizer_reference_resolves_relative_to_config(tmp_path):
     sub = tmp_path / "tuned"
     sub.mkdir()
     # a tuning run's best.json shape: the spec lives under "optimizer"
-    _write(sub, "best.json", {"command": "tune", "optimizer": spec_to_dict(spec)})
+    _write(sub, "best.json", {"command": "tune", "optimizer": to_json(spec)})
     parsed = parse_optimizer_spec({"path": "tuned/best.json"}, "optimizer", base_dir=tmp_path)
     assert parsed == spec
     # a bare spec document also works
-    _write(sub, "bare.json", spec_to_dict(spec))
+    _write(sub, "bare.json", to_json(spec))
     assert parse_optimizer_spec({"path": "tuned/bare.json"}, "optimizer", base_dir=tmp_path) == spec
 
 
@@ -259,7 +257,7 @@ def test_load_plan_train_toy_explicit_optimizer_wins(tmp_path):
     path = _write(
         tmp_path,
         "toy.json",
-        _train_toy_doc(family="adam", update_rule="hybrid", optimizer=spec_to_dict(spec)),
+        _train_toy_doc(family="adam", update_rule="hybrid", optimizer=to_json(spec)),
     )
     _, plan = load_plan(path)
     assert plan.optimizer == spec
@@ -284,7 +282,7 @@ def test_load_plan_train_toy_rejects_an_optimizer_its_labels_contradict(
     path = _write(
         tmp_path,
         "toy.json",
-        _train_toy_doc(family=family, update_rule=update_rule, optimizer=spec_to_dict(spec)),
+        _train_toy_doc(family=family, update_rule=update_rule, optimizer=to_json(spec)),
     )
     with pytest.raises(ConfigError) as err:
         load_plan(path)
@@ -307,8 +305,8 @@ def _robustness_doc(**over):
     doc = {
         "schema_version": SCHEMA_VERSION,
         "command": "robustness",
-        "distribution": distribution_to_dict(default_eval_distribution("convex2d")),
-        "optimizer": spec_to_dict(make_spec("sgd", UpdateRule("additive", lr=0.001))),
+        "distribution": to_json(default_eval_distribution("convex2d")),
+        "optimizer": to_json(make_spec("sgd", UpdateRule("additive", lr=0.001))),
         "n": 10,
     }
     doc.update(over)
@@ -334,8 +332,8 @@ def test_load_plan_scan(tmp_path):
     doc = {
         "schema_version": SCHEMA_VERSION,
         "command": "scan",
-        "task": task_to_dict(TaskConfig("convex2d", 1.0, 20.0, (50.0, 50.0), 100)),
-        "optimizer": spec_to_dict(make_spec("sgd", UpdateRule("additive", lr=0.001))),
+        "task": to_json(TaskConfig("convex2d", 1.0, 20.0, (50.0, 50.0), 100)),
+        "optimizer": to_json(make_spec("sgd", UpdateRule("additive", lr=0.001))),
         "x0_range": [40.0, 60.0],
         "grid_size": 5,
     }

@@ -10,13 +10,11 @@ from hypothesis import given, settings, strategies as st
 from optbench.config import (
     COMMANDS,
     ConfigError,
-    distribution_to_dict,
     load_plan,
     parse_distribution,
     parse_optimizer_spec,
     parse_task,
-    spec_to_dict,
-    task_to_dict,
+    to_json,
 )
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -107,12 +105,12 @@ def _through_json(doc):
 @pytest.mark.parametrize("config", RUNNABLE, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_bundled_objects_round_trip(config):
     _, plan = load_plan(config)
-    for attr, write, read in (
-        ("spec", spec_to_dict, parse_optimizer_spec),
-        ("optimizer", spec_to_dict, parse_optimizer_spec),
-        ("task", task_to_dict, parse_task),
-        ("distribution", distribution_to_dict, parse_distribution),
+    for attr, read in (
+        ("spec", parse_optimizer_spec),
+        ("optimizer", parse_optimizer_spec),
+        ("task", parse_task),
+        ("distribution", parse_distribution),
     ):
         if hasattr(plan, attr):
             value = getattr(plan, attr)
-            assert read(_through_json(write(value)), attr) == value
+            assert read(_through_json(to_json(value)), attr) == value

@@ -89,6 +89,15 @@ def test_bad_config_exits_2_naming_the_field(tmp_path, capsys, group, name, fiel
     assert "Traceback" not in err
 
 
+def test_a_grid_over_max_trials_exits_2_with_the_grid_message(tmp_path, capsys):
+    group, name, field, value, _ = CASES[-1]
+    config = tmp_path / name
+    config.write_text(json.dumps(_edit(_bundled(group, name), field, value)))
+    assert main([group, "--config", str(config), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "error: grids: grid holds more than MAX_TRIALS = 100000 points\n"
+    assert not (tmp_path / "out").exists()
+
+
 # Each field within its own bound, the run's total work over MAX_TRIAL_STEPS
 # (trials x iterations) or MAX_TRAIN_WORK (networks x parameters x samples).
 WORK_CASES = [

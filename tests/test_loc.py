@@ -1,4 +1,5 @@
-"""scripts/loc.py gives every line of a module exactly one kind."""
+"""scripts/loc.py gives every line of a module exactly one kind, and its
+difference of two counts goes module by module and kind by kind."""
 import importlib.util
 from pathlib import Path
 
@@ -30,6 +31,16 @@ def test_each_line_gets_its_kind():
         "code", "docstring", "code", "code", "code", "code",
     ]  # fmt: skip
     assert loc.count(source) == {"code": 6, "docstring": 4, "comment": 1, "blank": 1}
+
+
+def test_the_difference_counts_each_module_and_kind_and_a_missing_module_as_empty():
+    before = loc.count_all({"a.py": "x = 1\n\n# note\n", "gone.py": '"""Doc."""\n'})
+    after = loc.count_all({"a.py": "x = 1\ny = 2\n", "new.py": "z = 3\n"})
+    assert loc.difference(before, after) == {
+        "a.py": {"code": 1, "docstring": 0, "comment": -1, "blank": -1},
+        "gone.py": {"code": 0, "docstring": -1, "comment": 0, "blank": 0},
+        "new.py": {"code": 1, "docstring": 0, "comment": 0, "blank": 0},
+    }
 
 
 @pytest.mark.parametrize("path", sorted((REPO / "src").rglob("*.py")), ids=lambda p: p.name)

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 from dataclasses import asdict
 from itertools import product
 
@@ -7,8 +8,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from optbench import tuning
 from optbench.cli import EXIT_OK, main
-from optbench.config import SCHEMA_VERSION, spec_to_dict, task_to_dict
+from optbench.config import SCHEMA_VERSION, to_json
 from optbench.harness import run_batch, run_trial
 from optbench.objectives import TaskConfig
 from optbench.optim import UpdateRule, make_spec
@@ -54,9 +56,10 @@ def test_build_grid_degenerate_and_invalid():
         build_grid(GridSpec(2.0, 1.0))
     with pytest.raises(InvalidGridError):
         build_grid(GridSpec(0.1, 1.0, log10_step=0.0))
-    # 300,001 points: counted and refused before any is made.
-    with pytest.raises(InvalidGridError, match="grid holds more than MAX_TRIALS = 100000 points"):
-        build_grid(GridSpec(1e-3, 1.0, 1e-5))
+    # 300,001 and 3,000,000,001 points: counted and refused before any is made.
+    for step in (1e-5, 1e-9):
+        with pytest.raises(InvalidGridError, match="^grid holds more than MAX_TRIALS = 100000 points$"):
+            build_grid(GridSpec(1e-3, 1.0, step))
 
 
 def test_half_decade_grid_default_lr_axis():
@@ -164,6 +167,23 @@ def test_grid_search_rejects_empty_axis():
         grid_search(CONVEX, "sgd", "additive", grids=RateGrids(lr=[]))
 
 
+def test_grid_search_refuses_a_grid_over_max_trials_before_any_point_runs(monkeypatch):
+    def run_tasks(*args):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(tuning, "_run_tasks", run_tasks)
+    # 100 x 100 x 11 = 110,000 points, each axis admissible on its own.
+    grids = RateGrids(
+        lr=tuple(1e-4 * (i + 1) for i in range(100)),
+        lr_inner=tuple(0.1 * (i + 1) for i in range(100)),
+        lr_outer=tuple(0.05 * (i + 1) for i in range(11)),
+    )
+    started = time.monotonic()
+    with pytest.raises(InvalidGridError, match="^grid holds more than MAX_TRIALS = 100000 points$"):
+        grid_search(CONVEX, "sgd", "hybrid", grids=grids)
+    assert time.monotonic() - started < 1.0
+
+
 def _per_point_tune(task, family, kind, grids, mix):
     """The reference tune: one UpdateRule and spec per grid point, run as
     (task, spec) pairs and sorted by (distance, lr, lr_inner, lr_outer)."""
@@ -214,7 +234,7 @@ def test_grid_search_equals_per_point_tune_bitwise(tmp_path, task, kind, grids, 
     doc = {
         "schema_version": SCHEMA_VERSION,
         "command": "tune",
-        "task": task_to_dict(task),
+        "task": to_json(task),
         "family": "sgd",
         "update_rule": kind,
         "grids": {name: list(values) for name, values in asdict(grids).items() if name in names},
@@ -228,7 +248,7 @@ def test_grid_search_equals_per_point_tune_bitwise(tmp_path, task, kind, grids, 
     assert code == (EXIT_OK if math.isfinite(finals[0]) else 3)
 
     best = json.loads((out / "best.json").read_text())
-    assert best["optimizer"] == spec_to_dict(reference[0][0])
+    assert best["optimizer"] == to_json(reference[0][0])
     assert best["final_distance"] == (finals[0] if math.isfinite(finals[0]) else None)
     assert best["grid_points"] == len(reference)
     assert best["n_diverged"] == sum(map(math.isinf, finals))
