@@ -33,15 +33,12 @@ from .config import (
     TrainToyPlan,
     TrialPlan,
     TunePlan,
-    check_work,
     load_plan,
     to_json,
 )
 from .harness import ScoreStats, TrialRecord, evaluate_robustness, run_trial, surface_scan
 from .nn import mean_std, train_sampled_configs
-from .objectives import InvalidConfigError
-from .optim import InvalidRateError
-from .tuning import InvalidGridError, TuneResult, grid_search
+from .tuning import TuneResult, grid_search
 
 OUTPUT_ROOT_ENV = "OPTBENCH_OUT"
 
@@ -86,13 +83,13 @@ def _finite_or_none(x: float) -> float | None:
 def _prepare_output(out_dir: Path, names: list[str], overwrite: bool) -> None:
     """Make out_dir, before anything is written, or refuse the run: when
     out_dir cannot be a directory, when a target exists and is not a
-    regular file (a dangling or looping symlink included), or, without
-    overwrite, when a target exists."""
+    regular file (every symlink included, so no write leaves out_dir), or,
+    without overwrite, when a target exists."""
     for name in names:
         target = out_dir / name
         if not os.path.lexists(target):
             continue
-        if not target.is_file():
+        if target.is_symlink() or not target.is_file():
             raise ConfigError("", f"{target} exists and is not a regular file; it cannot be replaced")
         if not overwrite:
             raise ConfigError("", f"{target} already exists; pass --overwrite to replace it")
@@ -326,13 +323,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         _, plan = load_plan(args.config, expected_command=args.command)
-        check_work(plan)
         if args.parallelism < 1:
             raise ConfigError("", "--parallelism must be >= 1")
         if args.seed < 0:
             raise ConfigError("", "--seed must be >= 0")
         return _COMMANDS[args.command][0](plan, _resolve_out(args), args.seed, args.overwrite)
-    except (ConfigError, InvalidConfigError, InvalidGridError, InvalidRateError) as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -9,23 +9,26 @@ type and any bound the CLI adds, and whether the key may be left out;
 an optional key that is absent or null is left to the builder's default.
 
 One reader, Table.read, checks a JSON object against its table and
-builds the object.  Any ValueError raised while building it becomes a
-ConfigError at that object's dotted path, so a range that a domain type
-already checks on construction (UpdateRule, TaskConfig, Sampler,
-GridSpec) is not stated again here.  One writer, to_json, serializes
-objects from the same tables.  The fields each optimizer rule kind
-carries come from the rules' FIELDS tables in optim.
+builds the object.  A range that a domain type checks on construction
+(UpdateRule, TaskConfig, Sampler, GridSpec) is not stated again here:
+its ConfigError names the field under the object, and Table.read puts
+the object's dotted path in front; any other ValueError is reported at
+the object's path.  One writer, to_json, serializes objects from the
+same tables.  The fields each optimizer rule kind carries come from the
+rules' FIELDS tables in optim.
 
-Validation is strict: unknown keys, missing keys, wrong types, non-finite
-numbers and out-of-range values all raise ConfigError with a dotted field
-path so the CLI can point at the exact problem.  MAX_ITERATIONS bounds
-every iteration budget and MAX_TRIALS every trial count.  check_work
-bounds a loaded plan's total work, the product that those single-field
-bounds leave open: MAX_TRIAL_STEPS bounds trials x iterations of tune,
-robustness and scan, and MAX_TRAIN_WORK networks x parameters x samples
-of train-toy.  Optimizer specifications round-trip losslessly through
-this format, and may also be pulled in by reference ({"path": ...}) from
-a previous tuning run's output.
+load_plan is the one admission pass: unknown keys, missing keys, wrong
+types, non-finite numbers, out-of-range values and too much work all
+raise ConfigError, whose message reads "<dotted path>: <reason>", such as
+"task.iterations: must be an integer in [1, 100000], got 0" or
+"optimizer.update.lr_outer: must be in (0, 1], got 2.0".  MAX_TRIALS
+bounds every trial count, and objectives.MAX_ITERATIONS every iteration
+budget.  Each plan bounds its total work when it is built, the product
+that those single-field bounds leave open: MAX_TRIAL_STEPS bounds
+trials x iterations of tune, robustness and scan, and MAX_TRAIN_WORK
+networks x parameters x samples of train-toy.  Optimizer specifications
+round-trip losslessly through this format, and may also be pulled in by
+reference ({"path": ...}) from a previous tuning run's output.
 """
 from __future__ import annotations
 
@@ -36,7 +39,7 @@ from functools import partial
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-from .harness import MAX_ITERATIONS, MAX_TRIALS, EvalDistribution, Sampler
+from .harness import MAX_TRIALS, EvalDistribution, Sampler
 from .nn import ACTIVATIONS, FAN_MODES, MIN_BATCH_SIZE, MIN_NOISE, MIN_SAMPLES, ProtocolSettings, param_count
 from .objectives import FUNCTIONS, TaskConfig
 from .optim import (
@@ -44,9 +47,11 @@ from .optim import (
     FAMILIES,
     UPDATE_KINDS,
     AdaptiveRule,
+    ConfigError,
     MomentumRule,
     OptimizerSpec,
     UpdateRule,
+    check_rate,
     default_update_rule,
     make_spec,
 )
@@ -56,7 +61,7 @@ SCHEMA_VERSION = 1
 COMMANDS = ("tune", "trial", "robustness", "scan", "train-toy")
 
 # The most work one run may do, a bound on the product of fields that the
-# tables bound one by one; check_work applies it to a loaded plan.  Tune,
+# tables bound one by one; each plan applies it when it is built.  Tune,
 # robustness and scan run trials x iterations trial steps (one optimizer
 # step of one 2-D trial); a 316 x 316 scan of 1,000 iterations, just under
 # the bound, takes about 12 s on 2 vCPUs.  Train-toy work is networks x
@@ -67,16 +72,8 @@ MAX_TRIAL_STEPS = 10**8
 MAX_TRAIN_WORK = 5 * 10**7
 
 
-class ConfigError(ValueError):
-    """A malformed config; the message starts with the offending field path."""
-
-    def __init__(self, path: str, message: str):
-        super().__init__(f"{path}: {message}" if path else message)
-        self.field_path = path
-
-
 def _join(path: str, key: str) -> str:
-    return f"{path}.{key}" if path else key
+    return f"{path}.{key}" if path and key else path or key
 
 
 # ------------------------------------------------------------------ readers
@@ -136,11 +133,9 @@ def _check(read, ok: Callable, rule: str):
     return checked
 
 
-def _bounded(read, lo=None, hi=None):
+def _bounded(read, lo, hi=None):
     if hi is None:
         return _check(read, lambda x: x >= lo, f">= {lo}")
-    if lo is None:
-        return _check(read, lambda x: x <= hi, f"<= {hi}")
     return _check(read, lambda x: lo <= x <= hi, f"in [{lo}, {hi}]")
 
 
@@ -196,8 +191,8 @@ class Table:
                 kwargs[attr or key] = read(d[key], prefix + key)
         try:
             return self.build(**kwargs)
-        except ConfigError:
-            raise
+        except ConfigError as exc:
+            raise ConfigError(_join(path, exc.field_path), exc.reason) from None
         except ValueError as exc:
             raise ConfigError(path, str(exc)) from None
 
@@ -253,7 +248,7 @@ parse_task = Table(
     Field("alpha", _number),
     Field("beta", _number),
     Field("x0", _items(_number, 2)),
-    Field("iterations", _bounded(_integer, hi=MAX_ITERATIONS)),
+    Field("iterations", _integer),
     Field("seed", _integer, optional=True),
 )
 parse_sampler = _SamplerTable(Sampler, Field("mean", _number), Field("std", _number, optional=True))
@@ -325,23 +320,12 @@ def parse_grid_axis(value, path: str) -> tuple[float, ...]:
     return (_GRID_LIST if isinstance(value, list) else _GRID_SPEC)(value, path)
 
 
-def _rate_axis(name: str):
-    """parse_grid_axis, then every value of the axis in the name rate's range."""
-
-    def read(value, path: str) -> tuple[float, ...]:
-        axis = parse_grid_axis(value, path)
-        try:
-            check_axis(name, axis)
-        except ValueError as exc:
-            raise ConfigError(path, str(exc)) from None
-        return axis
-
-    return read
-
-
 def _grids(update_kind: str, **axes) -> RateGrids:
-    """The kind's stock grids with the given axes in place, refused by
-    tuning.grid_points past MAX_TRIALS points."""
+    """The kind's stock grids with the given axes in place, each given axis
+    in its rate's range; refused by tuning.grid_points past MAX_TRIALS
+    points."""
+    for name, axis in axes.items():
+        check_axis(name, axis)
     grids = replace(default_grids(update_kind), **axes)
     grid_points(grids, update_kind)
     return grids
@@ -350,7 +334,7 @@ def _grids(update_kind: str, **axes) -> RateGrids:
 # The grid table of each update kind: one optional axis per rate it grids,
 # an absent axis keeping its stock grid.
 _GRIDS = {
-    kind: Table(partial(_grids, kind), *(Field(name, _rate_axis(name), optional=True) for name in axes))
+    kind: Table(partial(_grids, kind), *(Field(name, parse_grid_axis, optional=True) for name in axes))
     for kind, axes in RATE_AXES.items()
 }
 
@@ -360,6 +344,17 @@ def parse_grids(d, path: str, update_kind: str) -> RateGrids:
 
 
 # ------------------------------------------------------------------ plans
+
+def _check_steps(path: str, trials: int, iterations: float) -> None:
+    """Refuse trials x iterations over MAX_TRIAL_STEPS, at the field that
+    sizes each trial, giving every factor of the product."""
+    if trials * iterations > MAX_TRIAL_STEPS:
+        raise ConfigError(
+            path,
+            f"{trials} trials x {iterations:g} iterations = {trials * iterations:g} trial steps"
+            f" is more than MAX_TRIAL_STEPS = {MAX_TRIAL_STEPS}",
+        )
+
 
 @dataclass
 class TunePlan:
@@ -383,6 +378,11 @@ class RobustnessPlan:
     n: int
     seed: int | None = None
 
+    def __post_init__(self):
+        # A drawn budget is random: count its mean plus one standard deviation.
+        budget = self.distribution.iterations
+        _check_steps("distribution.iterations", self.n, max(1.0, budget.mean + budget.std))
+
 
 @dataclass
 class ScanPlan:
@@ -391,6 +391,9 @@ class ScanPlan:
     x0_range: tuple[float, float] | None = None
     x1_range: tuple[float, float] | None = None
     grid_size: int = 25
+
+    def __post_init__(self):
+        _check_steps("task.iterations", self.grid_size**2, self.task.iterations)
 
 
 @dataclass
@@ -408,15 +411,23 @@ def _tune(task, family, update_kind, grids=None, mix=None) -> TunePlan:
         mix = DEFAULT_MIX
     elif "mix" not in UpdateRule.FIELDS[update_kind]:
         raise ConfigError("mix", f"the {update_kind} rule has no mix")
-    return TunePlan(task, family, update_kind, parse_grids(grids, "grids", update_kind), mix)
+    check_rate("mix", mix)
+    grids = parse_grids(grids, "grids", update_kind)
+    _check_steps("task.iterations", grid_points(grids, update_kind), task.iterations)
+    return TunePlan(task, family, update_kind, grids, mix)
+
+
+_STOCK_CONFIGS = 10
 
 
 def _train_toy(
-    family, update_kind, optimizer=None, n_configs=10, master_seed=None, dataset=None, **settings
+    family, update_kind, optimizer=None, n_configs=_STOCK_CONFIGS, master_seed=None, dataset=None, **settings
 ) -> TrainToyPlan:
     """An explicit optimizer must be the family's rules, at the optimizer's
     own beta1, beta2 and eps, with the update_rule kind, since the outputs
-    are labelled with both."""
+    are labelled with both.  The run's work, networks x parameters x
+    samples, is refused past MAX_TRAIN_WORK at the factor's field that is
+    furthest above its stock size, so at a field the plan sets."""
     if optimizer is None:
         try:
             optimizer = make_spec(family, default_update_rule(family, update_kind))
@@ -434,9 +445,22 @@ def _train_toy(
             raise ConfigError(
                 "optimizer", f"{family} has (momentum, adaptive) rules {expected}, got {(mom, ada)}"
             )
-    return TrainToyPlan(
-        ProtocolSettings(**(dataset or {}), **settings), family, update_kind, optimizer, n_configs, master_seed
-    )
+    settings = ProtocolSettings(**(dataset or {}), **settings)
+    params, samples = param_count(settings.layer_sizes), settings.dataset_n
+    work = n_configs * params * samples
+    if work > MAX_TRAIN_WORK:
+        stock = ProtocolSettings()
+        growth = {
+            "hidden": params / param_count(stock.layer_sizes),
+            "n_configs": n_configs / _STOCK_CONFIGS,
+            "dataset.n": samples / stock.dataset_n,
+        }
+        raise ConfigError(
+            max(growth, key=growth.get),
+            f"{n_configs} networks x {params} parameters x {samples} samples = {work}"
+            f" is more than MAX_TRAIN_WORK = {MAX_TRAIN_WORK}",
+        )
+    return TrainToyPlan(settings, family, update_kind, optimizer, n_configs, master_seed)
 
 
 _TASK_FIELD = Field("task", parse_task)
@@ -466,7 +490,7 @@ def _plan_tables(base_dir: Path) -> dict[str, Table]:
             _FAMILY,
             _UPDATE_KIND,
             Field("grids", _object, optional=True),
-            Field("mix", _bounded(_number, 0.0, 1.0), optional=True),
+            Field("mix", _number, optional=True),
         ),
         "trial": Table(TrialPlan, _TASK_FIELD, spec),
         "robustness": Table(
@@ -533,37 +557,3 @@ def load_plan(path: Path | str, expected_command: str | None = None):
         raise ConfigError("command", f"config is for {command!r}, invoked as {expected_command!r}")
     return command, _plan_tables(path.parent)[command](cfg, "")
 
-
-def check_work(plan) -> None:
-    """Refuse a loaded plan whose total work is over its bound.  The error
-    names the field that sizes each trial or network, and gives every
-    factor of the product.
-
-    load_plan admits every field up to its own bound, all of them at once
-    included; the CLI calls this before a command runs anything."""
-    if isinstance(plan, TrainToyPlan):
-        params, samples = param_count(plan.settings.layer_sizes), plan.settings.dataset_n
-        work = plan.n_configs * params * samples
-        if work > MAX_TRAIN_WORK:
-            raise ConfigError(
-                "hidden",
-                f"{plan.n_configs} networks x {params} parameters x {samples} samples = {work}"
-                f" is more than MAX_TRAIN_WORK = {MAX_TRAIN_WORK}",
-            )
-        return
-    if isinstance(plan, TunePlan):
-        path, trials, iterations = "task.iterations", grid_points(plan.grids, plan.update_kind), plan.task.iterations
-    elif isinstance(plan, ScanPlan):
-        path, trials, iterations = "task.iterations", plan.grid_size**2, plan.task.iterations
-    elif isinstance(plan, RobustnessPlan):
-        # A drawn budget is random: count its mean plus one standard deviation.
-        budget = plan.distribution.iterations
-        path, trials, iterations = "distribution.iterations", plan.n, max(1.0, budget.mean + budget.std)
-    else:
-        return  # a trial runs one task, its iterations bounded by MAX_ITERATIONS
-    if trials * iterations > MAX_TRIAL_STEPS:
-        raise ConfigError(
-            path,
-            f"{trials} trials x {iterations:g} iterations = {trials * iterations:g} trial steps"
-            f" is more than MAX_TRIAL_STEPS = {MAX_TRIAL_STEPS}",
-        )

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .objectives import (
+    MAX_ITERATIONS,
     InvalidConfigError,
     TaskColumns,
     TaskConfig,
@@ -31,10 +32,6 @@ from .optim import (
     RateColumns,
     step,  # noqa: F401  (kept importable: bench/tracer.py wraps harness.step)
 )
-
-# The largest iteration budget of one trial.  A run costs time in
-# proportion to it, and a single trial keeps a trajectory of that length.
-MAX_ITERATIONS = 100_000
 
 # The most trials one command runs as a population: robustness draws, tune
 # grid points, and scan start points (grid_size squared).
@@ -223,7 +220,7 @@ class Sampler:
 
     def __post_init__(self):
         if self.std < 0.0:
-            raise InvalidConfigError(f"std must be non-negative, got {self.std}")
+            raise InvalidConfigError("std", f"must be non-negative, got {self.std}")
 
 
 @dataclass(frozen=True)
@@ -255,7 +252,7 @@ def default_eval_distribution(function: str) -> EvalDistribution:
             beta=Sampler(60.0, 6.0),
             iterations=Sampler(100.0, 10.0),
         )
-    raise InvalidConfigError(f"unknown function {function!r}")
+    raise InvalidConfigError("function", f"unknown function {function!r}")
 
 
 # Redraws allowed for a non-positive beta before the distribution is
@@ -396,7 +393,7 @@ def draw_tasks(dist: EvalDistribution, seed: int, indices) -> TaskColumns:
                 row[-1] = standard_normal()
         else:
             raise InvalidConfigError(
-                f"distribution.beta: no positive draw from {dist.beta} in {MAX_BETA_DRAWS} tries"
+                "distribution.beta", f"no positive draw from {dist.beta} in {MAX_BETA_DRAWS} tries"
             )
     draws = np.repeat(means[None], len(z), axis=0)
     # A draw may overflow to inf, as normal's does; the task rules reject it.
@@ -408,8 +405,8 @@ def draw_tasks(dist: EvalDistribution, seed: int, indices) -> TaskColumns:
         row = int(np.argmin(within))
         where = f" (row {row})" if budget.size > 1 else ""
         raise InvalidConfigError(
-            f"distribution.iterations must be at most MAX_ITERATIONS = {MAX_ITERATIONS},"
-            f" got {budget[row].item()!r}{where}"
+            "distribution.iterations",
+            f"must be at most MAX_ITERATIONS = {MAX_ITERATIONS}, got {budget[row].item()!r}{where}",
         )
     # rint rounds half to even, as round() does; clamping first keeps -inf out.
     budget = np.rint(np.maximum(budget, 1.0)).astype(int)
@@ -452,7 +449,7 @@ class ScoreStats:
 def evaluate_robustness(dist: EvalDistribution, spec: OptimizerSpec, n: int, seed: int) -> ScoreStats:
     """Score the optimizer on n randomly drawn tasks."""
     if n < 1:
-        raise InvalidConfigError(f"n must be >= 1, got {n}")
+        raise InvalidConfigError("n", f"must be >= 1, got {n}")
     scores = _run_tasks(draw_tasks(dist, seed, range(n)), spec).score
     included = scores[np.isfinite(scores)]
     if included.size == 0:
@@ -494,19 +491,19 @@ def surface_scan(
 ) -> ScoreGrid:
     """Run one trial per starting point on a grid_size x grid_size lattice."""
     if grid_size < 1:
-        raise InvalidConfigError(f"grid_size must be >= 1, got {grid_size}")
+        raise InvalidConfigError("grid_size", f"must be >= 1, got {grid_size}")
     axes = []
     # A range left out is the default around the task's start coordinate,
     # which an error then names.
     for i, (given, default) in enumerate(zip((x0_range, x1_range), default_scan_ranges(task))):
         name, (lo, hi) = (f"x{i}_range", given) if given is not None else (f"task.x0[{i}]", default)
         if not (math.isfinite(lo) and math.isfinite(hi)) or lo > hi:
-            raise InvalidConfigError(f"{name}: bad scan range ({lo}, {hi})")
+            raise InvalidConfigError(name, f"bad scan range ({lo}, {hi})")
         # The width of a range beyond the largest float overflows.
         with np.errstate(over="ignore", invalid="ignore"):
             axis = np.linspace(lo, hi, grid_size)
         if not np.isfinite(axis).all():
-            raise InvalidConfigError(f"{name}: ({lo}, {hi}) is too wide; its axis is not finite")
+            raise InvalidConfigError(name, f"({lo}, {hi}) is too wide; its axis is not finite")
         axes.append(axis)
     x0_axis, x1_axis = axes
     n = grid_size * grid_size

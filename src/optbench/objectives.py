@@ -12,10 +12,16 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .optim import ConfigError
+
 FUNCTIONS = ("convex2d", "rosenbrock")
 
+# The largest iteration budget of one trial.  A run costs time in
+# proportion to it, and a single trial keeps a trajectory of that length.
+MAX_ITERATIONS = 100_000
 
-class InvalidConfigError(ValueError):
+
+class InvalidConfigError(ConfigError):
     """Raised for out-of-range task parameters (e.g. beta <= 0)."""
 
 
@@ -72,30 +78,31 @@ class TaskColumns(NamedTuple):
     def check(self, path: str = "") -> None:
         """The task rules, each tested once over its whole column: the
         function is known, alpha is finite, beta is finite and positive, x0
-        is two finite reals and iterations is a positive integer.
+        is two finite reals and iterations is an integer in
+        [1, MAX_ITERATIONS].
 
-        The error names the field under path (e.g. "distribution.alpha")
-        and, when there are several tasks, the row of the first that breaks
-        the rule.
+        The error names the field under the prefix path (e.g.
+        "distribution.alpha") and, when there are several tasks, the row of
+        the first that breaks the rule.
         """
         if self.function not in FUNCTIONS:
-            raise InvalidConfigError(f"unknown {path}function {self.function!r}")
+            raise InvalidConfigError(f"{path}function", f"unknown function {self.function!r}")
         if self.x0.ndim != 2 or self.x0.shape[1] != 2:
-            raise InvalidConfigError(f"{path}x0 must be two reals, got shape {self.x0.shape[1:]}")
+            raise InvalidConfigError(f"{path}x0", f"must be two reals, got shape {self.x0.shape[1:]}")
         iterations = self.iterations
-        integral = np.issubdtype(iterations.dtype, np.integer)
+        budget = np.issubdtype(iterations.dtype, np.integer) and (iterations >= 1) & (iterations <= MAX_ITERATIONS)
         for name, values, ok, rule in (
             ("alpha", self.alpha, np.isfinite(self.alpha), "finite"),
             ("beta", self.beta, np.isfinite(self.beta) & (self.beta > 0.0), "finite and positive"),
             ("x0[0]", self.x0[:, 0], np.isfinite(self.x0[:, 0]), "finite"),
             ("x0[1]", self.x0[:, 1], np.isfinite(self.x0[:, 1]), "finite"),
-            ("iterations", iterations, integral and iterations >= 1, "a positive integer"),
+            ("iterations", iterations, budget, f"an integer in [1, {MAX_ITERATIONS}]"),
         ):
             if not np.all(ok):
                 row = int(np.argmin(np.broadcast_to(ok, values.shape)))
                 where = f" (row {row})" if values.size > 1 else ""
                 # tolist, not item: an integer past int64 makes an object column.
-                raise InvalidConfigError(f"{path}{name} must be {rule}, got {values.tolist()[row]!r}{where}")
+                raise InvalidConfigError(path + name, f"must be {rule}, got {values.tolist()[row]!r}{where}")
 
 
 @dataclass(frozen=True)
@@ -119,7 +126,7 @@ class Objective:
 
 def _check_beta(beta) -> None:
     if not np.all(beta > 0.0):
-        raise InvalidConfigError(f"beta must be positive, got {beta}")
+        raise InvalidConfigError("beta", f"must be positive, got {beta}")
 
 
 # The builders below are unchecked.  Each works out the gradient's

@@ -68,7 +68,18 @@ class NonFiniteGradientError(ValueError):
     """Raised when a gradient contains NaN or infinity."""
 
 
-class InvalidRateError(ValueError):
+class ConfigError(ValueError):
+    """A refused value.  field_path is the dotted path of the field it
+    names, relative to the object that raised it ("" for none), and the
+    message is "<field_path>: <reason>"."""
+
+    def __init__(self, path: str, reason: str):
+        super().__init__(f"{path}: {reason}" if path else reason)
+        self.field_path = path
+        self.reason = reason
+
+
+class InvalidRateError(ConfigError):
     """Raised when a rate constant is outside its admissible range."""
 
 
@@ -105,7 +116,7 @@ _IN_RANGE = {name: _interval(text) for name, text in _RANGES.items()}
 def check_rate(name: str, value) -> None:
     """Raise InvalidRateError unless value is admissible for the field name."""
     if not _IN_RANGE[name](value):
-        raise InvalidRateError(f"{name} must be in {_RANGES[name]}, got {value}")
+        raise InvalidRateError(name, f"must be in {_RANGES[name]}, got {value}")
 
 
 class _Rule:

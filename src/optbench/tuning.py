@@ -23,10 +23,10 @@ from .harness import (
     run_trials,  # noqa: F401  (kept importable: bench/tracer.py wraps tuning.run_trials)
 )
 from .objectives import TaskColumns, TaskConfig
-from .optim import DEFAULT_MIX, OptimizerSpec, RateColumns, UpdateRule, check_rate, make_spec
+from .optim import DEFAULT_MIX, ConfigError, OptimizerSpec, RateColumns, UpdateRule, check_rate, make_spec
 
 
-class InvalidGridError(ValueError):
+class InvalidGridError(ConfigError):
     """Raised for empty, out-of-order or oversized rate grids."""
 
 
@@ -43,12 +43,11 @@ class GridSpec:
     log10_step: float = 0.5
 
     def __post_init__(self):
-        if self.lo <= 0.0 or self.hi <= 0.0:
-            raise InvalidGridError(f"grid bounds must be positive, got [{self.lo}, {self.hi}]")
+        for name in ("lo", "hi", "log10_step"):
+            if not getattr(self, name) > 0.0:
+                raise InvalidGridError(name, f"must be positive, got {getattr(self, name)}")
         if self.lo > self.hi:
-            raise InvalidGridError(f"grid lower bound {self.lo} exceeds upper bound {self.hi}")
-        if self.log10_step <= 0.0:
-            raise InvalidGridError(f"log10_step must be positive, got {self.log10_step}")
+            raise InvalidGridError("lo", f"must not exceed hi = {self.hi}, got {self.lo}")
 
 
 def build_grid(spec: GridSpec) -> list[float]:
@@ -56,7 +55,7 @@ def build_grid(spec: GridSpec) -> list[float]:
     of more than MAX_TRIALS points raises InvalidGridError, before any
     point is made."""
     if math.log10(spec.hi) - math.log10(spec.lo) > (MAX_TRIALS - 1) * spec.log10_step:
-        raise InvalidGridError(_TOO_MANY_POINTS)
+        raise InvalidGridError("", _TOO_MANY_POINTS)
     if spec.lo == spec.hi:
         return [spec.lo]
     values = []
@@ -66,7 +65,7 @@ def build_grid(spec: GridSpec) -> list[float]:
             v = spec.lo * 10.0 ** (k * spec.log10_step)
         except OverflowError:
             raise InvalidGridError(
-                f"log10_step {spec.log10_step} leaves the float range before reaching {spec.hi}"
+                "", f"log10_step {spec.log10_step} leaves the float range before reaching {spec.hi}"
             ) from None
         # Stop once we reach hi (up to rounding); hi is appended exactly.
         if v >= spec.hi * (1.0 - 1e-12):
@@ -84,7 +83,7 @@ def half_decade_grid(lo: float, hi: float) -> list[float]:
     drawn from; both bounds are included.
     """
     if lo <= 0.0 or hi <= 0.0 or lo > hi:
-        raise InvalidGridError(f"bad grid bounds [{lo}, {hi}]")
+        raise InvalidGridError("", f"bad grid bounds [{lo}, {hi}]")
     e_lo = math.floor(math.log10(lo) + 1e-12)
     e_hi = math.ceil(math.log10(hi) + 1e-12)
     values = []
@@ -94,7 +93,7 @@ def half_decade_grid(lo: float, hi: float) -> list[float]:
             if lo * (1.0 - 1e-12) <= v <= hi * (1.0 + 1e-12):
                 values.append(v)
     if not values:
-        raise InvalidGridError(f"no half-decade values inside [{lo}, {hi}]")
+        raise InvalidGridError("", f"no half-decade values inside [{lo}, {hi}]")
     return values
 
 
@@ -149,15 +148,15 @@ def grid_points(grids: RateGrids, update_kind: str) -> int:
     InvalidGridError."""
     points = math.prod(len(getattr(grids, name)) for name in _axes(update_kind))
     if points > MAX_TRIALS:
-        raise InvalidGridError(_TOO_MANY_POINTS)
+        raise InvalidGridError("", _TOO_MANY_POINTS)
     return points
 
 
 def check_axis(name: str, values) -> None:
     """Raise unless values is a non-empty axis of admissible name rates;
-    each value is checked once."""
+    each value is checked once.  The error names the field name."""
     if values is None or len(values) == 0:
-        raise InvalidGridError(f"the {name} grid must not be empty")
+        raise InvalidGridError(name, "must not be empty")
     for value in values:
         check_rate(name, value)
 

@@ -236,18 +236,26 @@ def test_overwrite_refuses_a_target_that_is_a_directory_before_writing(tmp_path,
     assert not (out / "trajectory.csv").exists()
 
 
-# An output name taken by a symlink that leads to no regular file: into a
-# missing directory, to a missing file, or to itself.
-@pytest.mark.parametrize("link", ["missing/best.json", "nowhere.json", "best.json"], ids=["dir", "file", "loop"])
-def test_a_symlink_to_no_regular_file_exits_2_before_writing(tmp_path, capsys, link):
+# An output name taken by a symlink: into a missing directory, to a missing
+# file, to itself, or to an existing file outside the output directory,
+# which --overwrite would otherwise write through.
+@pytest.mark.parametrize(
+    "link, flags",
+    [("missing/best.json", []), ("nowhere.json", []), ("best.json", []), ("../elsewhere.json", ["--overwrite"])],
+    ids=["dir", "file", "loop", "outside"],
+)
+def test_a_symlink_to_no_regular_file_exits_2_before_writing(tmp_path, capsys, link, flags):
     config = _write_config(tmp_path, "tune.json", _tune_doc(grids={"lr": [0.001]}))
+    elsewhere = tmp_path / "elsewhere.json"
+    elsewhere.write_text("kept")
     out = tmp_path / "out"
     out.mkdir()
     (out / "best.json").symlink_to(link)
-    assert main(["tune", "--config", str(config), "--out", str(out)]) == EXIT_CONFIG
+    assert main(["tune", "--config", str(config), "--out", str(out), *flags]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err == f"error: {out / 'best.json'} exists and is not a regular file; it cannot be replaced\n"
     assert list(out.iterdir()) == [out / "best.json"]
+    assert elsewhere.read_text() == "kept"
 
 
 def test_a_failed_write_exits_2_naming_the_file(tmp_path, capsys, monkeypatch):
@@ -512,7 +520,7 @@ def test_overflowing_robustness_draw_names_its_field(tmp_path, capsys, field):
     assert main(["robustness", "--config", str(config), "--out", str(out)]) == EXIT_CONFIG
     assert time.monotonic() - started < 5.0
     err = capsys.readouterr().err
-    assert f"error: distribution.{field} must be finite, got inf (row " in err
+    assert f"error: distribution.{field}: must be finite, got inf (row " in err
     assert not (out / "stats.json").exists()
 
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from optbench.cli import EXIT_CONFIG, main
-from optbench.config import ConfigError, check_work, load_plan
+from optbench.config import ConfigError, load_plan
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -52,7 +52,7 @@ CASES = [
     ("scan", "convex2d-sgd-additive.json", "task.iterations", 10**12, "task.iterations"),
     ("tune", "convex2d-sgd-additive.json", "task.iterations", 10**12, "task.iterations"),
     # Below the int64 range: numpy holds it in an object column.
-    ("tune", "convex2d-sgd-additive.json", "task.iterations", -(2**63) - 1, "task"),
+    ("tune", "convex2d-sgd-additive.json", "task.iterations", -(2**63) - 1, "task.iterations"),
     (
         "tune",
         "convex2d-sgd-hybrid.json",
@@ -85,7 +85,7 @@ def test_bad_config_exits_2_naming_the_field(tmp_path, capsys, group, name, fiel
     assert main([group, "--config", str(config), "--out", str(out)]) == EXIT_CONFIG
     assert time.monotonic() - started < 5.0
     err = capsys.readouterr().err
-    assert f"error: {path}" in err
+    assert f"error: {path}: " in err
     assert "Traceback" not in err
 
 
@@ -96,6 +96,83 @@ def test_a_grid_over_max_trials_exits_2_with_the_grid_message(tmp_path, capsys):
     assert main([group, "--config", str(config), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
     assert capsys.readouterr().err == "error: grids: grid holds more than MAX_TRIALS = 100000 points\n"
     assert not (tmp_path / "out").exists()
+
+
+# One refusal from each place a range is stated, through the CLI: the
+# field's dotted path, ": " and the reason, on one line, before any output
+# file is written.
+LINES = [
+    ("tune", "convex2d-sgd-additive.json", {"task.beta": -1.0}, "task.beta: must be finite and positive, got -1.0"),
+    (
+        "tune",
+        "convex2d-sgd-additive.json",
+        {"task.iterations": 0},
+        "task.iterations: must be an integer in [1, 100000], got 0",
+    ),
+    (
+        "tune",
+        "convex2d-sgd-additive.json",
+        {"task.iterations": 10**6},
+        "task.iterations: must be an integer in [1, 100000], got 1000000",
+    ),
+    (
+        "scan",
+        "convex2d-sgd-additive.json",
+        {
+            "optimizer": {
+                "momentum": {"kind": "identity"},
+                "adaptive": {"kind": "identity"},
+                "update": {"kind": "multiplicative", "lr_inner": 1.0, "lr_outer": 2.0},
+            }
+        },
+        "optimizer.update.lr_outer: must be in (0, 1], got 2.0",
+    ),
+    (
+        "robustness",
+        "convex2d-sgd-additive.json",
+        {"distribution.x0": [{"mean": 1.0, "std": -1.0}, 1.0]},
+        "distribution.x0[0].std: must be non-negative, got -1.0",
+    ),
+    (
+        "robustness",
+        "convex2d-sgd-additive.json",
+        {"distribution.alpha": {"mean": 1e308, "std": 1e308}},
+        "distribution.alpha: must be finite, got inf (row 0)",
+    ),
+    (
+        "tune",
+        "convex2d-sgd-additive.json",
+        {"grids.lr": {"lo": 0.1, "hi": 1.0, "log10_step": -1.0}},
+        "grids.lr.log10_step: must be positive, got -1.0",
+    ),
+    ("tune", "convex2d-sgd-additive.json", {"grids.lr": [-1.0, 0.1]}, "grids.lr: must be in [0, inf), got -1.0"),
+    ("tune", "convex2d-sgd-hybrid.json", {"mix": 2.0}, "mix: must be in [0, 1], got 2.0"),
+    (
+        "scan",
+        "convex2d-sgd-additive.json",
+        {"grid_size": 316, "task.iterations": 100_000},
+        "task.iterations: 99856 trials x 100000 iterations = 9.9856e+09 trial steps"
+        " is more than MAX_TRIAL_STEPS = 100000000",
+    ),
+    (
+        "train-toy",
+        "sgd-additive.json",
+        {"n_configs": 100_000},
+        "n_configs: 100000 networks x 82 parameters x 400 samples = 3280000000 is more than MAX_TRAIN_WORK = 50000000",
+    ),
+]
+
+
+@pytest.mark.parametrize("group, name, edits, line", LINES, ids=[line.split(":")[0] for *_, line in LINES])
+def test_each_refusal_prints_its_dotted_path_and_reason(tmp_path, capsys, group, name, edits, line):
+    doc = _bundled(group, name)
+    for field, value in edits.items():
+        _edit(doc, field, value)
+    config = tmp_path / name
+    config.write_text(json.dumps(doc))
+    assert main([group, "--config", str(config), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: {line}\n"
+    assert list((tmp_path / "out").glob("*")) == []
 
 
 # Each field within its own bound, the run's total work over MAX_TRIAL_STEPS
@@ -115,8 +192,10 @@ WORK_CASES = [
     ),
     ("scan", "convex2d-sgd-additive.json", {"grid_size": 316, "task.iterations": 100_000}, "task.iterations"),
     ("train-toy", "sgd-additive.json", {"hidden": [1_000_000]}, "hidden"),
-    ("train-toy", "sgd-additive.json", {"n_configs": 100_000}, "hidden"),
-    ("train-toy", "sgd-additive.json", {"dataset.n": 10**9}, "hidden"),
+    # The bundled config leaves hidden out: the error names the factor
+    # the plan makes large.
+    ("train-toy", "sgd-additive.json", {"n_configs": 100_000}, "n_configs"),
+    ("train-toy", "sgd-additive.json", {"dataset.n": 10**9}, "dataset.n"),
 ]
 
 
@@ -142,7 +221,7 @@ def test_work_bounds_admit_every_bundled_config():
     configs = [p for g in ("tune", "robustness", "scan", "train-toy") for p in (CONFIGS / g).glob("*.json")]
     assert len(configs) == 55
     for path in configs:
-        check_work(load_plan(path)[1])
+        load_plan(path)
 
 
 def test_a_trial_over_the_iteration_bound_exits_2(tmp_path, capsys):
@@ -204,11 +283,20 @@ def test_referenced_spec_must_be_inline(tmp_path):
     assert err.value.field_path == "optimizer(rob.json).path"
 
 
-def test_bounds_admit_their_limits(tmp_path):
+# Each plan puts one field at its own bound and stays inside
+# MAX_TRIAL_STEPS = 10**8 trial steps.
+@pytest.mark.parametrize(
+    "grid_size, iterations",
+    [
+        (316, 1_000),  # 316**2 <= MAX_TRIALS; 99,856,000 trial steps
+        (31, 100_000),  # MAX_ITERATIONS; 96,100,000 trial steps
+    ],
+)
+def test_bounds_admit_their_limits(tmp_path, grid_size, iterations):
     doc = _bundled("scan", "convex2d-sgd-additive.json")
-    doc["grid_size"] = 316  # 316**2 <= MAX_TRIALS
-    doc["task"]["iterations"] = 100_000  # MAX_ITERATIONS
+    doc["grid_size"] = grid_size
+    doc["task"]["iterations"] = iterations
     config = tmp_path / "scan.json"
     config.write_text(json.dumps(doc))
     _, plan = load_plan(config)
-    assert plan.grid_size == 316 and plan.task.iterations == 100_000
+    assert plan.grid_size == grid_size and plan.task.iterations == iterations

@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from optbench.objectives import (
+    MAX_ITERATIONS,
     InvalidConfigError,
     TaskConfig,
     convex2d,
@@ -131,6 +132,16 @@ def test_task_config_validation():
         TaskConfig(**{**good, "iterations": 0})
     with pytest.raises(InvalidConfigError):
         TaskConfig(**{**good, "iterations": 10.0})
+
+
+def test_task_config_bounds_iterations_at_max_iterations():
+    good = dict(function="convex2d", alpha=1.0, beta=20.0, x0=(50, 50))
+    assert TaskConfig(**good, iterations=MAX_ITERATIONS).iterations == MAX_ITERATIONS
+    for iterations in (0, MAX_ITERATIONS + 1):
+        with pytest.raises(InvalidConfigError) as refusal:
+            TaskConfig(**good, iterations=iterations)
+        assert refusal.value.field_path == "iterations"
+        assert refusal.value.reason == f"must be an integer in [1, {MAX_ITERATIONS}], got {iterations}"
 
 
 def test_make_objective_dispatch():

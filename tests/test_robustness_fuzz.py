@@ -38,8 +38,8 @@ PLANS = st.fixed_dictionaries(
         "optimizer": st.sampled_from(sorted(TUNED.glob("*.json"))).map(lambda p: {"path": str(p)}),
     }
 )
-# "error: " then a dotted field path such as distribution.x0[1] or n.
-ERROR_LINE = re.compile(r"error: (([A-Za-z_]\w*)(\[\d+\])*(\.[A-Za-z_]\w*(\[\d+\])*)*)[: ]")
+# "error: ", a dotted field path such as distribution.x0[1] or n, then ": ".
+ERROR_LINE = re.compile(r"error: (([A-Za-z_]\w*)(\[\d+\])*(\.[A-Za-z_]\w*(\[\d+\])*)*): ")
 
 
 def _strict(constant):

@@ -62,6 +62,14 @@ def test_build_grid_degenerate_and_invalid():
             build_grid(GridSpec(1e-3, 1.0, step))
 
 
+@pytest.mark.parametrize("field", ["lo", "hi", "log10_step"])
+def test_grid_spec_refuses_nan_naming_the_field(field):
+    # A NaN step never reaches hi, so its grid would grow without end.
+    with pytest.raises(InvalidGridError) as refusal:
+        GridSpec(**{"lo": 1e-3, "hi": 1.0, "log10_step": 0.5, field: math.nan})
+    assert refusal.value.field_path == field
+
+
 def test_half_decade_grid_default_lr_axis():
     grid = half_decade_grid(*LR_RANGE)
     assert grid == [
