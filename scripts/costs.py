@@ -1,0 +1,138 @@
+"""Count the calls a workload makes, function by function.
+
+Runs the three bundled train-toy configs under configs/train-toy through
+the CLI in this process: once to warm up, so that one-time work is left
+out, then once under cProfile.  Records the call count of every function
+defined under src/optbench, keyed by module and qualified name; a
+generator expression or lambda is keyed under the function that holds
+it, and several in one function add up.  Not counted: list, set and dict
+comprehensions, which Python 3.12 and later run inline (PEP 709), and
+functions that a dataclass or named tuple generates from a string.
+
+The ledger, tests/data/costs.json, also records the Python and numpy
+versions it was made with.  Counts are exact: a change that adds or
+removes work on the hot path moves them, while wall time on a shared
+host can hide it.
+
+Usage: python3 scripts/costs.py [--check]
+
+--check counts again and compares with the stored ledger instead of
+writing it; it prints each function whose count moved with both counts,
+and exits 1 if any did.
+"""
+from __future__ import annotations
+
+import argparse
+import ast
+import cProfile
+import json
+import platform
+import pstats
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+import optbench
+from optbench.cli import main as cli_main
+
+ROOT = Path(__file__).resolve().parent.parent
+LEDGER = ROOT / "tests" / "data" / "costs.json"
+PACKAGE = Path(optbench.__file__).resolve().parent
+WORKLOADS = {"train-toy": sorted((ROOT / "configs" / "train-toy").glob("*.json"))}
+INLINED = ("<listcomp>", "<setcomp>", "<dictcomp>")
+
+
+def _functions(path: Path) -> list[tuple[int, int, str]]:
+    """(first line, last line, qualified name) of every function of a
+    module, outer before inner; a decorated function starts at its first
+    decorator, as its code object does."""
+    found = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = prefix + child.name
+                if not isinstance(child, ast.ClassDef):
+                    first = min([child.lineno, *(d.lineno for d in child.decorator_list)])
+                    found.append((first, child.end_lineno, name))
+                visit(child, name + ".")
+            else:
+                visit(child, prefix)
+
+    visit(ast.parse(path.read_text()), "")
+    return found
+
+
+def _key(path: Path, line: int, name: str, functions: list) -> str:
+    module = ".".join(path.relative_to(PACKAGE.parent).with_suffix("").parts)
+    if not name.startswith("<"):
+        return module + "." + next(q for first, _, q in functions if first == line)
+    holders = [q for first, last, q in functions if first <= line <= last]
+    return ".".join([module, *holders[-1:], name])
+
+
+def count(workload: str) -> dict[str, int]:
+    """The calls of each package function in one warm pass of the workload."""
+    profiler = cProfile.Profile()
+    with tempfile.TemporaryDirectory(prefix="optbench-costs-") as tmp:
+        for run in ("warm", "counted"):
+            for config in WORKLOADS[workload]:
+                argv = [config.parent.name, "--config", str(config), "--out", f"{tmp}/{run}/{config.stem}"]
+                if run == "counted":
+                    profiler.enable()
+                code = cli_main(argv)
+                profiler.disable()
+                if code != 0:
+                    raise SystemExit(f"{' '.join(argv)} failed with exit code {code}")
+    calls: dict[str, int] = {}
+    modules: dict[Path, list] = {}
+    for (filename, line, name), (_, n_calls, *_) in pstats.Stats(profiler).stats.items():
+        path = Path(filename).resolve()
+        if PACKAGE in path.parents and name not in INLINED:
+            key = _key(path, line, name, modules.setdefault(path, _functions(path)))
+            calls[key] = calls.get(key, 0) + n_calls
+    return dict(sorted(calls.items()))
+
+
+def ledger() -> dict:
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "calls": {workload: count(workload) for workload in WORKLOADS},
+    }
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument(
+        "--check", action="store_true", help="compare fresh counts with the stored ledger instead of writing it"
+    )
+    args = parser.parse_args()
+    fresh = ledger()
+    if not args.check:
+        LEDGER.parent.mkdir(parents=True, exist_ok=True)
+        LEDGER.write_text(json.dumps(fresh, indent=2, sort_keys=True) + "\n")
+        print(f"wrote the call counts of {', '.join(WORKLOADS)} to {LEDGER}", file=sys.stderr)
+        return 0
+    stored = json.loads(LEDGER.read_text())
+    if (stored["python"], stored["numpy"]) != (fresh["python"], fresh["numpy"]):
+        print(
+            f"note: the ledger was made with Python {stored['python']} and numpy {stored['numpy']},"
+            f" this run uses {fresh['python']} and {fresh['numpy']}",
+            file=sys.stderr,
+        )
+    moved = 0
+    for workload in WORKLOADS:
+        was, now = stored["calls"].get(workload, {}), fresh["calls"][workload]
+        for name in sorted(was.keys() | now.keys()):
+            if was.get(name, 0) != now.get(name, 0):
+                print(f"moved: {workload} {name}: {was.get(name, 0)} -> {now.get(name, 0)}", file=sys.stderr)
+                moved += 1
+    print(f"{moved} call count(s) differ from the stored ledger", file=sys.stderr)
+    return 1 if moved else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

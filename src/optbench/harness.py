@@ -219,7 +219,7 @@ class Sampler:
     std: float = 0.0
 
     def __post_init__(self):
-        if self.std < 0.0:
+        if not self.std >= 0.0:
             raise InvalidConfigError("std", f"must be non-negative, got {self.std}")
 
 

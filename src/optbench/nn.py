@@ -55,7 +55,7 @@ def xavier_init(
     """
     if fan_in < 1 or fan_out < 1:
         raise ValueError(f"fan_in and fan_out must be positive, got {fan_in}, {fan_out}")
-    if gain <= 0.0:
+    if not gain > 0.0:
         raise ValueError(f"gain must be positive, got {gain}")
     if fan_mode not in FAN_MODES:
         raise ValueError(f"unknown fan_mode {fan_mode!r}")
@@ -311,7 +311,7 @@ def make_dataset(n: int = 400, noise: float = 0.15, seed: int = 0) -> SyntheticD
     """Generate the two-moons classification set, deterministically per seed."""
     if n < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} samples, got {n}")
-    if noise < MIN_NOISE:
+    if not noise >= MIN_NOISE:
         raise ValueError(f"noise must be non-negative, got {noise}")
     n_outer = n - n // 2
     n_inner = n // 2
@@ -343,8 +343,10 @@ class TrainingConfig:
     optimizer: OptimizerSpec | None = None
 
     def __post_init__(self):
-        if self.gain <= 0.0:
+        if not self.gain > 0.0:
             raise ValueError(f"gain must be positive, got {self.gain}")
+        if isinstance(self.epochs, bool) or not isinstance(self.epochs, (int, np.integer)):
+            raise ValueError(f"epochs must be an integer, got {self.epochs!r}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < MIN_BATCH_SIZE:
@@ -422,8 +424,9 @@ def train_population(
     solo run.  A step whose gradient or new parameters are non-finite in a
     row is rejected for that row as a whole: its parameters stay at the
     last committed step and the run is flagged diverged and stops, as it
-    does when an end-of-epoch train loss is non-finite.  Every model is
-    left holding its last committed parameters.
+    does when an end-of-epoch train loss is non-finite.  Each row's result
+    and final parameters are made once, when the row leaves: its model
+    then holds its last committed parameters.
     """
     if len(models) != len(configs) or not models:
         raise ValueError("need one config per model, and at least one model")
@@ -440,21 +443,20 @@ def train_population(
     x_train, y_train = train
     targets = _one_hot(y_train, layer_sizes[-1])
     n_train = len(y_train)
-    final = np.stack([m.flat for m in models])  # each row's last committed parameters
+    theta = np.stack([m.flat for m in models])
     pop = Population(
         spec,
-        final.copy(),
+        theta,
         rows=np.arange(len(models)),  # index of each live row in the caller's list
         epochs=np.array([config.epochs for config in configs]),
         rngs=np.array([np.random.default_rng(config.seed) for config in configs], dtype=object),
         # A finite coordinate has flipped when theta * watch <= 0: watch is
         # its initial sign, NaN where that is zero, which never counts.
-        watch=np.where(final == 0.0, np.nan, np.sign(final)),
+        watch=np.where(theta == 0.0, np.nan, np.sign(theta)),
         flips=np.zeros(len(models), dtype=int),
     )
     metrics: list[list[EpochMetrics]] = [[] for _ in models]
-    sign_flips = np.zeros(len(models), dtype=int)
-    diverged = np.zeros(len(models), dtype=bool)
+    results: list[TrainResult] = [None] * len(models)
 
     def buffers():
         """The gradient buffer, the layer views of theta and of it, and
@@ -463,10 +465,22 @@ def train_population(
         order = np.empty((len(grad), n_train), dtype=np.intp)
         return (grad, *_views(pop.theta, layer_sizes), *_views(grad, layer_sizes), order)
 
-    def retire(stop: np.ndarray):
-        """Record and drop the rows where stop is True; buffers() of the rest."""
-        final[pop.rows[stop]] = pop.theta[stop]
-        sign_flips[pop.rows[stop]] = pop.flips[stop]
+    def retire(stop: np.ndarray, diverged: np.ndarray):
+        """Make the result of each row where stop is True, flagged as
+        diverged says, write its model and drop it; buffers() of the rest.
+        A row that leaves before it has a record gets one at epoch 0, of
+        its parameters as they are."""
+        rows, flats = pop.rows[stop].tolist(), pop.theta[stop]
+        fresh = [i for i, row in enumerate(rows) if not metrics[row]]
+        if fresh:
+            scores = _evaluate(*_views(flats[fresh], layer_sizes), activation, train, val)
+            for i, loss, t_acc, v_acc in zip(fresh, *(score.tolist() for score in scores)):
+                if not math.isfinite(loss):
+                    loss, t_acc, v_acc = math.inf, 0.0, 0.0
+                metrics[rows[i]].append(EpochMetrics(0, t_acc, v_acc, loss))
+        for row, flat, flips, flag in zip(rows, flats, pop.flips[stop].tolist(), diverged[stop].tolist()):
+            models[row].flat[...] = flat
+            results[row] = TrainResult(metrics[row], flips, flag, len(metrics[row]))
         pop.keep(~stop)
         return buffers()
 
@@ -488,8 +502,7 @@ def train_population(
                 _backward(weights, inputs, logits, t_epoch[:, batch], activation, grad_w, grad_b)
                 new_theta, ok = pop.step(grad)
                 if ok is not None and not ok.all():
-                    diverged[pop.rows[~ok]] = True
-                    grad, weights, biases, grad_w, grad_b, order = retire(~ok)
+                    grad, weights, biases, grad_w, grad_b, order = retire(~ok, ~ok)
                     if pop.rows.size == 0:
                         break
                     new_theta, x_epoch, t_epoch = new_theta[ok], x_epoch[ok], t_epoch[ok]
@@ -504,28 +517,10 @@ def train_population(
             ):
                 if not b:
                     metrics[row].append(EpochMetrics(epoch, t_acc, v_acc, loss))
-            diverged[pop.rows[bad]] = True
             stop = bad | (pop.epochs == epoch)
             if stop.any():
-                grad, weights, biases, grad_w, grad_b, order = retire(stop)
-        # A run that diverged before finishing its first epoch records the
-        # model as of its last committed step.
-        unfinished = [i for i, m in enumerate(metrics) if not m]
-        if unfinished:
-            views = _views(final[unfinished], layer_sizes)
-            train_loss, train_acc, val_acc = _evaluate(*views, activation, train, val)
-            for i, loss, t_acc, v_acc in zip(
-                unfinished, train_loss.tolist(), train_acc.tolist(), val_acc.tolist()
-            ):
-                if not math.isfinite(loss):
-                    loss, t_acc, v_acc = math.inf, 0.0, 0.0
-                metrics[i] = [EpochMetrics(0, t_acc, v_acc, loss)]
-    for model, theta in zip(models, final):
-        model.flat[...] = theta
-    return [
-        TrainResult(metrics=m, sign_flips=int(f), diverged=bool(d), epochs_run=len(m))
-        for m, f, d in zip(metrics, sign_flips, diverged)
-    ]
+                grad, weights, biases, grad_w, grad_b, order = retire(stop, bad)
+    return results
 
 
 def train(model: MLP, dataset: SyntheticDataset, config: TrainingConfig) -> TrainResult:

@@ -125,8 +125,8 @@ class Objective:
 
 
 def _check_beta(beta) -> None:
-    if not np.all(beta > 0.0):
-        raise InvalidConfigError("beta", f"must be positive, got {beta}")
+    if not np.all(np.isfinite(beta) & (beta > 0.0)):
+        raise InvalidConfigError("beta", f"must be finite and positive, got {beta}")
 
 
 # The builders below are unchecked.  Each works out the gradient's
@@ -229,7 +229,7 @@ def distance_to_minimum(x: np.ndarray, objective: Objective) -> float | np.ndarr
 
 def finite_difference_grad(objective: Objective, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
     """Central-difference gradient estimate, one coordinate at a time."""
-    if h <= 0.0:
+    if not h > 0.0:
         raise ValueError(f"h must be positive, got {h}")
     x = np.asarray(x, dtype=float)
     out = np.empty_like(x)

@@ -1,13 +1,20 @@
 """Configs that used to crash with a traceback or run without bound must
-exit 2 quickly, naming the offending field."""
+exit 2 quickly, naming the offending field; the library's own checks
+refuse NaN as the config reader does."""
 import json
+import math
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from optbench.cli import EXIT_CONFIG, main
 from optbench.config import ConfigError, load_plan
+from optbench.harness import Sampler
+from optbench.nn import make_dataset, xavier_init
+from optbench.objectives import InvalidConfigError, convex2d, finite_difference_grad
+from optbench.tuning import InvalidGridError, half_decade_grid
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -300,3 +307,26 @@ def test_bounds_admit_their_limits(tmp_path, grid_size, iterations):
     config.write_text(json.dumps(doc))
     _, plan = load_plan(config)
     assert plan.grid_size == grid_size and plan.task.iterations == iterations
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: xavier_init(2, 2, math.nan, np.random.default_rng(0)), ValueError, "gain must be positive, got nan"),
+        (lambda: make_dataset(8, noise=math.nan), ValueError, "noise must be non-negative, got nan"),
+        (lambda: Sampler(1.0, std=math.nan), InvalidConfigError, "std: must be non-negative, got nan"),
+        (
+            lambda: finite_difference_grad(convex2d(1.0, 1.0), np.zeros(2), h=math.nan),
+            ValueError,
+            "h must be positive, got nan",
+        ),
+        (lambda: half_decade_grid(math.nan, 1.0), InvalidGridError, "bad grid bounds [nan, 1.0]"),
+    ],
+    ids=["xavier_init", "make_dataset", "Sampler", "finite_difference_grad", "half_decade_grid"],
+)
+def test_library_checks_refuse_nan(call, error, message):
+    # Each check states what it admits, so NaN, which compares False, fails it.
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error
+    assert str(info.value) == message

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import Phase, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+from optbench import nn
 from optbench.nn import (
     ACTIVATIONS,
     BIAS_INIT,
@@ -36,6 +37,7 @@ from optbench.optim import (
     UPDATE_KINDS,
     DivergenceError,
     NonFiniteGradientError,
+    Population,
     UpdateRule,
     default_update_rule,
     init_state,
@@ -354,6 +356,24 @@ def test_training_config_validation():
         TrainingConfig(gain=1.0, epochs=0, batch_size=32, seed=0)
     with pytest.raises(ValueError):
         TrainingConfig(gain=1.0, epochs=10, batch_size=0, seed=0)
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("epochs", math.nan, "epochs must be an integer, got nan"),
+        ("epochs", math.inf, "epochs must be an integer, got inf"),
+        ("epochs", 2.5, "epochs must be an integer, got 2.5"),
+        ("epochs", True, "epochs must be an integer, got True"),
+        ("gain", math.nan, "gain must be positive, got nan"),
+    ],
+)
+def test_training_config_refuses_epochs_that_are_not_integers_and_a_nan_gain(field, value, message):
+    # Admitted, an epoch count that no epoch number equals would never end training.
+    good = dict(gain=1.0, epochs=3, batch_size=8, seed=0)
+    with pytest.raises(ValueError) as info:
+        TrainingConfig(**{**good, field: value})
+    assert str(info.value) == message
 
 
 def test_train_requires_an_optimizer():
@@ -749,6 +769,38 @@ def test_each_row_equals_its_solo_run_when_a_sibling_diverges():
         solo = MLP(sizes, gain=config.gain, rng=np.random.default_rng(config.seed))
         _assert_same_run(result, train(solo, dataset, config))
         assert np.array_equal(model.flat, solo.flat)
+
+
+# With sgd additive at lr = 1e4, batch 16 and seed 1, each gain leaves by
+# another way: 1.0 trains to its last epoch; 1e140 and 1e100 leave on a
+# non-finite train loss at the end of epoch 1 and of epoch 3, with no step
+# rejected; 1e150 and 1e50 leave on a rejected step in epoch 1 and epoch 6.
+_EXIT_GAINS = (1.0, 1e140, 1e100, 1e150, 1e50)
+
+
+def test_each_row_equals_its_solo_run_whichever_way_it_leaves(monkeypatch):
+    rejected = set()
+
+    class RejectionLog(Population):
+        def step(self, g, origin=None):
+            theta, ok = super().step(g, origin)
+            if ok is not None:
+                rejected.update(self.rows[~ok].tolist())
+            return theta, ok
+
+    monkeypatch.setattr(nn, "Population", RejectionLog)
+    settings = ProtocolSettings(dataset_n=120)
+    spec = make_spec("sgd", UpdateRule("additive", lr=1e4))
+    configs = _configs(spec, 16, epochs=(4, 6, 6, 6, 6), gains=_EXIT_GAINS, seeds=(1,) * 5)
+    dataset, sizes, models, results = _population(settings, configs)
+    assert [r.diverged for r in results] == [False, True, True, True, True]
+    assert rejected == {3, 4}
+    assert [[m.epoch for m in r.metrics] for r in results] == [[1, 2, 3, 4], [0], [1, 2], [0], [1, 2, 3, 4, 5]]
+    assert results[1].metrics == [EpochMetrics(0, 0.0, 0.0, math.inf)]
+    for model, config, result in zip(models, configs, results):
+        solo = MLP(sizes, gain=config.gain, rng=np.random.default_rng(config.seed))
+        _assert_same_bits(result, train(solo, dataset, config))
+        assert model.flat.tobytes() == solo.flat.tobytes()
 
 
 def test_sampled_rows_equal_their_solo_runs():

@@ -51,12 +51,13 @@ def test_rosenbrock_minimum_tracks_alpha_squared():
     assert np.array_equal(obj.gradient([2.0, 4.0]), [0.0, 0.0])
 
 
+@pytest.mark.parametrize("beta", [math.inf, math.nan, 0.0, -1.0])
 @pytest.mark.parametrize("factory", [convex2d, rosenbrock])
-def test_beta_must_be_positive(factory):
-    with pytest.raises(InvalidConfigError):
-        factory(alpha=1.0, beta=0.0)
-    with pytest.raises(InvalidConfigError):
-        factory(alpha=1.0, beta=-3.0)
+def test_beta_must_be_finite_and_positive(factory, beta):
+    # TaskConfig refuses the same values in the same words.
+    with pytest.raises(InvalidConfigError) as info:
+        factory(alpha=1.0, beta=beta)
+    assert str(info.value) == f"beta: must be finite and positive, got {beta}"
 
 
 def test_distance_to_minimum():
