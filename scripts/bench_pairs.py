@@ -16,13 +16,17 @@ an earlier state of its own.
 Writes BENCH_<W>.json at the top of the repository: every pair's
 end-to-end metrics, and for each metric the median of both sides, REV's
 quartiles and their distance, the change of the median and the number of
-pairs the change wins, with the machine record bench/run.py reports.  The
-worktrees are removed on exit.  Exits 1 if a run fails a check.
+pairs the change wins, with the machine record bench/run.py reports and
+whether the runs kept compiled bytecode (PYTHONDONTWRITEBYTECODE and
+sys.dont_write_bytecode of this process, whose environment the runs
+inherit).  The worktrees are removed on exit.  Exits 1 if a run fails a
+check.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import shutil
 import statistics
 import subprocess
@@ -140,7 +144,12 @@ def main(argv=None) -> int:
         "command": f"bench/run.py --workload {args.workload} --seconds {args.seconds:g} --trace 0",
         "base": {"rev": args.rev, "commit": base_commit},
         "change": change,
-        "machine": machine,
+        # setup_s compiles every module from source when no bytecode is kept.
+        "machine": {
+            **machine,
+            "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
+            "dont_write_bytecode": sys.dont_write_bytecode,
+        },
         "units": units,
         "failed_runs": failed,
         "pairs": pairs,

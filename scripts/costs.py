@@ -1,6 +1,7 @@
 """Count the calls a workload makes, function by function.
 
-Runs the three bundled train-toy configs under configs/train-toy through
+Runs each benchmark workload's bundled configs, the command lists of
+bench/workloads.py's WORKLOADS (tune, sample-scan and train-toy), through
 the CLI in this process: once to warm up, so that one-time work is left
 out, then once under cProfile.  Records the call count of every function
 defined under src/optbench, keyed by module and qualified name; a
@@ -40,7 +41,13 @@ from optbench.cli import main as cli_main
 ROOT = Path(__file__).resolve().parent.parent
 LEDGER = ROOT / "tests" / "data" / "costs.json"
 PACKAGE = Path(optbench.__file__).resolve().parent
-WORKLOADS = {"train-toy": sorted((ROOT / "configs" / "train-toy").glob("*.json"))}
+sys.path.insert(0, str(ROOT / "bench"))
+from workloads import WORKLOADS as COMMANDS  # noqa: E402
+
+WORKLOADS = {
+    workload: [ROOT / "configs" / command / f"{name}.json" for command, name in commands]
+    for workload, commands in COMMANDS.items()
+}
 INLINED = ("<listcomp>", "<setcomp>", "<dictcomp>")
 
 

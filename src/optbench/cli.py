@@ -37,7 +37,6 @@ from .config import (
     to_json,
 )
 from .harness import ScoreStats, TrialRecord, evaluate_robustness, run_trial, surface_scan
-from .nn import mean_std, train_sampled_configs
 from .tuning import TuneResult, grid_search
 
 OUTPUT_ROOT_ENV = "OPTBENCH_OUT"
@@ -221,6 +220,8 @@ def cmd_scan(plan: ScanPlan, out_dir: Path, seed: int, overwrite: bool) -> int:
 
 
 def cmd_train_toy(plan: TrainToyPlan, out_dir: Path, seed: int, overwrite: bool) -> int:
+    from .nn import mean_std, train_sampled_configs
+
     names = [f"run_{i:02d}.csv" for i in range(plan.n_configs)] + ["summary.json"]
     _prepare_output(out_dir, names, overwrite)
     master_seed = plan.master_seed if plan.master_seed is not None else seed

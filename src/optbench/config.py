@@ -40,7 +40,6 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from .harness import MAX_TRIALS, EvalDistribution, Sampler
-from .nn import ACTIVATIONS, FAN_MODES, MIN_BATCH_SIZE, MIN_NOISE, MIN_SAMPLES, ProtocolSettings, param_count
 from .objectives import FUNCTIONS, TaskConfig
 from .optim import (
     DEFAULT_MIX,
@@ -428,6 +427,8 @@ def _train_toy(
     are labelled with both.  The run's work, networks x parameters x
     samples, is refused past MAX_TRAIN_WORK at the factor's field that is
     furthest above its stock size, so at a field the plan sets."""
+    from .nn import ProtocolSettings, param_count
+
     if optimizer is None:
         try:
             optimizer = make_spec(family, default_update_rule(family, update_kind))
@@ -469,59 +470,64 @@ _UPDATE_KIND = Field("update_rule", _choice(UPDATE_KINDS), attr="update_kind")
 _RANGE = _check(_items(_number, 2), lambda r: r[0] <= r[1], "[lo, hi] where lo never exceeds hi")
 _SEED = _bounded(_integer, lo=0)
 _COUNT = _bounded(_integer, lo=1)
-_DATASET = Table(
-    dict,
-    Field("n", _bounded(_integer, lo=MIN_SAMPLES), True, "dataset_n"),
-    Field("noise", _bounded(_number, lo=MIN_NOISE), True, "dataset_noise"),
-    Field("seed", _SEED, True, "dataset_seed"),
-)
 
 
-def _plan_tables(base_dir: Path) -> dict[str, Table]:
-    """The tables of the five command plans.  An optimizer given by
-    reference is read relative to the config's directory, base_dir, so the
-    tables are made for each config."""
+def _plan_table(command: str, base_dir: Path) -> Table:
+    """The table of one command's plan, made for each config: an optimizer
+    given by reference is read relative to the config's directory,
+    base_dir.  Only the train-toy table imports the nn module, so the
+    other commands never load it."""
     optimizer = partial(parse_optimizer_spec, base_dir=base_dir)
     spec = Field("optimizer", optimizer, attr="spec")
-    return {
-        "tune": Table(
+    if command == "tune":
+        return Table(
             _tune,
             _TASK_FIELD,
             _FAMILY,
             _UPDATE_KIND,
             Field("grids", _object, optional=True),
             Field("mix", _number, optional=True),
-        ),
-        "trial": Table(TrialPlan, _TASK_FIELD, spec),
-        "robustness": Table(
+        )
+    if command == "trial":
+        return Table(TrialPlan, _TASK_FIELD, spec)
+    if command == "robustness":
+        return Table(
             RobustnessPlan,
             Field("distribution", parse_distribution),
             spec,
             Field("n", _bounded(_integer, 1, MAX_TRIALS)),
             Field("seed", _SEED, optional=True),
-        ),
-        "scan": Table(
+        )
+    if command == "scan":
+        return Table(
             ScanPlan,
             _TASK_FIELD,
             spec,
             Field("x0_range", _RANGE, optional=True),
             Field("x1_range", _RANGE, optional=True),
             Field("grid_size", _bounded(_integer, 1, math.isqrt(MAX_TRIALS)), optional=True),
-        ),
-        "train-toy": Table(
-            _train_toy,
-            Field("dataset", _DATASET, optional=True),
-            Field("hidden", _items(_COUNT), optional=True),
-            Field("activation", _choice(ACTIVATIONS), optional=True),
-            Field("batch_size", _bounded(_integer, lo=MIN_BATCH_SIZE), optional=True),
-            Field("fan_mode", _choice(tuple(FAN_MODES)), optional=True),
-            _FAMILY,
-            _UPDATE_KIND,
-            Field("optimizer", optimizer, optional=True),
-            Field("n_configs", _COUNT, optional=True),
-            Field("master_seed", _SEED, optional=True),
-        ),
-    }
+        )
+    from .nn import ACTIVATIONS, FAN_MODES, MIN_BATCH_SIZE, MIN_NOISE, MIN_SAMPLES
+
+    dataset = Table(
+        dict,
+        Field("n", _bounded(_integer, lo=MIN_SAMPLES), True, "dataset_n"),
+        Field("noise", _bounded(_number, lo=MIN_NOISE), True, "dataset_noise"),
+        Field("seed", _SEED, True, "dataset_seed"),
+    )
+    return Table(
+        _train_toy,
+        Field("dataset", dataset, optional=True),
+        Field("hidden", _items(_COUNT), optional=True),
+        Field("activation", _choice(ACTIVATIONS), optional=True),
+        Field("batch_size", _bounded(_integer, lo=MIN_BATCH_SIZE), optional=True),
+        Field("fan_mode", _choice(tuple(FAN_MODES)), optional=True),
+        _FAMILY,
+        _UPDATE_KIND,
+        Field("optimizer", optimizer, optional=True),
+        Field("n_configs", _COUNT, optional=True),
+        Field("master_seed", _SEED, optional=True),
+    )
 
 
 def load_json(path: Path | str):
@@ -555,5 +561,5 @@ def load_plan(path: Path | str, expected_command: str | None = None):
     command = _choice(COMMANDS)(cfg.pop("command"), "command")
     if expected_command is not None and command != expected_command:
         raise ConfigError("command", f"config is for {command!r}, invoked as {expected_command!r}")
-    return command, _plan_tables(path.parent)[command](cfg, "")
+    return command, _plan_table(command, path.parent)(cfg, "")
 

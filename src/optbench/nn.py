@@ -57,6 +57,8 @@ def xavier_init(
         raise ValueError(f"fan_in and fan_out must be positive, got {fan_in}, {fan_out}")
     if not gain > 0.0:
         raise ValueError(f"gain must be positive, got {gain}")
+    if gain == math.inf:
+        raise ValueError(f"gain must be finite, got {gain}")
     if fan_mode not in FAN_MODES:
         raise ValueError(f"unknown fan_mode {fan_mode!r}")
     std = gain * math.sqrt(2.0 / FAN_MODES[fan_mode](fan_in, fan_out))
@@ -313,6 +315,8 @@ def make_dataset(n: int = 400, noise: float = 0.15, seed: int = 0) -> SyntheticD
         raise ValueError(f"need at least {MIN_SAMPLES} samples, got {n}")
     if not noise >= MIN_NOISE:
         raise ValueError(f"noise must be non-negative, got {noise}")
+    if noise == math.inf:
+        raise ValueError(f"noise must be finite, got {noise}")
     n_outer = n - n // 2
     n_inner = n // 2
     t_outer = np.linspace(0.0, math.pi, n_outer)
@@ -345,8 +349,10 @@ class TrainingConfig:
     def __post_init__(self):
         if not self.gain > 0.0:
             raise ValueError(f"gain must be positive, got {self.gain}")
-        if isinstance(self.epochs, bool) or not isinstance(self.epochs, (int, np.integer)):
-            raise ValueError(f"epochs must be an integer, got {self.epochs!r}")
+        for name in ("epochs", "batch_size"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < MIN_BATCH_SIZE:

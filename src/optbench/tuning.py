@@ -82,7 +82,7 @@ def half_decade_grid(lo: float, hi: float) -> list[float]:
     This is the grid family whose endpoints the stock tuning ranges are
     drawn from; both bounds are included.
     """
-    if not 0.0 < lo <= hi:
+    if not 0.0 < lo <= hi < math.inf:
         raise InvalidGridError("", f"bad grid bounds [{lo}, {hi}]")
     e_lo = math.floor(math.log10(lo) + 1e-12)
     e_hi = math.ceil(math.log10(hi) + 1e-12)

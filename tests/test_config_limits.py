@@ -321,11 +321,25 @@ def test_bounds_admit_their_limits(tmp_path, grid_size, iterations):
             "h must be positive, got nan",
         ),
         (lambda: half_decade_grid(math.nan, 1.0), InvalidGridError, "bad grid bounds [nan, 1.0]"),
+        (lambda: xavier_init(2, 2, math.inf, np.random.default_rng(0)), ValueError, "gain must be finite, got inf"),
+        (lambda: make_dataset(8, noise=math.inf), ValueError, "noise must be finite, got inf"),
+        (lambda: half_decade_grid(1.0, math.inf), InvalidGridError, "bad grid bounds [1.0, inf]"),
     ],
-    ids=["xavier_init", "make_dataset", "Sampler", "finite_difference_grad", "half_decade_grid"],
+    ids=[
+        "xavier_init",
+        "make_dataset",
+        "Sampler",
+        "finite_difference_grad",
+        "half_decade_grid",
+        "xavier_init_inf",
+        "make_dataset_inf",
+        "half_decade_grid_inf",
+    ],
 )
 def test_library_checks_refuse_nan(call, error, message):
     # Each check states what it admits, so NaN, which compares False, fails it.
+    # The checks that would admit +inf, and then return infinities or raise
+    # OverflowError, refuse it too.
     with pytest.raises(error) as info:
         call()
     assert type(info.value) is error

@@ -1,5 +1,6 @@
-"""One warm pass of the bundled train-toy configs makes the calls that
-scripts/costs.py recorded in tests/data/costs.json, function by function."""
+"""One warm pass of each benchmark workload's bundled configs (tune,
+sample-scan and train-toy) makes the calls that scripts/costs.py recorded
+in tests/data/costs.json, function by function."""
 import os
 import subprocess
 import sys
@@ -8,7 +9,7 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 
 
-def test_train_toy_calls_match_the_ledger():
+def test_workload_calls_match_the_ledger():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(

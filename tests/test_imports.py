@@ -7,10 +7,15 @@ module says so with "# noqa: F401" on its line.  __init__.py imports to
 re-export and is not checked for unused imports.  A module-level name
 counts as read when any file under src/, tests/, scripts/ or bench/
 loads it, takes it as an attribute or imports it.  The benchmark's
-tracer patches names by module attribute, so the last test enters and
-leaves its patch: a name it wraps must not be deleted.
+tracer patches names by module attribute, so one test enters and
+leaves its patch: a name it wraps must not be deleted.  Start-up pays
+only for the command it runs: the last test reads configs in a fresh
+interpreter and checks that only a train-toy config loads optbench.nn.
 """
 import ast
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -131,3 +136,48 @@ def test_every_name_the_benchmark_tracer_wraps_exists(monkeypatch):
     with Tracer().installed():
         assert optbench.cli._write_text is not write
     assert optbench.cli._write_text is write
+
+
+# Prints, after each config it reads, whether optbench.nn is loaded.
+_NN_PROBE = """
+import sys
+import optbench.cli
+for path in sys.argv[1:]:
+    optbench.cli.load_plan(path)
+    print(path, "optbench.nn" in sys.modules)
+"""
+
+
+def test_only_a_train_toy_config_loads_the_nn_module(tmp_path):
+    configs = REPO / "configs"
+    tuned = configs / "tuned" / "convex2d-sgd-hybrid.json"
+    trial = tmp_path / "trial.json"
+    trial.write_text(
+        json.dumps(
+            {
+                "schema_version": 1,
+                "command": "trial",
+                "task": json.loads(tuned.read_text())["task"],
+                "optimizer": {"path": str(tuned)},
+            }
+        )
+    )
+    paths = [
+        configs / "tune" / "convex2d-sgd-hybrid.json",
+        configs / "robustness" / "convex2d-sgd-hybrid.json",
+        configs / "scan" / "convex2d-sgd-hybrid.json",
+        trial,
+        configs / "train-toy" / "sgd-hybrid.json",
+    ]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _NN_PROBE, *map(str, paths)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = [line.rsplit(" ", 1)[1] for line in proc.stdout.splitlines()]
+    assert loaded == ["False", "False", "False", "False", "True"], proc.stdout

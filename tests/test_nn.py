@@ -366,10 +366,15 @@ def test_training_config_validation():
         ("epochs", 2.5, "epochs must be an integer, got 2.5"),
         ("epochs", True, "epochs must be an integer, got True"),
         ("gain", math.nan, "gain must be positive, got nan"),
+        ("batch_size", 2.5, "batch_size must be an integer, got 2.5"),
+        ("batch_size", math.nan, "batch_size must be an integer, got nan"),
+        ("batch_size", True, "batch_size must be an integer, got True"),
     ],
 )
 def test_training_config_refuses_epochs_that_are_not_integers_and_a_nan_gain(field, value, message):
-    # Admitted, an epoch count that no epoch number equals would never end training.
+    # Admitted, an epoch count that no epoch number equals would never end
+    # training, and a batch size that is not an integer would fail in train
+    # or train at batch size 1.
     good = dict(gain=1.0, epochs=3, batch_size=8, seed=0)
     with pytest.raises(ValueError) as info:
         TrainingConfig(**{**good, field: value})
