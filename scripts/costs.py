@@ -17,9 +17,10 @@ host can hide it.
 
 Usage: python3 scripts/costs.py [--check]
 
---check counts again and compares with the stored ledger instead of
-writing it; it prints each function whose count moved with both counts,
-and exits 1 if any did.
+Prints each workload's total count of package calls.  --check counts
+again and compares with the stored ledger instead of writing it; it
+prints each function whose count moved with both counts, and each
+workload's total beside the stored one, and exits 1 if any count moved.
 """
 from __future__ import annotations
 
@@ -118,12 +119,15 @@ def main() -> int:
     )
     args = parser.parse_args()
     fresh = ledger()
+    stored = json.loads(LEDGER.read_text()) if args.check else None
+    for workload, calls in fresh["calls"].items():
+        was = f" (stored: {sum(stored['calls'].get(workload, {}).values()):,})" if stored else ""
+        print(f"{workload}: {sum(calls.values()):,} package calls{was}", file=sys.stderr)
     if not args.check:
         LEDGER.parent.mkdir(parents=True, exist_ok=True)
         LEDGER.write_text(json.dumps(fresh, indent=2, sort_keys=True) + "\n")
         print(f"wrote the call counts of {', '.join(WORKLOADS)} to {LEDGER}", file=sys.stderr)
         return 0
-    stored = json.loads(LEDGER.read_text())
     if (stored["python"], stored["numpy"]) != (fresh["python"], fresh["numpy"]):
         print(
             f"note: the ledger was made with Python {stored['python']} and numpy {stored['numpy']},"

@@ -9,7 +9,8 @@ microseconds per call:
 
   forward     nn._forward on one (10, 32, 2) minibatch;
   backward    nn._backward on that minibatch's activations;
-  step        optim.Population.step on the minibatch's gradient;
+  step        optim.Population.step on the minibatch's gradient, which
+              backward writes into the population's gradient buffer;
   evaluate    one epoch's evaluation: the train loss, train accuracy and
               validation accuracy of all ten networks.
 
@@ -46,9 +47,8 @@ def layer_calls() -> dict:
         [nn.MLP(sizes, settings.activation, c.gain, np.random.default_rng(c.seed)).flat for c in configs]
     )
     pop = Population(spec, theta)
-    grad = np.empty_like(theta)
     weights, biases = nn._views(theta, sizes)
-    grad_w, grad_b = nn._views(grad, sizes)
+    grad_w, grad_b = nn._views(pop.grad, sizes)
     train = dataset.features[dataset.train_idx], dataset.labels[dataset.train_idx]
     val = dataset.features[dataset.val_idx], dataset.labels[dataset.val_idx]
     order = np.stack([np.random.default_rng(c.seed).permutation(len(train[1])) for c in configs])
@@ -63,7 +63,7 @@ def layer_calls() -> dict:
     return {
         "forward": lambda: nn._forward(weights, biases, x, settings.activation),
         "backward": backward,
-        "step": lambda: pop.step(grad),
+        "step": pop.step,
         "evaluate": lambda: nn._evaluate(weights, biases, settings.activation, train, val),
     }
 

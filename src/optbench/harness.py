@@ -78,59 +78,69 @@ def _run_population(tasks: TaskColumns, spec: OptimizerSpec, rows: np.ndarray, o
     """Run tasks that share a function and optimizer rules in lockstep and
     write their outcomes into rows of out.
 
-    Every trial starts at t = 0, so all live rows share the step counter.
-    A row stops after its own budget, or at the first step whose gradient
-    or resulting distance is non-finite; that step does not count.  Rows
-    that stop are dropped from the population.  The objective is built
-    once: its per-row gradient constants and minimizer are population
-    columns, so they leave with their rows and the rest never need
-    rebuilding.  The population orders its rows longest budget first, so
-    the rows whose budgets end on a step are its tail and leave as a
-    slice, which keeps the rest as views; rows that diverge leave by a
-    mask, which keeps the order.  Distances are computed only where they
-    are written: at the start, for rows that finish, for trajectories,
-    and on a step that fails Population.step's finiteness test.
+    Every trial starts at t = 0, so all rows share the step counter.  A
+    row stops after its own budget, or at the first step whose gradient or
+    resulting distance is non-finite; that step does not count.  The
+    objective is built once: its per-row gradient constants and minimizer
+    (the population's origin) are population columns, so they leave with
+    their rows and the rest never need rebuilding.  Each step writes the
+    gradient into the population's grad and takes the new parameters as
+    theta.
+
+    The population orders its rows longest budget first, so its first n
+    rows are live and the rest are riders: rows whose budget has ended.
+    A row's outcome is written at its own last step; it then rides along
+    until at most half of the rows are live, when the riders leave as a
+    slice, which keeps the live rows as views.  Riders reach no output:
+    when a step fails Population.step's finiteness test, only the live
+    rows are measured, and the keep that drops the rows that diverge, by
+    a mask that keeps the order, drops the riders too.  Distances are
+    computed only where they are written: at the start, for rows that
+    finish, for trajectories, and on a step that fails the test.
     """
     gradient, constants, minimizer = population_objective(tasks.function, tasks.alpha, tasks.beta)
-    pop = Population(
-        spec, tasks.x0, rows=rows, budget=tasks.iterations, constants=constants, minimizer=minimizer
-    )
+    pop = Population(spec, tasks.x0, minimizer, rows=rows, budget=tasks.iterations, constants=constants)
     pop.keep(np.argsort(-tasks.iterations, kind="stable"))
+    n = len(pop.rows)
     stop = pop.budget[-1]
     trajectories = out.trajectories
-    d = point_distance(pop.theta, pop.minimizer)
+    d = point_distance(pop.theta, pop.origin)
     out.initial_distance[pop.rows] = d
     if trajectories is not None:
         trajectories[pop.rows, 0] = d
     while True:
-        pop.theta, ok = pop.step(gradient(*pop.constants, pop.theta), pop.minimizer)
+        gradient(*pop.constants, pop.theta, out=pop.grad)
+        pop.theta, ok = pop.step()
         t = pop.t
         if ok is None:
             if trajectories is not None:
-                trajectories[pop.rows, t] = point_distance(pop.theta, pop.minimizer)
+                trajectories[pop.rows[:n], t] = point_distance(pop.theta[:n], pop.origin[:n])
             if t < stop:
                 continue
-            n = int(np.count_nonzero(pop.budget > t))
-            out.final_distance[pop.rows[n:]] = point_distance(pop.theta[n:], pop.minimizer[n:])
-            out.iterations_run[pop.rows[n:]] = t
+            ended, n = n, int(np.count_nonzero(pop.budget[:n] > t))
+            out.final_distance[pop.rows[n:ended]] = point_distance(pop.theta[n:ended], pop.origin[n:ended])
+            out.iterations_run[pop.rows[n:ended]] = t
             if not n:
                 return
-            live = slice(n)
+            if 2 * n <= len(pop.rows):
+                pop.keep(slice(n))
         else:
-            d = point_distance(pop.theta, pop.minimizer)
-            ok &= np.isfinite(d)
+            live_rows = pop.rows[:n]
+            d = point_distance(pop.theta[:n], pop.origin[:n])
+            ok = ok[:n] & np.isfinite(d)
             if trajectories is not None:
-                trajectories[pop.rows[ok], t] = d[ok]
-            live = ok & (pop.budget > t)
+                trajectories[live_rows[ok], t] = d[ok]
+            live = ok & (pop.budget[:n] > t)
             finished = ok & ~live
-            out.final_distance[pop.rows[finished]] = d[finished]
-            out.iterations_run[pop.rows[finished]] = t
-            out.diverged[pop.rows[~ok]] = True
-            out.iterations_run[pop.rows[~ok]] = t - 1
+            out.final_distance[live_rows[finished]] = d[finished]
+            out.iterations_run[live_rows[finished]] = t
+            out.diverged[live_rows[~ok]] = True
+            out.iterations_run[live_rows[~ok]] = t - 1
             if not live.any():
                 return
-        pop.keep(live)
-        stop = pop.budget[-1]
+            pop.keep(live)
+            n = len(pop.rows)
+        stop = pop.budget[n - 1]
 
 
 def _run_populations(n: int, populations: list, trajectories: bool) -> TrialBatch:
@@ -446,10 +456,16 @@ class ScoreStats:
     scores: list[float]
 
 
+def _check_count(name: str, value) -> None:
+    """Refuse a count that is not an integer >= 1; a bool is not one, a
+    numpy integer is."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise InvalidConfigError(name, f"must be an integer >= 1, got {value!r}")
+
+
 def evaluate_robustness(dist: EvalDistribution, spec: OptimizerSpec, n: int, seed: int) -> ScoreStats:
     """Score the optimizer on n randomly drawn tasks."""
-    if n < 1:
-        raise InvalidConfigError("n", f"must be >= 1, got {n}")
+    _check_count("n", n)
     scores = _run_tasks(draw_tasks(dist, seed, range(n)), spec).score
     included = scores[np.isfinite(scores)]
     if included.size == 0:
@@ -490,8 +506,7 @@ def surface_scan(
     grid_size: int = 25,
 ) -> ScoreGrid:
     """Run one trial per starting point on a grid_size x grid_size lattice."""
-    if grid_size < 1:
-        raise InvalidConfigError("grid_size", f"must be >= 1, got {grid_size}")
+    _check_count("grid_size", grid_size)
     axes = []
     # A range left out is the default around the task's start coordinate,
     # which an error then names.

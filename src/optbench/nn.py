@@ -465,11 +465,10 @@ def train_population(
     results: list[TrainResult] = [None] * len(models)
 
     def buffers():
-        """The gradient buffer, the layer views of theta and of it, and
+        """The layer views of theta and of the population's gradient, and
         the epoch order block of the live rows."""
-        grad = np.empty_like(pop.theta)
-        order = np.empty((len(grad), n_train), dtype=np.intp)
-        return (grad, *_views(pop.theta, layer_sizes), *_views(grad, layer_sizes), order)
+        order = np.empty((len(pop.grad), n_train), dtype=np.intp)
+        return (*_views(pop.theta, layer_sizes), *_views(pop.grad, layer_sizes), order)
 
     def retire(stop: np.ndarray, diverged: np.ndarray):
         """Make the result of each row where stop is True, flagged as
@@ -490,7 +489,7 @@ def train_population(
         pop.keep(~stop)
         return buffers()
 
-    grad, weights, biases, grad_w, grad_b, order = buffers()
+    weights, biases, grad_w, grad_b, order = buffers()
     positions = np.arange(n_train)
     with np.errstate(over="ignore", invalid="ignore"):
         epoch = 0
@@ -506,9 +505,9 @@ def train_population(
                 batch = slice(start, start + batch_size)
                 inputs, logits = _forward(weights, biases, x_epoch[:, batch], activation)
                 _backward(weights, inputs, logits, t_epoch[:, batch], activation, grad_w, grad_b)
-                new_theta, ok = pop.step(grad)
+                new_theta, ok = pop.step()
                 if ok is not None and not ok.all():
-                    grad, weights, biases, grad_w, grad_b, order = retire(~ok, ~ok)
+                    weights, biases, grad_w, grad_b, order = retire(~ok, ~ok)
                     if pop.rows.size == 0:
                         break
                     new_theta, x_epoch, t_epoch = new_theta[ok], x_epoch[ok], t_epoch[ok]
@@ -525,7 +524,7 @@ def train_population(
                     metrics[row].append(EpochMetrics(epoch, t_acc, v_acc, loss))
             stop = bad | (pop.epochs == epoch)
             if stop.any():
-                grad, weights, biases, grad_w, grad_b, order = retire(stop, bad)
+                weights, biases, grad_w, grad_b, order = retire(stop, bad)
     return results
 
 

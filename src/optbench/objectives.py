@@ -132,10 +132,11 @@ def _check_beta(beta) -> None:
 # The builders below are unchecked.  Each works out the gradient's
 # per-task constants once, when the objective is built, since a population
 # calls the gradient every step; 2.0 * beta * d is (2.0 * beta) * d, so the
-# bits are the same.  A gradient rule takes the constants, then the point.
+# bits are the same.  A gradient rule takes the constants, then the point,
+# and writes into out when it is given.
 
-def _convex2d_gradient(shift, slope, x):
-    g = np.subtract(x, shift, dtype=float)
+def _convex2d_gradient(shift, slope, x, out=None):
+    g = np.subtract(x, shift, out=out, dtype=float)
     g *= slope
     return g
 
@@ -152,16 +153,21 @@ def _convex2d(alpha, beta) -> Objective:
     return Objective("convex2d", evaluate, partial(_convex2d_gradient, shift, slope), (alpha, alpha))
 
 
-def _rosenbrock_gradient(alpha, slope, curve, x):
+# The Rosenbrock gradient's constant factor and exponent, as 0-d arrays:
+# numpy takes one faster than a Python float, for the same bits.
+_MINUS_TWO, _TWO = np.array(-2.0), np.array(2.0)
+
+
+def _rosenbrock_gradient(alpha, slope, curve, x, out=None):
     x = np.asarray(x, dtype=float)
     x0 = x[..., 0]
     # float_power squares through pow(), as a scalar ** 2 does; the
     # array ** 2 shortcut (x * x) can differ in the last bit.
-    valley = x[..., 1] - np.float_power(x0, 2.0)
-    g = np.empty_like(x)
+    valley = x[..., 1] - np.float_power(x0, _TWO)
+    g = np.empty_like(x) if out is None else out
     g0 = g[..., 0]
     np.subtract(alpha, x0, out=g0)
-    g0 *= -2.0
+    g0 *= _MINUS_TWO
     g0 -= curve * x0 * valley
     np.multiply(slope, valley, out=g[..., 1])
     return g
@@ -199,8 +205,9 @@ def make_objective(task: TaskConfig) -> Objective:
 def population_objective(function: str, alpha: np.ndarray, beta: np.ndarray) -> tuple:
     """(rule, constants, minimizer) of the objective over per-row alpha and
     beta columns of tasks that TaskColumns.check (or TaskConfig) has
-    passed; it checks nothing again.  rule(*constants, x) is the gradient
-    at an (N, 2) population x, each constant is a per-row array, and
+    passed; it checks nothing again.  rule(*constants, x, out=None) is the
+    gradient at an (N, 2) population x, written into out when it is given,
+    each constant is a per-row array, and
     minimizer holds each row's minimum as an (N, 2) array."""
     objective = _BUILDERS[function](alpha, beta)
     return objective.gradient.func, objective.gradient.args, np.stack(objective.minimum, axis=-1)

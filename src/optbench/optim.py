@@ -15,12 +15,11 @@ convex blend of the two.
 
 step() moves one checked parameter vector.  A Population steps the rows
 of the harness's trial kernel or of nn's classifier, tests them for
-finiteness, and drops the rows that stop; each caller keeps its own
-commit and stop rules.
+finiteness with one dot, and drops the rows that stop; each caller keeps
+its own commit and stop rules.
 """
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
@@ -148,6 +147,11 @@ class MomentumRule(_Rule):
     kind: str = "identity"
     beta1: float = DEFAULT_BETA1
 
+    @cached_property
+    def ema_weights(self):
+        """(beta1, 1 - beta1), the EMA's weights of its old value and of g."""
+        return self.beta1, 1.0 - self.beta1
+
 
 @dataclass(frozen=True)
 class AdaptiveRule(_Rule):
@@ -160,6 +164,11 @@ class AdaptiveRule(_Rule):
     kind: str = "identity"
     beta2: float = DEFAULT_BETA2
     eps: float = DEFAULT_EPS
+
+    @cached_property
+    def ema_weights(self):
+        """(beta2, 1 - beta2), the EMA's weights of its old value and of g * g."""
+        return self.beta2, 1.0 - self.beta2
 
 
 @dataclass(frozen=True)
@@ -290,17 +299,24 @@ def _check_started(state: OptimizerState) -> None:
 # public checked functions, step() and Population.  They are elementwise,
 # so every argument may be a single vector or an (N, dim) population;
 # rates may be scalars or (N, dim) blocks of per-row rates (see
-# RateColumns).  The update rules take
+# RateColumns), and each constant scalar may be a Python float or a 0-d
+# array of its value (see _Bound).  The update rules take
 # ml = m * l, the product both formulas start from, so the hybrid rule
 # forms it once.  Work is done in place on arrays a function allocated
 # itself, in the order the formulas state: a product of two factors has
 # the same bits in either order.
 
+# The numerator of the adaptive rate's reciprocal, as a 0-d array for the
+# reason _Bound gives.
+_ONE = np.array(1.0)
+
+
 def _direction(rule: MomentumRule, state: OptimizerState, g: np.ndarray) -> np.ndarray:
     if rule.kind == "identity":
         return g
-    state.m *= rule.beta1
-    state.m += (1.0 - rule.beta1) * g
+    old, new = rule.ema_weights
+    state.m *= old
+    state.m += new * g
     return state.m / (1.0 - rule.beta1 ** state.t)
 
 
@@ -311,14 +327,15 @@ def _rate(rule: AdaptiveRule, state: OptimizerState, g: np.ndarray) -> np.ndarra
         state.v += g * g
         root = np.sqrt(state.v)
     else:
-        state.v *= rule.beta2
+        old, new = rule.ema_weights
+        state.v *= old
         gg = g * g
-        gg *= 1.0 - rule.beta2
+        gg *= new
         state.v += gg
         root = state.v / (1.0 - rule.beta2 ** state.t)
         np.sqrt(root, out=root)
     root += rule.eps
-    return np.divide(1.0, root, out=root)
+    return np.divide(_ONE, root, out=root)
 
 
 def _additive(ml, lr):
@@ -442,18 +459,23 @@ def apply_update(rule: UpdateRule, theta: np.ndarray, m: np.ndarray, l: np.ndarr
     return _hybrid(theta, ml, rule.lr, rule.lr_inner, rule.lr_outer, rule.blend)
 
 
-def advance(spec: OptimizerSpec, state: OptimizerState, theta: np.ndarray, g: np.ndarray) -> np.ndarray:
+def advance(
+    spec: OptimizerSpec, state: OptimizerState, theta: np.ndarray, g: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """Unchecked core of step(): bump the counter, run both rules and
-    return the new parameters, which may be non-finite.
+    return the new parameters, which may be non-finite, written into out
+    when it is given (out may be theta itself: the update is worked out
+    before theta is written).
 
     theta and g may be one parameter vector or an (N, dim) population
     whose rows share the step counter; spec.update may then carry (N, dim)
-    rate blocks (see RateColumns).
+    rate blocks (see RateColumns), and each rule's constant scalars may be
+    0-d arrays (see _Bound).
     """
     state.t += 1
     m = _direction(spec.momentum, state, g)
     l = _rate(spec.adaptive, state, g)
-    return theta - apply_update(spec.update, theta, m, l)
+    return np.subtract(theta, apply_update(spec.update, theta, m, l), out=out)
 
 
 def step(
@@ -489,6 +511,30 @@ def _rows(a: np.ndarray | tuple, live) -> np.ndarray | tuple:
     return a[live] if isinstance(live, slice) else a.take(live, axis=0)
 
 
+def _bind(value):
+    """value with each float in it, alone or in a tuple, bound as a 0-d
+    float64 array; any other value as it is."""
+    if isinstance(value, float):
+        return np.array(value)
+    if isinstance(value, tuple):
+        return tuple(_bind(item) for item in value)
+    return value
+
+
+class _Bound:
+    """A rule as a Population's step reads it: the rule's own attributes,
+    with each one that names lists bound once by _bind.  Those are the
+    constant scalars the rule functions multiply or add by: numpy takes a
+    0-d array operand about 0.2 us faster per call than a Python float, for
+    the same bits.  The bias corrections, which depend on t, keep raising
+    the rule's own floats."""
+
+    def __init__(self, rule, names: tuple[str, ...]):
+        self.__dict__.update(vars(rule))
+        for name in names:
+            setattr(self, name, _bind(getattr(rule, name)))
+
+
 class RateColumns:
     """The update rates of a population, read by apply_update like an
     UpdateRule.  wide is a (k, N, width) array: each field in names is one
@@ -497,16 +543,18 @@ class RateColumns:
     operands of one shape (numpy multiplies an (N, 1) column into them
     several times slower).  block is the (N, k) table of the rates, one
     column per name, as a view of wide.  Each field in shared is one
-    scalar for every row.  A hybrid rule's blend weights are worked out
-    here, on the blocks, once per set of rows."""
+    scalar for every row, bound as _Bound binds a rule's.  A hybrid rule's
+    blend weights are worked out here, on the blocks, once per set of
+    rows."""
 
     def __init__(self, kind: str, names: tuple[str, ...], wide: np.ndarray, shared: dict | None = None):
-        self.kind, self.names, self.wide, self.shared = kind, names, wide, shared or {}
+        self.kind, self.names, self.wide = kind, names, wide
+        self.shared = {name: _bind(value) for name, value in (shared or {}).items()}
         self.block = wide[:, :, 0].T
         self.__dict__.update(self.shared)
         self.__dict__.update(zip(names, wide))
         if kind == "hybrid":
-            self.blend = blend_weights(self.mix)
+            self.blend = _bind(blend_weights(self.mix))
 
     @classmethod
     def of(cls, kind: str, names: tuple[str, ...], block: np.ndarray, shared: dict | None = None, width: int = 1):
@@ -532,48 +580,80 @@ class RateColumns:
         return RateColumns(self.kind, self.names, wide, self.shared)
 
 
+# The bound of Population's finiteness test, far enough below overflow at
+# 2**1024 that a row's squared distance from its origin stays finite too.
+_STEP_LIMIT = 2.0**1000
+
+
 class Population(OptimizerState):
     """Parameter rows stepped together by one spec: an OptimizerState whose
     (C, P) m and v rows share the step counter t, the (C, P) parameters
     theta, and the caller's per-row columns (arrays, or tuples of arrays)
-    as attributes.  spec.update is one UpdateRule, whose scalar rates
-    numpy applies faster than blocks, or a RateColumns of each row's own
-    rates, which the population spreads over the P entries of its rows
-    once.  The caller writes the steps it accepts to theta."""
+    as attributes.  spec.update is one UpdateRule or a RateColumns of each
+    row's own rates, which the population spreads over the P entries of
+    its rows once; every constant scalar of the rules is bound once as a
+    0-d array (see _Bound).  origin, when given, is a (C, P) column of the
+    points the caller measures each row's distance from, kept as a column.
 
-    def __init__(self, spec: OptimizerSpec, theta: np.ndarray, **columns):
+    The population owns a (2, C, P) block: the caller writes each step's
+    gradient into its first half, grad, and step() writes the new
+    parameters into its second, so that one dot over the block tests the
+    step.  The caller writes the steps it accepts to theta, by copying
+    them, or by taking the returned array as theta, which later steps
+    then update in place."""
+
+    def __init__(self, spec: OptimizerSpec, theta: np.ndarray, origin: np.ndarray | None = None, **columns):
         super().__init__(t=0, m=np.zeros_like(theta), v=np.zeros_like(theta))
-        if isinstance(spec.update, RateColumns):
-            spec = OptimizerSpec(spec.momentum, spec.adaptive, spec.update.widen(theta.shape[1]))
-        self.spec, self.theta = spec, theta
+        update = spec.update
+        if isinstance(update, RateColumns):
+            update = update.widen(theta.shape[1])
+        else:
+            rates = UpdateRule.FIELDS[update.kind]
+            update = _Bound(update, rates + ("blend",) if "mix" in rates else rates)
+        momentum, adaptive = _Bound(spec.momentum, ("ema_weights",)), _Bound(spec.adaptive, ("ema_weights", "eps"))
+        self.spec, self.theta = OptimizerSpec(momentum, adaptive, update), theta
+        if origin is not None:
+            columns = {"origin": origin, **columns}
         self._per_row = ("theta", "m", "v", *columns)
         self.__dict__.update(columns)
+        # Each row's |theta - origin|**2 is at most 2 |theta|**2 + 2 |origin|**2,
+        # so while origin's squares sum below the bound, a step whose squares
+        # sum below it has every distance finite; otherwise no step passes.
+        with np.errstate(over="ignore"):
+            squares = 0.0 if origin is None else np.dot(origin.ravel(), origin.ravel())
+        self._limit = _STEP_LIMIT if squares < _STEP_LIMIT else 0.0
+        self._new_block()
 
-    def step(self, g: np.ndarray, origin=None) -> tuple[np.ndarray, np.ndarray | None]:
-        """The parameters one step on, uncommitted, and None when a fast test
-        shows every row's gradient, parameters and offset from origin
-        finite, else the exact mask of the rows whose gradient and
-        parameters are finite.  The test's dot is a BLAS dot, whose bits
-        choose only between None and the mask, so no output depends on them."""
-        theta = advance(self.spec, self, self.theta, g)
-        flat = (theta if origin is None else theta - origin).ravel()
-        # A non-finite entry makes g's sum non-finite, and each row's
-        # squared offset sums some of the dot's non-negative terms, so a
-        # dot below 2**1000 (NaN compares False) keeps them all far from
-        # overflow at 2**1024.
-        if math.isfinite(g.sum()) and np.dot(flat, flat) < 2.0**1000:
+    def _new_block(self) -> None:
+        block = np.empty((2, *self.theta.shape))
+        self.grad, self._next = block
+        self._flat = block.ravel()
+
+    def step(self) -> tuple[np.ndarray, np.ndarray | None]:
+        """The parameters one step on from the gradient in grad, and None when
+        one dot shows every row's gradient, parameters and distance from
+        origin finite, else the exact mask of the rows whose gradient and
+        parameters are finite.  The dot is a BLAS dot, whose bits choose only
+        between None and the mask, so no output depends on them."""
+        theta = advance(self.spec, self, self.theta, self.grad, out=self._next)
+        # The dot sums the square of every entry of the gradient and of the
+        # new parameters: a non-finite entry makes it inf or NaN, and NaN
+        # compares False.
+        if np.dot(self._flat, self._flat) < self._limit:
             return theta, None
-        return theta, np.isfinite(g).all(axis=1) & np.isfinite(theta).all(axis=1)
+        return theta, np.isfinite(self.grad).all(axis=1) & np.isfinite(theta).all(axis=1)
 
     def keep(self, live) -> None:
         """Keep only the rows that live indexes, in its order, in every
         per-row array: live is a leading slice, which leaves every array a
-        view of the rows it had, a boolean mask, or an array of row
-        indices, which may also reorder the rows; a mask or indices is one
-        take per array."""
+        view of the rows it had, a boolean mask of the leading rows (the
+        rows past its end leave too), or an array of row indices, which may
+        also reorder the rows; a mask or indices is one take per array.
+        The block is made anew for the rows kept."""
         if not isinstance(live, slice) and live.dtype == bool:
             live = np.flatnonzero(live)
         for name in self._per_row:
             setattr(self, name, _rows(getattr(self, name), live))
         if isinstance(self.spec.update, RateColumns):
             self.spec = OptimizerSpec(self.spec.momentum, self.spec.adaptive, self.spec.update.take(live))
+        self._new_block()

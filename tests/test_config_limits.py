@@ -11,9 +11,10 @@ import pytest
 
 from optbench.cli import EXIT_CONFIG, main
 from optbench.config import ConfigError, load_plan
-from optbench.harness import Sampler
+from optbench.harness import Sampler, default_eval_distribution, evaluate_robustness, surface_scan
 from optbench.nn import make_dataset, xavier_init
-from optbench.objectives import InvalidConfigError, convex2d, finite_difference_grad
+from optbench.objectives import InvalidConfigError, TaskConfig, convex2d, finite_difference_grad
+from optbench.optim import UpdateRule, make_spec
 from optbench.tuning import InvalidGridError, half_decade_grid
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -309,6 +310,17 @@ def test_bounds_admit_their_limits(tmp_path, grid_size, iterations):
     assert plan.grid_size == grid_size and plan.task.iterations == iterations
 
 
+_SGD = make_spec("sgd", UpdateRule("additive", lr=1e-3))
+
+
+def _robustness(n):
+    return evaluate_robustness(default_eval_distribution("convex2d"), _SGD, n=n, seed=0)
+
+
+def _scan(grid_size):
+    return surface_scan(TaskConfig("convex2d", 1.0, 20.0, (50.0, 50.0), 5), _SGD, grid_size=grid_size)
+
+
 @pytest.mark.parametrize(
     "call, error, message",
     [
@@ -324,6 +336,14 @@ def test_bounds_admit_their_limits(tmp_path, grid_size, iterations):
         (lambda: xavier_init(2, 2, math.inf, np.random.default_rng(0)), ValueError, "gain must be finite, got inf"),
         (lambda: make_dataset(8, noise=math.inf), ValueError, "noise must be finite, got inf"),
         (lambda: half_decade_grid(1.0, math.inf), InvalidGridError, "bad grid bounds [1.0, inf]"),
+        *(
+            (lambda n=n: _robustness(n), InvalidConfigError, f"n: must be an integer >= 1, got {n!r}")
+            for n in (2.5, math.nan, True)
+        ),
+        *(
+            (lambda size=size: _scan(size), InvalidConfigError, f"grid_size: must be an integer >= 1, got {size!r}")
+            for size in (2.5, math.nan, True)
+        ),
     ],
     ids=[
         "xavier_init",
@@ -334,12 +354,19 @@ def test_bounds_admit_their_limits(tmp_path, grid_size, iterations):
         "xavier_init_inf",
         "make_dataset_inf",
         "half_decade_grid_inf",
+        "evaluate_robustness_n_2.5",
+        "evaluate_robustness_n_nan",
+        "evaluate_robustness_n_True",
+        "surface_scan_grid_size_2.5",
+        "surface_scan_grid_size_nan",
+        "surface_scan_grid_size_True",
     ],
 )
 def test_library_checks_refuse_nan(call, error, message):
     # Each check states what it admits, so NaN, which compares False, fails it.
     # The checks that would admit +inf, and then return infinities or raise
-    # OverflowError, refuse it too.
+    # OverflowError, refuse it too, and a count refuses any value that is not
+    # an integer, where range and linspace raised TypeError and True ran once.
     with pytest.raises(error) as info:
         call()
     assert type(info.value) is error

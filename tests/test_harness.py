@@ -241,6 +241,15 @@ def test_evaluate_robustness_rejects_nonpositive_n():
         evaluate_robustness(default_eval_distribution("convex2d"), _sgd(1e-3), n=0, seed=0)
 
 
+def test_counts_may_be_numpy_integers():
+    dist, task = default_eval_distribution("convex2d"), replace(CONVEX, iterations=5)
+    assert evaluate_robustness(dist, _sgd(1e-3), n=np.int64(3), seed=0) == evaluate_robustness(
+        dist, _sgd(1e-3), n=3, seed=0
+    )
+    by_numpy, by_int = surface_scan(task, _sgd(1e-3), grid_size=np.int64(3)), surface_scan(task, _sgd(1e-3), grid_size=3)
+    assert by_numpy.scores.tobytes() == by_int.scores.tobytes()
+
+
 def test_default_scan_ranges():
     assert default_scan_ranges(CONVEX) == ((40.0, 60.0), (40.0, 60.0))
     task = TaskConfig("convex2d", 1.0, 20.0, (-10.0, 5.0), 10)
@@ -420,8 +429,112 @@ def test_batched_multiplicative_population_keeps_signs_and_bound(monkeypatch):
 
     monkeypatch.setattr(optim, "apply_update", checked)
     batch = run_batch(pairs)
-    assert sum(rows_checked) == int(batch.iterations_run.sum() + batch.diverged.sum())
+    # One population of 20 rows per function x family, riders included.
+    budgets = np.array([task.iterations for task, _ in pairs])
+    assert not batch.diverged.any()
+    assert rows_checked == [
+        size
+        for rows in np.split(np.arange(len(pairs)), len(pairs) // 20)
+        for size in _population_sizes(budgets[rows], batch.iterations_run[rows], batch.diverged[rows])
+    ]
     assert max(rows_checked) == 20
+
+
+def _population_sizes(budget, iterations_run, diverged, masked=()):
+    """The rows a kernel population steps at each step, from its rows'
+    outcomes and the steps that failed the finiteness test: a row is live
+    until it finishes or diverges, and a finished row rides along until
+    a step where budgets end leaves at most half of the rows live, or
+    until a failed step, whose keep leaves only the live rows."""
+    live_until = np.where(diverged, iterations_run + 1, iterations_run)
+    sizes, size, t = [], len(budget), 0
+    while True:
+        t += 1
+        sizes.append(size)
+        live = int(np.count_nonzero(live_until > t))
+        if not live:
+            return sizes
+        if t in masked or (np.any(budget == t) and 2 * live <= size):
+            size = live
+
+
+class _StepLog(harness.Population):
+    """A kernel population that records, for every step, its step counter,
+    its row count and whether the step failed the finiteness test."""
+
+    log: list = []
+
+    def step(self):
+        theta, ok = super().step()
+        self.log.append((self.t, len(self.rows), ok is not None))
+        return theta, ok
+
+
+@pytest.fixture
+def step_log(monkeypatch):
+    monkeypatch.setattr(harness, "Population", _StepLog)
+    monkeypatch.setattr(_StepLog, "log", [])
+    return _StepLog.log
+
+
+def _assert_matches_reference(pairs, batch):
+    for i, (task, spec) in enumerate(pairs):
+        # A start point near overflow has an infinite distance, which the
+        # reference measures outside its errstate.
+        with np.errstate(over="ignore"):
+            distances, reason = _reference_trial(task, spec)
+        where = f"row {i}: {task} {spec}"
+        assert batch.iterations_run[i] == len(distances) - 1, where
+        assert batch.diverged[i] == (reason is not None), where
+        assert batch.final_distance[i] == (math.inf if reason is not None else distances[-1]), where
+
+
+def test_a_rider_that_overflows_after_its_budget_moves_no_outcome(step_log):
+    """Row 0 finishes at step 10 and rides along, since three of the four
+    rows are still live; its stiff coordinate grows about 2,000 times per
+    step, so its step 46 fails the finiteness test.  That one masked step
+    drops it, and no row's outcome moves."""
+    pairs = [(replace(CONVEX, iterations=10), _sgd(5.0))] + [
+        (replace(CONVEX, iterations=60, alpha=1.0 + i), _sgd(1e-4 * (i + 1))) for i in range(3)
+    ]
+    batch = run_batch(pairs)
+    _assert_matches_reference(pairs, batch)
+    assert batch.iterations_run.tolist() == [10, 60, 60, 60] and not batch.diverged.any()
+    assert [t for t, _, masked in step_log if masked] == [46]
+    sizes = [rows for _, rows, _ in step_log]
+    assert sizes == [4] * 46 + [3] * 14
+    assert sizes == _population_sizes(np.array([10, 60, 60, 60]), batch.iterations_run, batch.diverged, {46})
+
+
+def test_finite_rows_too_large_for_the_dot_take_the_masked_branch_and_match_the_reference(step_log):
+    """A gradient of about 1e200 (beta 1e197) and a parameter of 1e151 are
+    finite, but their squares fail the one-dot test, so every step is
+    masked and no row diverges; a parameter of 1e155 has an infinite
+    distance, so its row diverges at step 1, like the reference's."""
+    pairs = [
+        (replace(CONVEX, beta=1e197, iterations=5), _sgd(1e-210)),
+        (replace(CONVEX, x0=(1e151, 50.0), iterations=5), _sgd(1e-4)),
+        (replace(CONVEX, x0=(1e155, 50.0), iterations=5), _sgd(1e-4)),
+        (replace(CONVEX, iterations=5), _sgd(1e-3)),
+    ]
+    batch = run_batch(pairs)
+    _assert_matches_reference(pairs, batch)
+    assert batch.diverged.tolist() == [False, False, True, False]
+    assert [masked for _, _, masked in step_log] == [True] * 5
+
+
+def test_an_origin_too_large_for_the_dot_masks_every_step_and_matches_the_reference(step_log):
+    """Minimizers at 2**500 put the origin's squares at 2**1002, so no step
+    can pass the one-dot test; every step takes the masked branch."""
+    big = 2.0**500
+    pairs = [
+        (replace(CONVEX, alpha=big, x0=(1.5 * big, big), iterations=30), _sgd(1e-3)),
+        (replace(CONVEX, iterations=20), _sgd(1e-3)),
+    ]
+    batch = run_batch(pairs)
+    _assert_matches_reference(pairs, batch)
+    assert not batch.diverged.any() and 0.0 < batch.final_distance[0] < math.inf
+    assert [masked for _, _, masked in step_log] == [True] * 30
 
 
 def _drawn_rate(name):

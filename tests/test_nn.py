@@ -787,8 +787,8 @@ def test_each_row_equals_its_solo_run_whichever_way_it_leaves(monkeypatch):
     rejected = set()
 
     class RejectionLog(Population):
-        def step(self, g, origin=None):
-            theta, ok = super().step(g, origin)
+        def step(self):
+            theta, ok = super().step()
             if ok is not None:
                 rejected.update(self.rows[~ok].tolist())
             return theta, ok

@@ -161,7 +161,8 @@ def test_population_step_of_mirrored_rows_gives_the_mirrored_rows(family, kind, 
     pop, mirror = Population(spec, theta), Population(spec, -theta)
     for _ in range(steps):
         g = rng.normal(0.0, 10.0 ** rng.uniform(-3.0, 3.0), (rows, width))
-        (pop.theta, ok), (mirror.theta, mirror_ok) = pop.step(g), mirror.step(-g)
+        pop.grad[...], mirror.grad[...] = g, -g
+        (pop.theta, ok), (mirror.theta, mirror_ok) = pop.step(), mirror.step()
         assert ok is None and mirror_ok is None
         assert np.array_equal(mirror.theta, -pop.theta)
         assert np.array_equal(mirror.m, -pop.m) and mirror.v.tobytes() == pop.v.tobytes()
@@ -193,7 +194,7 @@ def _rescaled(spec, rules, c):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_population_step_of_rescaled_rows_gives_the_rescaled_rows(family, kind, per_row, rows, width, steps, c, seed):
-    """Population(spec_c, c * theta).step(c * g) is c times the original
+    """Population(spec_c, c * theta) stepped on c * g is c times the original
     step, bit for bit, and so are the direction and, squared, the
     variance track.  theta and g lie on a grid of sixteenths and c is a
     power of two, so every scaling is exact."""
@@ -206,7 +207,8 @@ def test_population_step_of_rescaled_rows_gives_the_rescaled_rows(family, kind, 
     pop, scaled = Population(spec, theta), Population(_rescaled(spec, rules, c), c * theta)
     for _ in range(steps):
         g = rng.integers(-160, 161, (rows, width)) / 16.0
-        (pop.theta, ok), (scaled.theta, scaled_ok) = pop.step(g), scaled.step(c * g)
+        pop.grad[...], scaled.grad[...] = g, c * g
+        (pop.theta, ok), (scaled.theta, scaled_ok) = pop.step(), scaled.step()
         assert ok is None and scaled_ok is None
         assert scaled.theta.tobytes() == (c * pop.theta).tobytes()
         assert scaled.m.tobytes() == (c * pop.m).tobytes()
