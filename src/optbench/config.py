@@ -35,12 +35,10 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-from .harness import MAX_TRIALS, EvalDistribution, Sampler
-from .objectives import FUNCTIONS, TaskConfig
 from .optim import (
     DEFAULT_MIX,
     FAMILIES,
@@ -54,7 +52,6 @@ from .optim import (
     default_update_rule,
     make_spec,
 )
-from .tuning import RATE_AXES, GridSpec, RateGrids, build_grid, check_axis, default_grids, grid_points
 
 SCHEMA_VERSION = 1
 COMMANDS = ("tune", "trial", "robustness", "scan", "train-toy")
@@ -229,7 +226,7 @@ class _SamplerTable(Table):
     def read(self, value, path: str) -> Sampler:
         if isinstance(value, dict):
             return super().read(value, path)
-        return Sampler(_number(value, path))
+        return self.build(_number(value, path))
 
     __call__ = read
 
@@ -241,43 +238,57 @@ _MOMENTUM, _ADAPTIVE, parse_update = (_RuleTables(c) for c in (MomentumRule, Ada
 _SPEC = Table(
     OptimizerSpec, Field("momentum", _MOMENTUM), Field("adaptive", _ADAPTIVE), Field("update", parse_update)
 )
-parse_task = Table(
-    TaskConfig,
-    Field("function", _string),
-    Field("alpha", _number),
-    Field("beta", _number),
-    Field("x0", _items(_number, 2)),
-    Field("iterations", _integer),
-    Field("seed", _integer, optional=True),
-)
-parse_sampler = _SamplerTable(Sampler, Field("mean", _number), Field("std", _number, optional=True))
-parse_distribution = Table(
-    EvalDistribution,
-    # EvalDistribution checks nothing itself: its function is first used
-    # when the tasks are drawn.
-    Field("function", _choice(FUNCTIONS)),
-    Field("x0", _items(parse_sampler, 2)),
-    Field("alpha", parse_sampler),
-    Field("beta", _check(parse_sampler, lambda s: s.std > 0.0 or s.mean > 0.0, "positive when fixed")),
-    Field("iterations", parse_sampler),
-)
+_WRITERS = {MomentumRule: _MOMENTUM, AdaptiveRule: _ADAPTIVE, UpdateRule: parse_update, OptimizerSpec: _SPEC}
+_TASK_TABLES = ("parse_task", "parse_sampler", "parse_distribution")
 
-_WRITERS = {
-    MomentumRule: _MOMENTUM,
-    AdaptiveRule: _ADAPTIVE,
-    UpdateRule: parse_update,
-    OptimizerSpec: _SPEC,
-    TaskConfig: parse_task,
-    Sampler: parse_sampler,
-    EvalDistribution: parse_distribution,
-}
+
+@cache
+def _task_tables() -> dict[str, Table]:
+    """The tables of the 2-D task types, by the names in _TASK_TABLES,
+    under which this module also hands them out.  They are built on first
+    use, so a train-toy plan never loads objectives or harness."""
+    from .harness import EvalDistribution, Sampler
+    from .objectives import FUNCTIONS, TaskConfig
+
+    sampler = _SamplerTable(Sampler, Field("mean", _number), Field("std", _number, optional=True))
+    task = Table(
+        TaskConfig,
+        Field("function", _string),
+        Field("alpha", _number),
+        Field("beta", _number),
+        Field("x0", _items(_number, 2)),
+        Field("iterations", _integer),
+        Field("seed", _integer, optional=True),
+    )
+    distribution = Table(
+        EvalDistribution,
+        # EvalDistribution checks nothing itself: its function is first used
+        # when the tasks are drawn.
+        Field("function", _choice(FUNCTIONS)),
+        Field("x0", _items(sampler, 2)),
+        Field("alpha", sampler),
+        Field("beta", _check(sampler, lambda s: s.std > 0.0 or s.mean > 0.0, "positive when fixed")),
+        Field("iterations", sampler),
+    )
+    return dict(zip(_TASK_TABLES, (task, sampler, distribution)))
+
+
+def __getattr__(name: str):
+    if name not in _TASK_TABLES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return _task_tables()[name]
 
 
 def to_json(value):
-    """The JSON form of a config value, written from its field table."""
+    """The JSON form of a config value, written from its field table; a
+    string, a number or None is its own JSON form."""
     if isinstance(value, tuple):
         return [to_json(v) for v in value]
+    if value is None or isinstance(value, (str, int, float)):
+        return value
     writer = _WRITERS.get(type(value))
+    if writer is None:
+        writer = {table.build: table for table in _task_tables().values()}.get(type(value))
     return value if writer is None else writer.write(value)
 
 
@@ -303,6 +314,8 @@ def parse_optimizer_spec(d, path: str, base_dir: Path | None = None) -> Optimize
 # -------------------------------------------------------------------- grids
 
 def _grid(**fields) -> tuple[float, ...]:
+    from .tuning import GridSpec, build_grid
+
     return tuple(build_grid(GridSpec(**fields)))
 
 
@@ -319,27 +332,24 @@ def parse_grid_axis(value, path: str) -> tuple[float, ...]:
     return (_GRID_LIST if isinstance(value, list) else _GRID_SPEC)(value, path)
 
 
-def _grids(update_kind: str, **axes) -> RateGrids:
-    """The kind's stock grids with the given axes in place, each given axis
-    in its rate's range; refused by tuning.grid_points past MAX_TRIALS
-    points."""
-    for name, axis in axes.items():
-        check_axis(name, axis)
-    grids = replace(default_grids(update_kind), **axes)
-    grid_points(grids, update_kind)
-    return grids
-
-
-# The grid table of each update kind: one optional axis per rate it grids,
-# an absent axis keeping its stock grid.
-_GRIDS = {
-    kind: Table(partial(_grids, kind), *(Field(name, parse_grid_axis, optional=True) for name in axes))
-    for kind, axes in RATE_AXES.items()
-}
-
-
 def parse_grids(d, path: str, update_kind: str) -> RateGrids:
-    return default_grids(update_kind) if d is None else _GRIDS[update_kind](d, path)
+    """The kind's stock grids, with each axis that d gives in place: one
+    optional axis per rate the kind grids, each in its rate's range.  The
+    grids are refused by tuning.grid_points past MAX_TRIALS points."""
+    from .tuning import RATE_AXES, check_axis, default_grids, grid_points
+
+    if d is None:
+        return default_grids(update_kind)
+
+    def grids(**axes) -> RateGrids:
+        for name, axis in axes.items():
+            check_axis(name, axis)
+        grids = replace(default_grids(update_kind), **axes)
+        grid_points(grids, update_kind)
+        return grids
+
+    axes = (Field(name, parse_grid_axis, optional=True) for name in RATE_AXES[update_kind])
+    return Table(grids, *axes)(d, path)
 
 
 # ------------------------------------------------------------------ plans
@@ -406,6 +416,8 @@ class TrainToyPlan:
 
 
 def _tune(task, family, update_kind, grids=None, mix=None) -> TunePlan:
+    from .tuning import grid_points
+
     if mix is None:
         mix = DEFAULT_MIX
     elif "mix" not in UpdateRule.FIELDS[update_kind]:
@@ -464,7 +476,6 @@ def _train_toy(
     return TrainToyPlan(settings, family, update_kind, optimizer, n_configs, master_seed)
 
 
-_TASK_FIELD = Field("task", parse_task)
 _FAMILY = Field("family", _choice(FAMILIES))
 _UPDATE_KIND = Field("update_rule", _choice(UPDATE_KINDS), attr="update_kind")
 _RANGE = _check(_items(_number, 2), lambda r: r[0] <= r[1], "[lo, hi] where lo never exceeds hi")
@@ -475,58 +486,63 @@ _COUNT = _bounded(_integer, lo=1)
 def _plan_table(command: str, base_dir: Path) -> Table:
     """The table of one command's plan, made for each config: an optimizer
     given by reference is read relative to the config's directory,
-    base_dir.  Only the train-toy table imports the nn module, so the
-    other commands never load it."""
+    base_dir.  Each table loads only the modules its command runs: only
+    train-toy loads nn and loads none of objectives, harness and tuning,
+    and only tune loads tuning."""
     optimizer = partial(parse_optimizer_spec, base_dir=base_dir)
+    if command == "train-toy":
+        from .nn import ACTIVATIONS, FAN_MODES, MIN_BATCH_SIZE, MIN_NOISE, MIN_SAMPLES
+
+        dataset = Table(
+            dict,
+            Field("n", _bounded(_integer, lo=MIN_SAMPLES), True, "dataset_n"),
+            Field("noise", _bounded(_number, lo=MIN_NOISE), True, "dataset_noise"),
+            Field("seed", _SEED, True, "dataset_seed"),
+        )
+        return Table(
+            _train_toy,
+            Field("dataset", dataset, optional=True),
+            Field("hidden", _items(_COUNT), optional=True),
+            Field("activation", _choice(ACTIVATIONS), optional=True),
+            Field("batch_size", _bounded(_integer, lo=MIN_BATCH_SIZE), optional=True),
+            Field("fan_mode", _choice(tuple(FAN_MODES)), optional=True),
+            _FAMILY,
+            _UPDATE_KIND,
+            Field("optimizer", optimizer, optional=True),
+            Field("n_configs", _COUNT, optional=True),
+            Field("master_seed", _SEED, optional=True),
+        )
+    tables = _task_tables()
+    task = Field("task", tables["parse_task"])
     spec = Field("optimizer", optimizer, attr="spec")
     if command == "tune":
         return Table(
             _tune,
-            _TASK_FIELD,
+            task,
             _FAMILY,
             _UPDATE_KIND,
             Field("grids", _object, optional=True),
             Field("mix", _number, optional=True),
         )
     if command == "trial":
-        return Table(TrialPlan, _TASK_FIELD, spec)
+        return Table(TrialPlan, task, spec)
+    from .harness import MAX_TRIALS
+
     if command == "robustness":
         return Table(
             RobustnessPlan,
-            Field("distribution", parse_distribution),
+            Field("distribution", tables["parse_distribution"]),
             spec,
             Field("n", _bounded(_integer, 1, MAX_TRIALS)),
             Field("seed", _SEED, optional=True),
         )
-    if command == "scan":
-        return Table(
-            ScanPlan,
-            _TASK_FIELD,
-            spec,
-            Field("x0_range", _RANGE, optional=True),
-            Field("x1_range", _RANGE, optional=True),
-            Field("grid_size", _bounded(_integer, 1, math.isqrt(MAX_TRIALS)), optional=True),
-        )
-    from .nn import ACTIVATIONS, FAN_MODES, MIN_BATCH_SIZE, MIN_NOISE, MIN_SAMPLES
-
-    dataset = Table(
-        dict,
-        Field("n", _bounded(_integer, lo=MIN_SAMPLES), True, "dataset_n"),
-        Field("noise", _bounded(_number, lo=MIN_NOISE), True, "dataset_noise"),
-        Field("seed", _SEED, True, "dataset_seed"),
-    )
     return Table(
-        _train_toy,
-        Field("dataset", dataset, optional=True),
-        Field("hidden", _items(_COUNT), optional=True),
-        Field("activation", _choice(ACTIVATIONS), optional=True),
-        Field("batch_size", _bounded(_integer, lo=MIN_BATCH_SIZE), optional=True),
-        Field("fan_mode", _choice(tuple(FAN_MODES)), optional=True),
-        _FAMILY,
-        _UPDATE_KIND,
-        Field("optimizer", optimizer, optional=True),
-        Field("n_configs", _COUNT, optional=True),
-        Field("master_seed", _SEED, optional=True),
+        ScanPlan,
+        task,
+        spec,
+        Field("x0_range", _RANGE, optional=True),
+        Field("x1_range", _RANGE, optional=True),
+        Field("grid_size", _bounded(_integer, 1, math.isqrt(MAX_TRIALS)), optional=True),
     )
 
 

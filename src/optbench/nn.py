@@ -44,6 +44,13 @@ FAN_MODES = {"product": operator.mul, "sum": operator.add}
 BIAS_INIT = 0.01
 
 
+def _check_integer(name: str, value) -> None:
+    """Refuse a value that is not an integer: int and numpy integers are,
+    bool is not."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def xavier_init(
     fan_in: int, fan_out: int, gain: float, rng: np.random.Generator, fan_mode: str = "product"
 ) -> np.ndarray:
@@ -240,6 +247,8 @@ class MLP:
     ):
         if len(layer_sizes) < 2:
             raise ValueError("need at least an input and an output layer")
+        for i, size in enumerate(layer_sizes):
+            _check_integer(f"layer_sizes[{i}]", size)
         if activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {activation!r}")
         rng = np.random.default_rng(0) if rng is None else rng
@@ -311,6 +320,7 @@ MIN_BATCH_SIZE = 1
 
 def make_dataset(n: int = 400, noise: float = 0.15, seed: int = 0) -> SyntheticDataset:
     """Generate the two-moons classification set, deterministically per seed."""
+    _check_integer("n", n)
     if n < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} samples, got {n}")
     if not noise >= MIN_NOISE:
@@ -350,9 +360,7 @@ class TrainingConfig:
         if not self.gain > 0.0:
             raise ValueError(f"gain must be positive, got {self.gain}")
         for name in ("epochs", "batch_size"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            _check_integer(name, getattr(self, name))
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < MIN_BATCH_SIZE:
@@ -587,6 +595,8 @@ def train_sampled_configs(
 def mean_std(values: list[float]) -> tuple[float, float]:
     """Mean and sample standard deviation (ddof=1, 0 for one value) of a
     protocol's per-run metric, summed in list order."""
+    if not values:
+        raise ValueError("mean_std needs at least one value")
     mean = sum(values) / len(values)
     if len(values) <= 1:
         return mean, 0.0

@@ -12,7 +12,7 @@ import pytest
 from optbench.cli import EXIT_CONFIG, main
 from optbench.config import ConfigError, load_plan
 from optbench.harness import Sampler, default_eval_distribution, evaluate_robustness, surface_scan
-from optbench.nn import make_dataset, xavier_init
+from optbench.nn import MLP, make_dataset, mean_std, xavier_init
 from optbench.objectives import InvalidConfigError, TaskConfig, convex2d, finite_difference_grad
 from optbench.optim import UpdateRule, make_spec
 from optbench.tuning import InvalidGridError, half_decade_grid
@@ -344,6 +344,12 @@ def _scan(grid_size):
             (lambda size=size: _scan(size), InvalidConfigError, f"grid_size: must be an integer >= 1, got {size!r}")
             for size in (2.5, math.nan, True)
         ),
+        *(
+            (lambda n=n: make_dataset(n), ValueError, f"n must be an integer, got {n!r}")
+            for n in (2.5, 40.5, math.nan, True)
+        ),
+        (lambda: MLP([2, 2.5, 2]), ValueError, "layer_sizes[1] must be an integer, got 2.5"),
+        (lambda: mean_std([]), ValueError, "mean_std needs at least one value"),
     ],
     ids=[
         "xavier_init",
@@ -360,13 +366,20 @@ def _scan(grid_size):
         "surface_scan_grid_size_2.5",
         "surface_scan_grid_size_nan",
         "surface_scan_grid_size_True",
+        "make_dataset_n_2.5",
+        "make_dataset_n_40.5",
+        "make_dataset_n_nan",
+        "make_dataset_n_True",
+        "MLP_layer_size_2.5",
+        "mean_std_empty",
     ],
 )
 def test_library_checks_refuse_nan(call, error, message):
     # Each check states what it admits, so NaN, which compares False, fails it.
     # The checks that would admit +inf, and then return infinities or raise
     # OverflowError, refuse it too, and a count refuses any value that is not
-    # an integer, where range and linspace raised TypeError and True ran once.
+    # an integer, where range and linspace raised TypeError and True ran once,
+    # and mean_std refuses an empty list, where it divided by zero.
     with pytest.raises(error) as info:
         call()
     assert type(info.value) is error

@@ -3,17 +3,21 @@ name a module defines is read somewhere.
 
 The project depends on no linter, so these tests are the check of those
 rules.  An import kept only for other code to reach through the
-module says so with "# noqa: F401" on its line.  __init__.py imports to
-re-export and is not checked for unused imports.  A module-level name
-counts as read when any file under src/, tests/, scripts/ or bench/
-loads it, takes it as an attribute or imports it.  The benchmark's
-tracer patches names by module attribute, so one test enters and
-leaves its patch: a name it wraps must not be deleted.  Start-up pays
-only for the command it runs: the last test reads configs in a fresh
-interpreter and checks that only a train-toy config loads optbench.nn.
+module says so with "# noqa: F401" on its line.  Every module is
+checked, __init__.py too: it re-exports by a table, not by importing.
+A module-level name counts as read when any file under src/, tests/,
+scripts/ or bench/ loads it, takes it as an attribute or imports it.
+The benchmark's tracer patches names by module attribute, so one test
+enters and leaves its patch: a name it wraps must not be deleted.
+Start-up pays only for the command it runs: a fresh interpreter reads
+one config of each command, and a table pins the optbench modules each
+one loads.  The package root loads a name's module on first use, so
+README's library session runs in a fresh interpreter and every name of
+__all__ is its submodule's own object.
 """
 import ast
 import json
+import re
 import os
 import subprocess
 import sys
@@ -23,7 +27,7 @@ import pytest
 
 REPO = Path(__file__).resolve().parent.parent
 PACKAGE = REPO / "src" / "optbench"
-MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(p.name for p in PACKAGE.glob("*.py"))
 READERS = ("src", "tests", "scripts", "bench")
 
 
@@ -69,8 +73,9 @@ def test_module_imports_no_unused_name(module):
 
 
 def defined_names(source: str) -> dict[str, int]:
-    """The module-level names the source defines, apart from __all__,
-    each with the line that defines it."""
+    """The module-level names the source defines, apart from __all__ and
+    __getattr__, which Python reads itself, each with the line that
+    defines it."""
     names = {}
     for node in ast.parse(source).body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -80,6 +85,7 @@ def defined_names(source: str) -> dict[str, int]:
             for target in targets:
                 names.update((leaf.id, node.lineno) for leaf in ast.walk(target) if isinstance(leaf, ast.Name))
     names.pop("__all__", None)
+    names.pop("__getattr__", None)
     return names
 
 
@@ -138,21 +144,55 @@ def test_every_name_the_benchmark_tracer_wraps_exists(monkeypatch):
     assert optbench.cli._write_text is write
 
 
-# Prints, after each config it reads, whether optbench.nn is loaded.
-_NN_PROBE = """
+def _fresh_python(*args: str, cwd: Path | None = None) -> subprocess.CompletedProcess:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, *args], capture_output=True, text=True, timeout=60, env=env, cwd=cwd)
+    assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+# Imports optbench.cli and reads the config given, or with none imports
+# the package root alone, then prints the optbench modules loaded.  Given
+# an output directory too, it runs the config's command into it first.
+_PROBE = """
 import sys
-import optbench.cli
-for path in sys.argv[1:]:
-    optbench.cli.load_plan(path)
-    print(path, "optbench.nn" in sys.modules)
+if sys.argv[1:]:
+    import optbench.cli
+    command, _ = optbench.cli.load_plan(sys.argv[1])
+    if sys.argv[2:]:
+        assert optbench.cli.main([command, "--config", sys.argv[1], "--out", sys.argv[2]]) == 0
+else:
+    import optbench
+print(*sorted(m for m in sys.modules if m.split(".")[0] == "optbench"))
 """
 
+_FRONT = {"optbench", "optbench.optim", "optbench.config", "optbench.cli"}
+_TASKS = _FRONT | {"optbench.objectives", "optbench.harness"}
 
-def test_only_a_train_toy_config_loads_the_nn_module(tmp_path):
+
+@pytest.mark.parametrize(
+    "command, run, loaded",
+    [
+        (None, False, {"optbench"}),
+        ("train-toy", False, _FRONT | {"optbench.nn"}),
+        ("train-toy", True, _FRONT | {"optbench.nn"}),
+        ("trial", False, _TASKS),
+        ("robustness", False, _TASKS),
+        ("scan", False, _TASKS),
+        ("tune", False, _TASKS | {"optbench.tuning"}),
+    ],
+    ids=["import-optbench", "train-toy", "train-toy-run", "trial", "robustness", "scan", "tune"],
+)
+def test_each_command_loads_only_its_own_modules(command, run, loaded, tmp_path):
     configs = REPO / "configs"
     tuned = configs / "tuned" / "convex2d-sgd-hybrid.json"
-    trial = tmp_path / "trial.json"
-    trial.write_text(
+    paths = {
+        "train-toy": configs / "train-toy" / "sgd-hybrid.json",
+        "trial": tmp_path / "trial.json",
+        **{c: configs / c / "convex2d-sgd-hybrid.json" for c in ("robustness", "scan", "tune")},
+    }
+    paths["trial"].write_text(
         json.dumps(
             {
                 "schema_version": 1,
@@ -162,22 +202,21 @@ def test_only_a_train_toy_config_loads_the_nn_module(tmp_path):
             }
         )
     )
-    paths = [
-        configs / "tune" / "convex2d-sgd-hybrid.json",
-        configs / "robustness" / "convex2d-sgd-hybrid.json",
-        configs / "scan" / "convex2d-sgd-hybrid.json",
-        trial,
-        configs / "train-toy" / "sgd-hybrid.json",
-    ]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", _NN_PROBE, *map(str, paths)],
-        capture_output=True,
-        text=True,
-        timeout=60,
-        env=env,
-    )
-    assert proc.returncode == 0, proc.stderr
-    loaded = [line.rsplit(" ", 1)[1] for line in proc.stdout.splitlines()]
-    assert loaded == ["False", "False", "False", "False", "True"], proc.stdout
+    args = [] if command is None else [str(paths[command])] + [str(tmp_path / "out")] * run
+    assert set(_fresh_python("-c", _PROBE, *args).stdout.split()) == loaded
+
+
+def test_readme_library_session_runs_and_root_names_are_their_modules_own(tmp_path):
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    session = re.search(r"A quick library session:\n\n```python\n(.*?)```", readme, re.S).group(1)
+    assert "from optbench import" in session
+    assert float(_fresh_python("-c", session, cwd=tmp_path).stdout) >= 0.0
+
+    import optbench
+
+    for name in optbench.__all__:
+        obj = getattr(optbench, name)
+        module = sys.modules[obj.__module__]
+        assert module.__name__.startswith("optbench.") and vars(module)[name] is obj, name
+    with pytest.raises(AttributeError, match="no_such_name"):
+        optbench.no_such_name

@@ -329,6 +329,12 @@ def test_make_dataset_tiny_and_invalid():
         make_dataset(10, noise=-0.1)
 
 
+def test_numpy_integer_sizes_are_admitted_as_int_ones():
+    assert np.array_equal(make_dataset(np.int64(40)).features, make_dataset(40).features)
+    model = MLP([np.int64(2), np.int32(3), 2], rng=np.random.default_rng(0))
+    assert np.array_equal(model.flat, MLP([2, 3, 2], rng=np.random.default_rng(0)).flat)
+
+
 def test_make_dataset_zero_noise_is_seed_independent_geometry():
     a = make_dataset(100, 0.0, seed=0)
     b = make_dataset(100, 0.0, seed=99)
