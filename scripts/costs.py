@@ -17,7 +17,10 @@ host can hide it.
 
 Usage: python3 scripts/costs.py [--check]
 
-Prints each workload's total count of package calls.  --check counts
+Prints each workload's total count of package calls, and of numpy's own
+Python-level calls (functions defined under numpy's package directory),
+which are reported only: they are neither stored nor checked, so the
+ledger stays comparable across numpy versions.  --check counts
 again and compares with the stored ledger instead of writing it; it
 prints each function whose count moved with both counts, and each
 workload's total beside the stored one, and exits 1 if any count moved.
@@ -42,6 +45,7 @@ from optbench.cli import main as cli_main
 ROOT = Path(__file__).resolve().parent.parent
 LEDGER = ROOT / "tests" / "data" / "costs.json"
 PACKAGE = Path(optbench.__file__).resolve().parent
+NUMPY = Path(np.__file__).resolve().parent
 sys.path.insert(0, str(ROOT / "bench"))
 from workloads import WORKLOADS as COMMANDS  # noqa: E402
 
@@ -81,8 +85,9 @@ def _key(path: Path, line: int, name: str, functions: list) -> str:
     return ".".join([module, *holders[-1:], name])
 
 
-def count(workload: str) -> dict[str, int]:
-    """The calls of each package function in one warm pass of the workload."""
+def count(workload: str) -> tuple[dict[str, int], int]:
+    """The calls of each package function in one warm pass of the workload,
+    and the total of numpy's own Python-level calls in it."""
     profiler = cProfile.Profile()
     with tempfile.TemporaryDirectory(prefix="optbench-costs-") as tmp:
         for run in ("warm", "counted"):
@@ -95,21 +100,26 @@ def count(workload: str) -> dict[str, int]:
                 if code != 0:
                     raise SystemExit(f"{' '.join(argv)} failed with exit code {code}")
     calls: dict[str, int] = {}
+    numpy_calls = 0
     modules: dict[Path, list] = {}
     for (filename, line, name), (_, n_calls, *_) in pstats.Stats(profiler).stats.items():
         path = Path(filename).resolve()
         if PACKAGE in path.parents and name not in INLINED:
             key = _key(path, line, name, modules.setdefault(path, _functions(path)))
             calls[key] = calls.get(key, 0) + n_calls
-    return dict(sorted(calls.items()))
+        elif NUMPY in path.parents:
+            numpy_calls += n_calls
+    return dict(sorted(calls.items())), numpy_calls
 
 
-def ledger() -> dict:
+def ledger() -> tuple[dict, dict[str, int]]:
+    """The ledger of package calls, and each workload's numpy call total."""
+    counts = {workload: count(workload) for workload in WORKLOADS}
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "calls": {workload: count(workload) for workload in WORKLOADS},
-    }
+        "calls": {workload: calls for workload, (calls, _) in counts.items()},
+    }, {workload: numpy_calls for workload, (_, numpy_calls) in counts.items()}
 
 
 def main() -> int:
@@ -118,11 +128,14 @@ def main() -> int:
         "--check", action="store_true", help="compare fresh counts with the stored ledger instead of writing it"
     )
     args = parser.parse_args()
-    fresh = ledger()
+    fresh, numpy_calls = ledger()
     stored = json.loads(LEDGER.read_text()) if args.check else None
     for workload, calls in fresh["calls"].items():
         was = f" (stored: {sum(stored['calls'].get(workload, {}).values()):,})" if stored else ""
-        print(f"{workload}: {sum(calls.values()):,} package calls{was}", file=sys.stderr)
+        print(
+            f"{workload}: {sum(calls.values()):,} package calls{was}, {numpy_calls[workload]:,} numpy calls",
+            file=sys.stderr,
+        )
     if not args.check:
         LEDGER.parent.mkdir(parents=True, exist_ok=True)
         LEDGER.write_text(json.dumps(fresh, indent=2, sort_keys=True) + "\n")

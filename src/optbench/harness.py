@@ -83,26 +83,22 @@ def _run_population(tasks: TaskColumns, spec: OptimizerSpec, rows: np.ndarray, o
     resulting distance is non-finite; that step does not count.  The
     objective is built once: its per-row gradient constants and minimizer
     (the population's origin) are population columns, so they leave with
-    their rows and the rest never need rebuilding.  Each step writes the
-    gradient into the population's grad and takes the new parameters as
-    theta.
+    their rows.
 
     The population orders its rows longest budget first, so its first n
-    rows are live and the rest are riders: rows whose budget has ended.
-    A row's outcome is written at its own last step; it then rides along
-    until at most half of the rows are live, when the riders leave as a
-    slice, which keeps the live rows as views.  Riders reach no output:
-    when a step fails Population.step's finiteness test, only the live
-    rows are measured, and the keep that drops the rows that diverge, by
-    a mask that keeps the order, drops the riders too.  Distances are
-    computed only where they are written: at the start, for rows that
-    finish, for trajectories, and on a step that fails the test.
+    rows are live and the rest are riders, whose budget has ended.  A step
+    that fails Population.step's finiteness test marks the live rows that
+    fail it diverged and keeps the rest, dropping the riders.  Then every
+    step writes the live rows' trajectory and the outcome of each row
+    whose budget ends there, which rides along, reaching no output, until
+    at most half of the rows are live and the riders leave as one slice.
+    Distances are measured only where they are written, and on a step
+    that fails the test.
     """
     gradient, constants, minimizer = population_objective(tasks.function, tasks.alpha, tasks.beta)
     pop = Population(spec, tasks.x0, minimizer, rows=rows, budget=tasks.iterations, constants=constants)
     pop.keep(np.argsort(-tasks.iterations, kind="stable"))
     n = len(pop.rows)
-    stop = pop.budget[-1]
     trajectories = out.trajectories
     d = point_distance(pop.theta, pop.origin)
     out.initial_distance[pop.rows] = d
@@ -112,35 +108,26 @@ def _run_population(tasks: TaskColumns, spec: OptimizerSpec, rows: np.ndarray, o
         gradient(*pop.constants, pop.theta, out=pop.grad)
         pop.theta, ok = pop.step()
         t = pop.t
-        if ok is None:
-            if trajectories is not None:
-                trajectories[pop.rows[:n], t] = point_distance(pop.theta[:n], pop.origin[:n])
-            if t < stop:
-                continue
-            ended, n = n, int(np.count_nonzero(pop.budget[:n] > t))
-            out.final_distance[pop.rows[n:ended]] = point_distance(pop.theta[n:ended], pop.origin[n:ended])
-            out.iterations_run[pop.rows[n:ended]] = t
+        if ok is not None:
+            ok = ok[:n] & np.isfinite(point_distance(pop.theta[:n], pop.origin[:n]))
+            failed = pop.rows[:n][~ok]
+            out.diverged[failed] = True
+            out.iterations_run[failed] = t - 1
+            pop.keep(ok)
+            n = len(pop.rows)
             if not n:
                 return
-            if 2 * n <= len(pop.rows):
-                pop.keep(slice(n))
-        else:
-            live_rows = pop.rows[:n]
-            d = point_distance(pop.theta[:n], pop.origin[:n])
-            ok = ok[:n] & np.isfinite(d)
-            if trajectories is not None:
-                trajectories[live_rows[ok], t] = d[ok]
-            live = ok & (pop.budget[:n] > t)
-            finished = ok & ~live
-            out.final_distance[live_rows[finished]] = d[finished]
-            out.iterations_run[live_rows[finished]] = t
-            out.diverged[live_rows[~ok]] = True
-            out.iterations_run[live_rows[~ok]] = t - 1
-            if not live.any():
-                return
-            pop.keep(live)
-            n = len(pop.rows)
-        stop = pop.budget[n - 1]
+        if trajectories is not None:
+            trajectories[pop.rows[:n], t] = point_distance(pop.theta[:n], pop.origin[:n])
+        if t < pop.budget[n - 1]:
+            continue
+        ended, n = n, int(np.count_nonzero(pop.budget[:n] > t))
+        out.final_distance[pop.rows[n:ended]] = point_distance(pop.theta[n:ended], pop.origin[n:ended])
+        out.iterations_run[pop.rows[n:ended]] = t
+        if not n:
+            return
+        if 2 * n <= len(pop.rows):
+            pop.keep(slice(n))
 
 
 def _run_populations(n: int, populations: list, trajectories: bool) -> TrialBatch:

@@ -249,6 +249,8 @@ class MLP:
             raise ValueError("need at least an input and an output layer")
         for i, size in enumerate(layer_sizes):
             _check_integer(f"layer_sizes[{i}]", size)
+            if size < 1:
+                raise ValueError(f"layer_sizes[{i}] must be >= 1, got {size}")
         if activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {activation!r}")
         rng = np.random.default_rng(0) if rng is None else rng

@@ -227,8 +227,9 @@ class OptimizerState:
 
 
 def init_state(dim: int) -> OptimizerState:
-    """Fresh state for a parameter vector of the given dimension."""
-    if not isinstance(dim, (int, np.integer)) or dim < 1:
+    """Fresh state for a parameter vector of the given dimension, an
+    integer >= 1; a bool is not one, a numpy integer is."""
+    if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)) or dim < 1:
         raise InvalidDimensionError(f"dim must be a positive integer, got {dim!r}")
     return OptimizerState(t=0, m=np.zeros(dim), v=np.zeros(dim))
 

@@ -349,6 +349,10 @@ def _scan(grid_size):
             for n in (2.5, 40.5, math.nan, True)
         ),
         (lambda: MLP([2, 2.5, 2]), ValueError, "layer_sizes[1] must be an integer, got 2.5"),
+        *(
+            (lambda sizes=sizes: MLP(sizes), ValueError, f"layer_sizes[{i}] must be >= 1, got {sizes[i]}")
+            for sizes, i in (([2, -1, 2], 1), ([2, 3, -2], 2), ([2, 0, 2], 1))
+        ),
         (lambda: mean_std([]), ValueError, "mean_std needs at least one value"),
     ],
     ids=[
@@ -371,6 +375,9 @@ def _scan(grid_size):
         "make_dataset_n_nan",
         "make_dataset_n_True",
         "MLP_layer_size_2.5",
+        "MLP_layer_size_-1",
+        "MLP_last_layer_size_-2",
+        "MLP_layer_size_0",
         "mean_std_empty",
     ],
 )
@@ -378,7 +385,8 @@ def test_library_checks_refuse_nan(call, error, message):
     # Each check states what it admits, so NaN, which compares False, fails it.
     # The checks that would admit +inf, and then return infinities or raise
     # OverflowError, refuse it too, and a count refuses any value that is not
-    # an integer, where range and linspace raised TypeError and True ran once,
+    # an integer, where range and linspace raised TypeError and True ran once.
+    # MLP refuses a layer size below 1, where numpy's errors named no field,
     # and mean_std refuses an empty list, where it divided by zero.
     with pytest.raises(error) as info:
         call()

@@ -430,31 +430,34 @@ def test_batched_multiplicative_population_keeps_signs_and_bound(monkeypatch):
     monkeypatch.setattr(optim, "apply_update", checked)
     batch = run_batch(pairs)
     # One population of 20 rows per function x family, riders included.
-    budgets = np.array([task.iterations for task, _ in pairs])
     assert not batch.diverged.any()
     assert rows_checked == [
         size
         for rows in np.split(np.arange(len(pairs)), len(pairs) // 20)
-        for size in _population_sizes(budgets[rows], batch.iterations_run[rows], batch.diverged[rows])
+        for size in _population_sizes(batch.iterations_run[rows], batch.diverged[rows])
     ]
     assert max(rows_checked) == 20
 
 
-def _population_sizes(budget, iterations_run, diverged, masked=()):
+def _population_sizes(iterations_run, diverged, masked=()):
     """The rows a kernel population steps at each step, from its rows'
     outcomes and the steps that failed the finiteness test: a row is live
-    until it finishes or diverges, and a finished row rides along until
-    a step where budgets end leaves at most half of the rows live, or
-    until a failed step, whose keep leaves only the live rows."""
+    until it finishes or diverges.  A failed step's keep leaves the rows
+    that pass it, those that finish there included.  A finished row rides
+    along until a step where rows finish leaves at most half of the rows
+    live, or until a failed step."""
     live_until = np.where(diverged, iterations_run + 1, iterations_run)
-    sizes, size, t = [], len(budget), 0
+    finish = np.where(diverged, 0, iterations_run)
+    sizes, size, t = [], len(iterations_run), 0
     while True:
         t += 1
         sizes.append(size)
+        if t in masked:
+            size = int(np.count_nonzero(iterations_run >= t))
         live = int(np.count_nonzero(live_until > t))
         if not live:
             return sizes
-        if t in masked or (np.any(budget == t) and 2 * live <= size):
+        if np.any(finish == t) and 2 * live <= size:
             size = live
 
 
@@ -503,7 +506,7 @@ def test_a_rider_that_overflows_after_its_budget_moves_no_outcome(step_log):
     assert [t for t, _, masked in step_log if masked] == [46]
     sizes = [rows for _, rows, _ in step_log]
     assert sizes == [4] * 46 + [3] * 14
-    assert sizes == _population_sizes(np.array([10, 60, 60, 60]), batch.iterations_run, batch.diverged, {46})
+    assert sizes == _population_sizes(batch.iterations_run, batch.diverged, {46})
 
 
 def test_finite_rows_too_large_for_the_dot_take_the_masked_branch_and_match_the_reference(step_log):
@@ -768,14 +771,18 @@ def test_run_batch_of_shuffled_pairs_gives_each_row_the_same_bytes():
     ],
     ids=["convex2d", "rosenbrock"],
 )
-def test_kernel_matches_scalar_reference_where_budget_ends_and_divergence_share_a_step(function, x0, beta, rates):
+def test_kernel_matches_scalar_reference_where_budget_ends_and_divergence_share_a_step(
+    step_log, function, x0, beta, rates
+):
     """One sgd population with per-row rates, and per-row alpha and beta
     so that every row has gradient constants of its own.  Row 4 diverges
     on the step its budget of 1 ends and row 7 at step 2, where no budget
     ends; at step 3 row 1, one of three rows with a budget of 5, diverges
-    while rows 0 and 6 reach their budgets.  Those three steps compact by
-    mask before rows 2 and 3 leave as a slice at step 5, so every kept
-    row must carry its own constants through both kinds of keep."""
+    while rows 0 and 6 reach their budgets.  Each of those three steps
+    keeps by mask the rows that pass it; rows 0 and 6 then ride along
+    until step 5, where rows 2 and 3 finish too and all four leave as a
+    slice, so every kept row must carry its own constants through both
+    kinds of keep."""
     # sgd rates that diverge at steps 3, 1 and 2 of the function's task.
     third, first, second = rates
     rows = [(3, 1e-3), (5, third), (5, 2e-3), (5, 1e-3), (1, first), (7, 1e-3), (3, 5e-3), (7, second)]
@@ -786,6 +793,11 @@ def test_kernel_matches_scalar_reference_where_budget_ends_and_divergence_share_
     batch = run_batch(pairs, trajectories=True)
     assert batch.iterations_run.tolist() == [3, 2, 5, 5, 0, 7, 3, 1]
     assert batch.diverged.tolist() == [False, True, False, False, True, False, False, True]
+    masked = {t for t, _, failed in step_log if failed}
+    assert masked == {1, 2, 3}
+    sizes = [rows for _, rows, _ in step_log]
+    assert sizes == [8, 7, 6, 5, 5, 1, 1]
+    assert sizes == _population_sizes(batch.iterations_run, batch.diverged, masked)
     for i, (task, spec) in enumerate(pairs):
         distances, reason = _reference_trial(task, spec)
         k = len(distances) - 1

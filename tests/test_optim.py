@@ -40,9 +40,10 @@ def test_init_state_zeroed():
     assert np.array_equal(state.m, [0.0, 0.0])
     assert np.array_equal(state.v, [0.0, 0.0])
     assert np.array_equal(init_state(1).m, [0.0])
+    assert np.array_equal(init_state(np.int64(3)).v, [0.0, 0.0, 0.0])
 
 
-@pytest.mark.parametrize("dim", [0, -1, 2.5, "3"])
+@pytest.mark.parametrize("dim", [0, -1, 2.5, "3", True])
 def test_init_state_rejects_bad_dim(dim):
     with pytest.raises(InvalidDimensionError):
         init_state(dim)
