@@ -443,11 +443,13 @@ class ScoreStats:
     scores: list[float]
 
 
-def _check_count(name: str, value) -> None:
-    """Refuse a count that is not an integer >= 1; a bool is not one, a
-    numpy integer is."""
+def _check_count(name: str, value, dims: int = 1) -> None:
+    """Refuse a count that is not an integer >= 1 (a bool is not one, a
+    numpy integer is), or whose value**dims trials exceed MAX_TRIALS."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
         raise InvalidConfigError(name, f"must be an integer >= 1, got {value!r}")
+    if int(value) ** dims > MAX_TRIALS:
+        raise InvalidConfigError(name, f"runs {int(value) ** dims} trials, more than MAX_TRIALS = {MAX_TRIALS}")
 
 
 def evaluate_robustness(dist: EvalDistribution, spec: OptimizerSpec, n: int, seed: int) -> ScoreStats:
@@ -493,7 +495,7 @@ def surface_scan(
     grid_size: int = 25,
 ) -> ScoreGrid:
     """Run one trial per starting point on a grid_size x grid_size lattice."""
-    _check_count("grid_size", grid_size)
+    _check_count("grid_size", grid_size, dims=2)
     axes = []
     # A range left out is the default around the task's start coordinate,
     # which an error then names.

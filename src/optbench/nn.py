@@ -414,6 +414,9 @@ class TrainResult:
 
     def at_epoch(self, epoch: int) -> EpochMetrics:
         """Metrics recorded at the given 1-based epoch (clamped to the run)."""
+        _check_integer("epoch", epoch)
+        if epoch < 1:
+            raise ValueError(f"epoch must be >= 1, got {epoch}")
         return self.metrics[min(epoch, len(self.metrics)) - 1]
 
 

@@ -238,6 +238,8 @@ def finite_difference_grad(objective: Objective, x: np.ndarray, h: float = 1e-6)
     """Central-difference gradient estimate, one coordinate at a time."""
     if not h > 0.0:
         raise ValueError(f"h must be positive, got {h}")
+    if h == np.inf:
+        raise ValueError(f"h must be finite, got {h}")
     x = np.asarray(x, dtype=float)
     out = np.empty_like(x)
     for i in range(x.size):

@@ -299,13 +299,12 @@ def _check_started(state: OptimizerState) -> None:
 # The underscored rule functions below are the unchecked math shared by the
 # public checked functions, step() and Population.  They are elementwise,
 # so every argument may be a single vector or an (N, dim) population;
-# rates may be scalars or (N, dim) blocks of per-row rates (see
-# RateColumns), and each constant scalar may be a Python float or a 0-d
-# array of its value (see _Bound).  The update rules take
-# ml = m * l, the product both formulas start from, so the hybrid rule
-# forms it once.  Work is done in place on arrays a function allocated
-# itself, in the order the formulas state: a product of two factors has
-# the same bits in either order.
+# rates may be scalars or (N, dim) blocks of per-row rates, and each
+# constant scalar a Python float or a 0-d array (see Population).  The
+# update rules take ml = m * l, the product both formulas start from, so
+# the hybrid rule forms it once.  Work is done in place on arrays a
+# function allocated itself, in the order the formulas state: a product
+# of two factors has the same bits in either order.
 
 # The numerator of the adaptive rate's reciprocal, as a 0-d array for the
 # reason _Bound gives.
@@ -447,8 +446,9 @@ def apply_update(rule: UpdateRule, theta: np.ndarray, m: np.ndarray, l: np.ndarr
 
     The rates are read from the rule unchecked (an UpdateRule validates
     them on construction).  Any object with the kind's rate attributes
-    (and, for a hybrid rule, blend) works, which lets a population pass
-    per-row rates as blocks of theta's (N, dim) shape (see RateColumns).
+    (and, for a hybrid rule, blend) works, such as a population's bound
+    rule with per-row rates as blocks of theta's (N, dim) shape (see
+    Population).
     """
     # The identity adaptive rate is the scalar 1.0 and m * 1.0 == m, so ml
     # may be m itself (the caller's gradient): no rule writes into ml.
@@ -469,9 +469,9 @@ def advance(
     before theta is written).
 
     theta and g may be one parameter vector or an (N, dim) population
-    whose rows share the step counter; spec.update may then carry (N, dim)
-    rate blocks (see RateColumns), and each rule's constant scalars may be
-    0-d arrays (see _Bound).
+    whose rows share the step counter; spec may then be a population's
+    bound spec, with (N, dim) rate blocks and 0-d constant scalars (see
+    Population).
     """
     state.t += 1
     m = _direction(spec.momentum, state, g)
@@ -524,7 +524,8 @@ def _bind(value):
 
 class _Bound:
     """A rule as a Population's step reads it: the rule's own attributes,
-    with each one that names lists bound once by _bind.  Those are the
+    with each one that names lists bound once by _bind (an UpdateRule's
+    rates and a RateColumns' shared values alike).  Those are the
     constant scalars the rule functions multiply or add by: numpy takes a
     0-d array operand about 0.2 us faster per call than a Python float, for
     the same bits.  The bias corrections, which depend on t, keep raising
@@ -537,48 +538,20 @@ class _Bound:
 
 
 class RateColumns:
-    """The update rates of a population, read by apply_update like an
-    UpdateRule.  wide is a (k, N, width) array: each field in names is one
-    (N, width) block of it, every row holding its rate across its width,
-    so that each product with the population's (N, width) arrays has
-    operands of one shape (numpy multiplies an (N, 1) column into them
-    several times slower).  block is the (N, k) table of the rates, one
-    column per name, as a view of wide.  Each field in shared is one
-    scalar for every row, bound as _Bound binds a rule's.  A hybrid rule's
-    blend weights are worked out here, on the blocks, once per set of
-    rows."""
+    """The update rates of a population: each of the kind's fields is an
+    (N,) column of every row's own rate, or one value for every row.  A
+    Population reads it the one way it reads an UpdateRule."""
 
-    def __init__(self, kind: str, names: tuple[str, ...], wide: np.ndarray, shared: dict | None = None):
-        self.kind, self.names, self.wide = kind, names, wide
-        self.shared = {name: _bind(value) for name, value in (shared or {}).items()}
-        self.block = wide[:, :, 0].T
-        self.__dict__.update(self.shared)
-        self.__dict__.update(zip(names, wide))
-        if kind == "hybrid":
-            self.blend = _bind(blend_weights(self.mix))
-
-    @classmethod
-    def of(cls, kind: str, names: tuple[str, ...], block: np.ndarray, shared: dict | None = None, width: int = 1):
-        """The rates of an (N, k) block, one column per name, at width; a
-        Population spreads them over the width of its rows."""
-        return cls(kind, names, np.repeat(block.T[:, :, None], width, axis=2), shared)
+    def __init__(self, kind: str, **rates):
+        self.kind = kind
+        self.__dict__.update(rates)
 
     @classmethod
     def stack(cls, kind: str, rules) -> RateColumns:
         """Every field of each rule as a column of its own."""
         names = UpdateRule.FIELDS[kind]
-        rates = [[getattr(rule, name) for name in names] for rule in rules]
-        return cls.of(kind, names, np.array(rates, dtype=float))
-
-    def widen(self, width: int) -> RateColumns:
-        """The same rates, each row's spread over width entries."""
-        return RateColumns.of(self.kind, self.names, self.block, self.shared, width)
-
-    def take(self, live) -> RateColumns:
-        """The rates of the rows that live, a leading slice or an array of
-        row indices, indexes, at the same width."""
-        wide = self.wide[:, live] if isinstance(live, slice) else self.wide.take(live, axis=1)
-        return RateColumns(self.kind, self.names, wide, self.shared)
+        rates = np.array([[getattr(rule, name) for name in names] for rule in rules], dtype=float)
+        return cls(kind, **dict(zip(names, rates.T)))
 
 
 # The bound of Population's finiteness test, far enough below overflow at
@@ -590,11 +563,15 @@ class Population(OptimizerState):
     """Parameter rows stepped together by one spec: an OptimizerState whose
     (C, P) m and v rows share the step counter t, the (C, P) parameters
     theta, and the caller's per-row columns (arrays, or tuples of arrays)
-    as attributes.  spec.update is one UpdateRule or a RateColumns of each
-    row's own rates, which the population spreads over the P entries of
-    its rows once; every constant scalar of the rules is bound once as a
-    0-d array (see _Bound).  origin, when given, is a (C, P) column of the
-    points the caller measures each row's distance from, kept as a column.
+    as attributes.  origin, when given, is a (C, P) column of the points
+    the caller measures each row's distance from, kept as a column.
+
+    spec.update, an UpdateRule or a RateColumns, is read one way: it is
+    bound once (see _Bound), and each per-row rate is spread over the P
+    entries of its rows, a (C, P) block that leaves with its row (numpy
+    multiplies a (C, 1) column into a (C, P) array several times slower).
+    A hybrid rule's blend weights are worked out from the bound mix, and
+    again on keep when mix is a per-row rate.
 
     The population owns a (2, C, P) block: the caller writes each step's
     gradient into its first half, grad, and step() writes the new
@@ -605,12 +582,13 @@ class Population(OptimizerState):
 
     def __init__(self, spec: OptimizerSpec, theta: np.ndarray, origin: np.ndarray | None = None, **columns):
         super().__init__(t=0, m=np.zeros_like(theta), v=np.zeros_like(theta))
-        update = spec.update
-        if isinstance(update, RateColumns):
-            update = update.widen(theta.shape[1])
-        else:
-            rates = UpdateRule.FIELDS[update.kind]
-            update = _Bound(update, rates + ("blend",) if "mix" in rates else rates)
+        fields = UpdateRule.FIELDS[spec.update.kind]
+        update = _Bound(spec.update, fields)
+        self._rates = tuple(name for name in fields if np.ndim(getattr(update, name)))
+        for name in self._rates:
+            setattr(update, name, np.repeat(getattr(update, name)[:, None], theta.shape[1], axis=1))
+        if "mix" in fields:
+            update.blend = _bind(blend_weights(update.mix))
         momentum, adaptive = _Bound(spec.momentum, ("ema_weights",)), _Bound(spec.adaptive, ("ema_weights", "eps"))
         self.spec, self.theta = OptimizerSpec(momentum, adaptive, update), theta
         if origin is not None:
@@ -650,11 +628,15 @@ class Population(OptimizerState):
         view of the rows it had, a boolean mask of the leading rows (the
         rows past its end leave too), or an array of row indices, which may
         also reorder the rows; a mask or indices is one take per array.
-        The block is made anew for the rows kept."""
+        The rate blocks leave with their rows, and the block is made anew
+        for the rows kept."""
         if not isinstance(live, slice) and live.dtype == bool:
             live = np.flatnonzero(live)
         for name in self._per_row:
             setattr(self, name, _rows(getattr(self, name), live))
-        if isinstance(self.spec.update, RateColumns):
-            self.spec = OptimizerSpec(self.spec.momentum, self.spec.adaptive, self.spec.update.take(live))
+        update = self.spec.update
+        for name in self._rates:
+            setattr(update, name, _rows(getattr(update, name), live))
+        if "mix" in self._rates:
+            update.blend = _bind(blend_weights(update.mix))
         self._new_block()

@@ -221,7 +221,7 @@ def grid_search(
         shared["mix"] = mix
     mesh = np.meshgrid(*(np.asarray(values, dtype=float) for values in axes), indexing="ij")
     block = np.stack(mesh, axis=-1).reshape(-1, len(names))
-    spec = make_spec(family, RateColumns.of(update_kind, names, block, shared))
+    spec = make_spec(family, RateColumns(update_kind, **dict(zip(names, block.T)), **shared))
     distances = _run_tasks(TaskColumns.repeat(task, len(block)), spec).final_distance
     # Every kind's axes run in (lr, lr_inner, lr_outer) order; lexsort ranks
     # by its last key first, so distance goes last and the axes in reverse.

@@ -12,7 +12,7 @@ import pytest
 from optbench.cli import EXIT_CONFIG, main
 from optbench.config import ConfigError, load_plan
 from optbench.harness import Sampler, default_eval_distribution, evaluate_robustness, surface_scan
-from optbench.nn import MLP, make_dataset, mean_std, xavier_init
+from optbench.nn import MLP, EpochMetrics, TrainResult, make_dataset, mean_std, xavier_init
 from optbench.objectives import InvalidConfigError, TaskConfig, convex2d, finite_difference_grad
 from optbench.optim import UpdateRule, make_spec
 from optbench.tuning import InvalidGridError, half_decade_grid
@@ -321,6 +321,12 @@ def _scan(grid_size):
     return surface_scan(TaskConfig("convex2d", 1.0, 20.0, (50.0, 50.0), 5), _SGD, grid_size=grid_size)
 
 
+def _at_epoch(epoch):
+    """at_epoch of a three-epoch run."""
+    metrics = [EpochMetrics(e, 0.5, 0.5, 1.0) for e in (1, 2, 3)]
+    return TrainResult(metrics, sign_flips=0, diverged=False, epochs_run=3).at_epoch(epoch)
+
+
 @pytest.mark.parametrize(
     "call, error, message",
     [
@@ -336,6 +342,11 @@ def _scan(grid_size):
         (lambda: xavier_init(2, 2, math.inf, np.random.default_rng(0)), ValueError, "gain must be finite, got inf"),
         (lambda: make_dataset(8, noise=math.inf), ValueError, "noise must be finite, got inf"),
         (lambda: half_decade_grid(1.0, math.inf), InvalidGridError, "bad grid bounds [1.0, inf]"),
+        (
+            lambda: finite_difference_grad(convex2d(1.0, 1.0), np.zeros(2), h=math.inf),
+            ValueError,
+            "h must be finite, got inf",
+        ),
         *(
             (lambda n=n: _robustness(n), InvalidConfigError, f"n: must be an integer >= 1, got {n!r}")
             for n in (2.5, math.nan, True)
@@ -343,6 +354,17 @@ def _scan(grid_size):
         *(
             (lambda size=size: _scan(size), InvalidConfigError, f"grid_size: must be an integer >= 1, got {size!r}")
             for size in (2.5, math.nan, True)
+        ),
+        (lambda: _robustness(100_001), InvalidConfigError, "n: runs 100001 trials, more than MAX_TRIALS = 100000"),
+        (
+            lambda: _scan(317),
+            InvalidConfigError,
+            "grid_size: runs 100489 trials, more than MAX_TRIALS = 100000",
+        ),
+        *((lambda e=e: _at_epoch(e), ValueError, f"epoch must be >= 1, got {e}") for e in (0, -1)),
+        *(
+            (lambda e=e: _at_epoch(e), ValueError, f"epoch must be an integer, got {e!r}")
+            for e in (2.5, math.nan, True)
         ),
         *(
             (lambda n=n: make_dataset(n), ValueError, f"n must be an integer, got {n!r}")
@@ -364,12 +386,20 @@ def _scan(grid_size):
         "xavier_init_inf",
         "make_dataset_inf",
         "half_decade_grid_inf",
+        "finite_difference_grad_inf",
         "evaluate_robustness_n_2.5",
         "evaluate_robustness_n_nan",
         "evaluate_robustness_n_True",
         "surface_scan_grid_size_2.5",
         "surface_scan_grid_size_nan",
         "surface_scan_grid_size_True",
+        "evaluate_robustness_n_100001",
+        "surface_scan_grid_size_317",
+        "at_epoch_0",
+        "at_epoch_-1",
+        "at_epoch_2.5",
+        "at_epoch_nan",
+        "at_epoch_True",
         "make_dataset_n_2.5",
         "make_dataset_n_40.5",
         "make_dataset_n_nan",
@@ -386,6 +416,8 @@ def test_library_checks_refuse_nan(call, error, message):
     # The checks that would admit +inf, and then return infinities or raise
     # OverflowError, refuse it too, and a count refuses any value that is not
     # an integer, where range and linspace raised TypeError and True ran once.
+    # The harness refuses more than MAX_TRIALS trials, as load_plan does, and
+    # at_epoch an epoch below 1, which indexed the run from its end.
     # MLP refuses a layer size below 1, where numpy's errors named no field,
     # and mean_std refuses an empty list, where it divided by zero.
     with pytest.raises(error) as info:

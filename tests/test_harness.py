@@ -1033,9 +1033,10 @@ def test_surface_scan_equals_run_batch_over_moved_tasks_bitwise(function, kind):
 
 
 def test_rate_columns_apply_each_rows_rule_bitwise():
-    """Per-row rate columns, with blend weights worked out once for the
-    whole column, give each row the bits of its own scalar rule, including
-    rows at mix 0 or 1 whose other component is not finite."""
+    """Per-row rate columns, bound by a population with blend weights
+    worked out once for the whole column, give each row the bits of its
+    own scalar rule, including rows at mix 0 or 1 whose other component is
+    not finite."""
     rules = [
         UpdateRule("hybrid", lr=0.1, lr_inner=1.0, lr_outer=0.5, mix=mix)
         for mix in (0.0, 0.3, 1.0, 1.0, 0.0)
@@ -1046,7 +1047,8 @@ def test_rate_columns_apply_each_rows_rule_bitwise():
     m = np.array([[1.0, 1.0], [0.5, -2.0], [1e300, -1e300], [0.1, 0.2], [1.0, 0.3]])
     l = np.array([[1.0, 1.0], [1.0, 0.5], [1e10, 1e10], [1.0, 1.0], [1.0, 1.0]])
     with np.errstate(over="ignore", invalid="ignore"):
-        delta = optim.apply_update(RateColumns.stack("hybrid", rules), theta, m, l)
+        bound = optim.Population(make_spec("sgd", RateColumns.stack("hybrid", rules)), theta).spec.update
+        delta = optim.apply_update(bound, theta, m, l)
         for i, rule in enumerate(rules):
             assert np.array_equal(delta[i], optim.apply_update(rule, theta[i], m[i], l[i])), i
     assert np.isfinite(delta).all()

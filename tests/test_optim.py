@@ -22,6 +22,7 @@ from optbench.optim import (
     UpdateRule,
     adaptive_rate,
     additive_update,
+    blend_weights,
     default_update_rule,
     hybrid_update,
     init_state,
@@ -515,7 +516,6 @@ def test_population_keep_compacts_every_row_array_and_steps_as_if_never_batched(
     everyone = _population_run(family, kind, [0, 1, 2, 3, 4], per_row, steps=4)
     before = {name: getattr(everyone, name).copy() for name in ("theta", "m", "v", "rows", "block", "rngs")}
     pair = tuple(column.copy() for column in everyone.pair)
-    rates = everyone.spec.update.block.copy() if per_row else None
     scalar_rule = everyone.spec.update
     everyone.keep(np.isin(np.arange(5), kept) if kept == sorted(kept) else np.array(kept))
     for name, value in before.items():
@@ -524,12 +524,18 @@ def test_population_keep_compacts_every_row_array_and_steps_as_if_never_batched(
     assert everyone.t == 4
     update = everyone.spec.update
     if per_row:
-        assert np.array_equal(update.block, rates[kept])
-        for i, name in enumerate(update.names):
-            assert np.array_equal(getattr(update, name), np.repeat(rates[kept][:, i : i + 1], 3, axis=1))
+        # Each kept row's rate blocks are its own rule's rates spread over
+        # the row's width of 3.
+        rules = [_POPULATION_RULES[kind][i] for i in kept]
+        for name in UpdateRule.FIELDS[kind]:
+            spread = np.array([[getattr(rule, name)] * 3 for rule in rules])
+            assert np.array_equal(getattr(update, name), spread), name
         if kind == "hybrid":
-            alone = RateColumns.stack(kind, [_POPULATION_RULES[kind][i] for i in kept]).widen(3).blend
-            assert all(np.array_equal(a, b) for a, b in zip(update.blend, alone))
+            # The blend is worked out again for the kept rows: [0, 2, 4] all
+            # sit at mix 0 or 1, and the rows [1, 3] at neither.
+            mix = np.array([[rule.mix] * 3 for rule in rules])
+            assert all(np.array_equal(a, b) for a, b in zip(update.blend, blend_weights(mix), strict=True))
+            assert update.blend[-1] == (kept != [1, 3])
     else:
         rule = _POPULATION_RULES[kind][0]
         assert update is scalar_rule
@@ -550,15 +556,17 @@ def test_population_keep_of_a_leading_slice_leaves_views_and_steps_as_a_mask_doe
     by_slice = _population_run("adam", kind, [0, 1, 2, 3, 4], per_row, steps=4)
     by_mask = _population_run("adam", kind, [0, 1, 2, 3, 4], per_row, steps=4)
     before = {name: getattr(by_slice, name) for name in ("theta", "m", "v", "rows", "block", "rngs")}
-    rates = by_slice.spec.update.block if per_row else None
+    fields = UpdateRule.FIELDS[kind]
+    rates = {name: getattr(by_slice.spec.update, name) for name in fields}
     by_slice.keep(slice(3))
     by_mask.keep(np.arange(5) < 3)
     for name, value in before.items():
         assert np.shares_memory(getattr(by_slice, name), value), name
         assert np.array_equal(getattr(by_slice, name), value[:3]), name
     if per_row:
-        assert np.shares_memory(by_slice.spec.update.block, rates)
-        assert np.array_equal(by_slice.spec.update.block, by_mask.spec.update.block)
+        for name, value in rates.items():
+            assert np.shares_memory(getattr(by_slice.spec.update, name), value), name
+            assert np.array_equal(getattr(by_slice.spec.update, name), getattr(by_mask.spec.update, name)), name
     g = np.random.default_rng(5).normal(size=(3, 3))
     assert _step(by_slice, g)[0].tobytes() == _step(by_mask, g)[0].tobytes()
     assert by_slice.m.tobytes() == by_mask.m.tobytes()
