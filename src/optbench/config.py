@@ -25,7 +25,7 @@ raise ConfigError, whose message reads "<dotted path>: <reason>", such as
 bounds every trial count, and objectives.MAX_ITERATIONS every iteration
 budget.  Each plan bounds its total work when it is built, the product
 that those single-field bounds leave open: MAX_TRIAL_STEPS bounds
-trials x iterations of tune, robustness and scan, and MAX_TRAIN_WORK
+trials x iterations of tune, robustness and scan, and nn.MAX_TRAIN_WORK
 networks x parameters x samples of train-toy.  Optimizer specifications
 round-trip losslessly through this format, and may also be pulled in by
 reference ({"path": ...}) from a previous tuning run's output.
@@ -48,7 +48,11 @@ from .optim import (
     MomentumRule,
     OptimizerSpec,
     UpdateRule,
+    check_integer,
+    check_number,
+    check_range,
     check_rate,
+    check_seed,
     default_update_rule,
     make_spec,
 )
@@ -56,16 +60,13 @@ from .optim import (
 SCHEMA_VERSION = 1
 COMMANDS = ("tune", "trial", "robustness", "scan", "train-toy")
 
-# The most work one run may do, a bound on the product of fields that the
-# tables bound one by one; each plan applies it when it is built.  Tune,
-# robustness and scan run trials x iterations trial steps (one optimizer
-# step of one 2-D trial); a 316 x 316 scan of 1,000 iterations, just under
-# the bound, takes about 12 s on 2 vCPUs.  Train-toy work is networks x
-# parameters per network x samples, each unit worth about 60 epochs; at
-# the bound ten networks take about 10 s (width 2,500) to 28 s (width 16,
-# 60,000 samples).
+# The most work one 2-D run may do, a bound on the product of fields that
+# the tables bound one by one; each plan applies it when it is built.
+# Tune, robustness and scan run trials x iterations trial steps (one
+# optimizer step of one 2-D trial); a 316 x 316 scan of 1,000 iterations,
+# just under the bound, takes about 12 s on 2 vCPUs.  Train-toy's is
+# nn.MAX_TRAIN_WORK.
 MAX_TRIAL_STEPS = 10**8
-MAX_TRAIN_WORK = 5 * 10**7
 
 
 def _join(path: str, key: str) -> str:
@@ -73,27 +74,10 @@ def _join(path: str, key: str) -> str:
 
 
 # ------------------------------------------------------------------ readers
-# A reader takes (value, path) and returns the checked Python value.
-
-def _number(value, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(path, f"expected a number, got {value!r}")
-    try:
-        number = float(value)
-    except OverflowError:
-        number = math.inf
-    # Python's JSON reader accepts NaN, Infinity and integers of any size;
-    # no field takes a value that is not a finite float.
-    if not math.isfinite(number):
-        raise ConfigError(path, f"expected a finite number, got {number}")
-    return number
-
-
-def _integer(value, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(path, f"expected an integer, got {value!r}")
-    return value
-
+# A reader takes (value, path) and returns the checked Python value.  The
+# number readers are optim's checks, which the library calls too: Python's
+# JSON reader accepts NaN, Infinity and integers of any size, and no field
+# takes a value that is not a finite float.
 
 def _string(value, path: str) -> str:
     if not isinstance(value, str):
@@ -107,32 +91,13 @@ def _object(value, path: str) -> dict:
     return value
 
 
-def _choice(choices: tuple[str, ...]):
-    def read(value, path):
-        value = _string(value, path)
-        if value not in choices:
-            raise ConfigError(path, f"must be one of {list(choices)}, got {value!r}")
-        return value
-
-    return read
-
-
 def _check(read, ok: Callable, rule: str):
     """read, then require ok(value); rule says in words what ok requires."""
-
-    def checked(value, path):
-        x = read(value, path)
-        if not ok(x):
-            raise ConfigError(path, f"must be {rule}, got {x!r}")
-        return x
-
-    return checked
+    return lambda value, path: check_range(read(value, path), path, ok, rule)
 
 
-def _bounded(read, lo, hi=None):
-    if hi is None:
-        return _check(read, lambda x: x >= lo, f">= {lo}")
-    return _check(read, lambda x: lo <= x <= hi, f"in [{lo}, {hi}]")
+def _choice(choices: tuple[str, ...]):
+    return _check(_string, lambda value: value in choices, f"one of {list(choices)}")
 
 
 def _items(read, count: int | None = None):
@@ -206,7 +171,7 @@ class _RuleTables:
     def __init__(self, cls):
         self.kinds = _choice(tuple(cls.FIELDS))
         self.tables = {
-            kind: Table(cls, Field("kind", _string), *(Field(n, _number, True) for n in names))
+            kind: Table(cls, Field("kind", _string), *(Field(n, check_number, True) for n in names))
             for kind, names in cls.FIELDS.items()
         }
 
@@ -226,7 +191,7 @@ class _SamplerTable(Table):
     def read(self, value, path: str) -> Sampler:
         if isinstance(value, dict):
             return super().read(value, path)
-        return self.build(_number(value, path))
+        return self.build(check_number(value, path))
 
     __call__ = read
 
@@ -250,15 +215,15 @@ def _task_tables() -> dict[str, Table]:
     from .harness import EvalDistribution, Sampler
     from .objectives import FUNCTIONS, TaskConfig
 
-    sampler = _SamplerTable(Sampler, Field("mean", _number), Field("std", _number, optional=True))
+    sampler = _SamplerTable(Sampler, Field("mean", check_number), Field("std", check_number, optional=True))
     task = Table(
         TaskConfig,
         Field("function", _string),
-        Field("alpha", _number),
-        Field("beta", _number),
-        Field("x0", _items(_number, 2)),
-        Field("iterations", _integer),
-        Field("seed", _integer, optional=True),
+        Field("alpha", check_number),
+        Field("beta", check_number),
+        Field("x0", _items(check_number, 2)),
+        Field("iterations", check_integer),
+        Field("seed", check_integer, optional=True),
     )
     distribution = Table(
         EvalDistribution,
@@ -320,10 +285,10 @@ def _grid(**fields) -> tuple[float, ...]:
 
 
 _GRID_SPEC = Table(
-    _grid, Field("lo", _number), Field("hi", _number), Field("log10_step", _number, optional=True)
+    _grid, Field("lo", check_number), Field("hi", check_number), Field("log10_step", check_number, optional=True)
 )
 _GRID_LIST = _check(
-    _items(_number), lambda v: all(a < b for a, b in zip(v, v[1:])), "strictly increasing"
+    _items(check_number), lambda v: all(a < b for a, b in zip(v, v[1:])), "strictly increasing"
 )
 
 
@@ -437,9 +402,9 @@ def _train_toy(
     """An explicit optimizer must be the family's rules, at the optimizer's
     own beta1, beta2 and eps, with the update_rule kind, since the outputs
     are labelled with both.  The run's work, networks x parameters x
-    samples, is refused past MAX_TRAIN_WORK at the factor's field that is
-    furthest above its stock size, so at a field the plan sets."""
-    from .nn import ProtocolSettings, param_count
+    samples, is refused past nn.MAX_TRAIN_WORK at the factor's field that
+    is furthest above its stock size, so at a field the plan sets."""
+    from .nn import ProtocolSettings, _check_work, param_count
 
     if optimizer is None:
         try:
@@ -459,28 +424,23 @@ def _train_toy(
                 "optimizer", f"{family} has (momentum, adaptive) rules {expected}, got {(mom, ada)}"
             )
     settings = ProtocolSettings(**(dataset or {}), **settings)
-    params, samples = param_count(settings.layer_sizes), settings.dataset_n
-    work = n_configs * params * samples
-    if work > MAX_TRAIN_WORK:
+    try:
+        _check_work(settings, n_configs)
+    except ConfigError as exc:
         stock = ProtocolSettings()
         growth = {
-            "hidden": params / param_count(stock.layer_sizes),
+            "hidden": param_count(settings.layer_sizes) / param_count(stock.layer_sizes),
             "n_configs": n_configs / _STOCK_CONFIGS,
-            "dataset.n": samples / stock.dataset_n,
+            "dataset.n": settings.dataset_n / stock.dataset_n,
         }
-        raise ConfigError(
-            max(growth, key=growth.get),
-            f"{n_configs} networks x {params} parameters x {samples} samples = {work}"
-            f" is more than MAX_TRAIN_WORK = {MAX_TRAIN_WORK}",
-        )
+        raise ConfigError(max(growth, key=growth.get), exc.reason) from None
     return TrainToyPlan(settings, family, update_kind, optimizer, n_configs, master_seed)
 
 
 _FAMILY = Field("family", _choice(FAMILIES))
 _UPDATE_KIND = Field("update_rule", _choice(UPDATE_KINDS), attr="update_kind")
-_RANGE = _check(_items(_number, 2), lambda r: r[0] <= r[1], "[lo, hi] where lo never exceeds hi")
-_SEED = _bounded(_integer, lo=0)
-_COUNT = _bounded(_integer, lo=1)
+_RANGE = _check(_items(check_number, 2), lambda r: r[0] <= r[1], "[lo, hi] where lo never exceeds hi")
+_COUNT = partial(check_integer, lo=1)
 
 
 def _plan_table(command: str, base_dir: Path) -> Table:
@@ -495,22 +455,22 @@ def _plan_table(command: str, base_dir: Path) -> Table:
 
         dataset = Table(
             dict,
-            Field("n", _bounded(_integer, lo=MIN_SAMPLES), True, "dataset_n"),
-            Field("noise", _bounded(_number, lo=MIN_NOISE), True, "dataset_noise"),
-            Field("seed", _SEED, True, "dataset_seed"),
+            Field("n", partial(check_integer, lo=MIN_SAMPLES), True, "dataset_n"),
+            Field("noise", partial(check_number, lo=MIN_NOISE), True, "dataset_noise"),
+            Field("seed", check_seed, True, "dataset_seed"),
         )
         return Table(
             _train_toy,
             Field("dataset", dataset, optional=True),
             Field("hidden", _items(_COUNT), optional=True),
             Field("activation", _choice(ACTIVATIONS), optional=True),
-            Field("batch_size", _bounded(_integer, lo=MIN_BATCH_SIZE), optional=True),
+            Field("batch_size", partial(check_integer, lo=MIN_BATCH_SIZE), optional=True),
             Field("fan_mode", _choice(tuple(FAN_MODES)), optional=True),
             _FAMILY,
             _UPDATE_KIND,
             Field("optimizer", optimizer, optional=True),
             Field("n_configs", _COUNT, optional=True),
-            Field("master_seed", _SEED, optional=True),
+            Field("master_seed", check_seed, optional=True),
         )
     tables = _task_tables()
     task = Field("task", tables["parse_task"])
@@ -522,7 +482,7 @@ def _plan_table(command: str, base_dir: Path) -> Table:
             _FAMILY,
             _UPDATE_KIND,
             Field("grids", _object, optional=True),
-            Field("mix", _number, optional=True),
+            Field("mix", check_number, optional=True),
         )
     if command == "trial":
         return Table(TrialPlan, task, spec)
@@ -533,8 +493,8 @@ def _plan_table(command: str, base_dir: Path) -> Table:
             RobustnessPlan,
             Field("distribution", tables["parse_distribution"]),
             spec,
-            Field("n", _bounded(_integer, 1, MAX_TRIALS)),
-            Field("seed", _SEED, optional=True),
+            Field("n", partial(check_integer, lo=1, hi=MAX_TRIALS)),
+            Field("seed", check_seed, optional=True),
         )
     return Table(
         ScanPlan,
@@ -542,7 +502,7 @@ def _plan_table(command: str, base_dir: Path) -> Table:
         spec,
         Field("x0_range", _RANGE, optional=True),
         Field("x1_range", _RANGE, optional=True),
-        Field("grid_size", _bounded(_integer, 1, math.isqrt(MAX_TRIALS)), optional=True),
+        Field("grid_size", partial(check_integer, lo=1, hi=math.isqrt(MAX_TRIALS)), optional=True),
     )
 
 

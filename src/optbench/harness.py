@@ -21,6 +21,7 @@ from .objectives import (
     InvalidConfigError,
     TaskColumns,
     TaskConfig,
+    check_column,
     distance_to_minimum,  # noqa: F401  (kept importable: bench/tracer.py wraps harness.distance_to_minimum)
     make_objective,  # noqa: F401  (kept importable: bench/tracer.py wraps harness.make_objective)
     point_distance,
@@ -30,6 +31,10 @@ from .optim import (
     OptimizerSpec,
     Population,
     RateColumns,
+    check_integer,
+    check_number,
+    check_range,
+    check_seed,
     step,  # noqa: F401  (kept importable: bench/tracer.py wraps harness.step)
 )
 
@@ -216,8 +221,8 @@ class Sampler:
     std: float = 0.0
 
     def __post_init__(self):
-        if not self.std >= 0.0:
-            raise InvalidConfigError("std", f"must be non-negative, got {self.std}")
+        std = check_number(self.std, "std", error=InvalidConfigError)
+        check_range(std, "std", lambda s: s >= 0.0, "non-negative", InvalidConfigError)
 
 
 @dataclass(frozen=True)
@@ -397,14 +402,8 @@ def draw_tasks(dist: EvalDistribution, seed: int, indices) -> TaskColumns:
     with np.errstate(over="ignore", invalid="ignore"):
         draws[:, drawn] = means[drawn] + stds[drawn] * z
     budget = draws[:, 4]
-    within = budget <= MAX_ITERATIONS
-    if not within.all():
-        row = int(np.argmin(within))
-        where = f" (row {row})" if budget.size > 1 else ""
-        raise InvalidConfigError(
-            "distribution.iterations",
-            f"must be at most MAX_ITERATIONS = {MAX_ITERATIONS}, got {budget[row].item()!r}{where}",
-        )
+    bound = f"at most MAX_ITERATIONS = {MAX_ITERATIONS}"
+    check_column(budget, "distribution.iterations", budget <= MAX_ITERATIONS, bound)
     # rint rounds half to even, as round() does; clamping first keeps -inf out.
     budget = np.rint(np.maximum(budget, 1.0)).astype(int)
     tasks = TaskColumns(dist.function, draws[:, 2], draws[:, 3], draws[:, :2].copy(), budget)
@@ -443,18 +442,10 @@ class ScoreStats:
     scores: list[float]
 
 
-def _check_count(name: str, value, dims: int = 1) -> None:
-    """Refuse a count that is not an integer >= 1 (a bool is not one, a
-    numpy integer is), or whose value**dims trials exceed MAX_TRIALS."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-        raise InvalidConfigError(name, f"must be an integer >= 1, got {value!r}")
-    if int(value) ** dims > MAX_TRIALS:
-        raise InvalidConfigError(name, f"runs {int(value) ** dims} trials, more than MAX_TRIALS = {MAX_TRIALS}")
-
-
 def evaluate_robustness(dist: EvalDistribution, spec: OptimizerSpec, n: int, seed: int) -> ScoreStats:
-    """Score the optimizer on n randomly drawn tasks."""
-    _check_count("n", n)
+    """Score the optimizer on n randomly drawn tasks, at most MAX_TRIALS."""
+    n = check_integer(n, "n", 1, MAX_TRIALS, InvalidConfigError)
+    seed = check_seed(seed, "seed", InvalidConfigError)
     scores = _run_tasks(draw_tasks(dist, seed, range(n)), spec).score
     included = scores[np.isfinite(scores)]
     if included.size == 0:
@@ -494,13 +485,15 @@ def surface_scan(
     x1_range: tuple[float, float] | None = None,
     grid_size: int = 25,
 ) -> ScoreGrid:
-    """Run one trial per starting point on a grid_size x grid_size lattice."""
-    _check_count("grid_size", grid_size, dims=2)
+    """Run one trial per starting point on a grid_size x grid_size lattice
+    of at most MAX_TRIALS points."""
+    grid_size = check_integer(grid_size, "grid_size", 1, math.isqrt(MAX_TRIALS), InvalidConfigError)
     axes = []
     # A range left out is the default around the task's start coordinate,
     # which an error then names.
     for i, (given, default) in enumerate(zip((x0_range, x1_range), default_scan_ranges(task))):
-        name, (lo, hi) = (f"x{i}_range", given) if given is not None else (f"task.x0[{i}]", default)
+        name = f"task.x0[{i}]" if given is None else f"x{i}_range"
+        lo, hi = default if given is None else (check_number(v, name, error=InvalidConfigError) for v in given)
         if not (math.isfinite(lo) and math.isfinite(hi)) or lo > hi:
             raise InvalidConfigError(name, f"bad scan range ({lo}, {hi})")
         # The width of a range beyond the largest float overflows.

@@ -29,8 +29,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .optim import (
+    ConfigError,
     OptimizerSpec,
     Population,
+    check_integer,
+    check_number,
+    check_range,
+    check_seed,
     step,  # noqa: F401  (kept importable: bench/tracer.py wraps nn.step)
 )
 
@@ -43,12 +48,16 @@ FAN_MODES = {"product": operator.mul, "sum": operator.add}
 # point from the first step.
 BIAS_INIT = 0.01
 
-
-def _check_integer(name: str, value) -> None:
-    """Refuse a value that is not an integer: int and numpy integers are,
-    bool is not."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+# The least dataset size, noise level and batch size a run admits.
+MIN_SAMPLES = 4
+MIN_NOISE = 0.0
+MIN_BATCH_SIZE = 1
+# The most work one protocol may do (see train_sampled_configs): networks x
+# parameters per network x samples, each unit worth about 60 epochs; at the
+# bound ten networks take about 10 s (width 2,500) to 28 s (width 16,
+# 60,000 samples) on 2 vCPUs.  No protocol uses a size above it, so it
+# bounds every size too: a dataset's n, a layer's width, fan_in and fan_out.
+MAX_TRAIN_WORK = 5 * 10**7
 
 
 def xavier_init(
@@ -60,12 +69,9 @@ def xavier_init(
     fan_mode='sum' switches the denominator to fan_in + fan_out, the more
     common normalization, for comparison runs.
     """
-    if fan_in < 1 or fan_out < 1:
-        raise ValueError(f"fan_in and fan_out must be positive, got {fan_in}, {fan_out}")
-    if not gain > 0.0:
-        raise ValueError(f"gain must be positive, got {gain}")
-    if gain == math.inf:
-        raise ValueError(f"gain must be finite, got {gain}")
+    fan_in = check_integer(fan_in, "fan_in", 1, MAX_TRAIN_WORK)
+    fan_out = check_integer(fan_out, "fan_out", 1, MAX_TRAIN_WORK)
+    check_range(check_number(gain, "gain"), "gain", lambda g: g > 0.0, "positive")
     if fan_mode not in FAN_MODES:
         raise ValueError(f"unknown fan_mode {fan_mode!r}")
     std = gain * math.sqrt(2.0 / FAN_MODES[fan_mode](fan_in, fan_out))
@@ -104,11 +110,12 @@ def _class_labels(logits: np.ndarray, labels) -> np.ndarray:
     labels = np.asarray(labels)
     n, classes = logits.shape
     if labels.shape != (n,):
-        raise ValueError(f"labels must have shape ({n},) for {logits.shape} logits, got {labels.shape}")
+        raise ConfigError("labels", f"must have shape ({n},) for {logits.shape} logits, got {labels.shape}")
     known = np.isin(labels, np.arange(classes))
     if not known.all():
-        bad = labels[np.argmin(known)].item()
-        raise ValueError(f"labels must be class indices in [0, {classes}), got {bad!r}")
+        # tolist, not item: an integer past int64 makes an object column.
+        bad = labels.tolist()[np.argmin(known)]
+        raise ConfigError("labels", f"must be class indices in [0, {classes}), got {bad!r}")
     return labels.astype(np.intp)
 
 
@@ -247,14 +254,13 @@ class MLP:
     ):
         if len(layer_sizes) < 2:
             raise ValueError("need at least an input and an output layer")
-        for i, size in enumerate(layer_sizes):
-            _check_integer(f"layer_sizes[{i}]", size)
-            if size < 1:
-                raise ValueError(f"layer_sizes[{i}] must be >= 1, got {size}")
+        layer_sizes = [
+            check_integer(size, f"layer_sizes[{i}]", 1, MAX_TRAIN_WORK) for i, size in enumerate(layer_sizes)
+        ]
         if activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {activation!r}")
         rng = np.random.default_rng(0) if rng is None else rng
-        self.layer_sizes = list(layer_sizes)
+        self.layer_sizes = layer_sizes
         self.activation = activation
         self.flat = np.empty(param_count(self.layer_sizes))
         self._stacked = _views(self.flat[None], self.layer_sizes)
@@ -314,21 +320,10 @@ class SyntheticDataset:
     val_idx: np.ndarray
 
 
-# The least dataset size, noise level and batch size a run admits.
-MIN_SAMPLES = 4
-MIN_NOISE = 0.0
-MIN_BATCH_SIZE = 1
-
-
 def make_dataset(n: int = 400, noise: float = 0.15, seed: int = 0) -> SyntheticDataset:
     """Generate the two-moons classification set, deterministically per seed."""
-    _check_integer("n", n)
-    if n < MIN_SAMPLES:
-        raise ValueError(f"need at least {MIN_SAMPLES} samples, got {n}")
-    if not noise >= MIN_NOISE:
-        raise ValueError(f"noise must be non-negative, got {noise}")
-    if noise == math.inf:
-        raise ValueError(f"noise must be finite, got {noise}")
+    n, noise = check_integer(n, "n", MIN_SAMPLES, MAX_TRAIN_WORK), check_number(noise, "noise", lo=MIN_NOISE)
+    seed = check_seed(seed, "seed")
     n_outer = n - n // 2
     n_inner = n // 2
     t_outer = np.linspace(0.0, math.pi, n_outer)
@@ -359,14 +354,10 @@ class TrainingConfig:
     optimizer: OptimizerSpec | None = None
 
     def __post_init__(self):
-        if not self.gain > 0.0:
-            raise ValueError(f"gain must be positive, got {self.gain}")
-        for name in ("epochs", "batch_size"):
-            _check_integer(name, getattr(self, name))
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < MIN_BATCH_SIZE:
-            raise ValueError(f"batch_size must be >= {MIN_BATCH_SIZE}, got {self.batch_size}")
+        check_range(check_number(self.gain, "gain"), "gain", lambda g: g > 0.0, "positive")
+        check_integer(self.epochs, "epochs", lo=1)
+        check_integer(self.batch_size, "batch_size", lo=MIN_BATCH_SIZE)
+        check_seed(self.seed, "seed")
 
 
 def sample_training_config(seed: int, index: int, batch_size: int = 32) -> TrainingConfig:
@@ -378,7 +369,7 @@ def sample_training_config(seed: int, index: int, batch_size: int = 32) -> Train
     caller so the same (gain, epochs, seed) triple can be reused across
     update rules for paired comparisons.
     """
-    rng = np.random.default_rng([seed, index])
+    rng = np.random.default_rng([check_seed(seed, "seed"), check_seed(index, "index")])
     gain = float(rng.gamma(1.0, 2.5))
     while gain < 1e-3:
         gain = float(rng.gamma(1.0, 2.5))
@@ -414,9 +405,7 @@ class TrainResult:
 
     def at_epoch(self, epoch: int) -> EpochMetrics:
         """Metrics recorded at the given 1-based epoch (clamped to the run)."""
-        _check_integer("epoch", epoch)
-        if epoch < 1:
-            raise ValueError(f"epoch must be >= 1, got {epoch}")
+        epoch = check_integer(epoch, "epoch", lo=1)
         return self.metrics[min(epoch, len(self.metrics)) - 1]
 
 
@@ -570,6 +559,19 @@ class ProtocolSettings:
         return [2, *self.hidden, 2]
 
 
+def _check_work(settings: ProtocolSettings, n_configs: int) -> None:
+    """Refuse n_configs networks of settings, n_configs x parameters per
+    network x samples, past MAX_TRAIN_WORK, naming n_configs."""
+    params, samples = param_count(settings.layer_sizes), settings.dataset_n
+    work = n_configs * params * samples
+    if work > MAX_TRAIN_WORK:
+        raise ConfigError(
+            "n_configs",
+            f"{n_configs} networks x {params} parameters x {samples} samples = {work}"
+            f" is more than MAX_TRAIN_WORK = {MAX_TRAIN_WORK}",
+        )
+
+
 def train_sampled_configs(
     settings: ProtocolSettings,
     optimizer: OptimizerSpec,
@@ -578,7 +580,9 @@ def train_sampled_configs(
 ) -> tuple[list[TrainingConfig], list[TrainResult]]:
     """Run the randomized protocol: n_configs draws of (gain, epochs, seed),
     each trained from scratch with the given optimizer, all as one
-    population."""
+    population.  Work past MAX_TRAIN_WORK is refused before any draw."""
+    _check_work(settings, check_integer(n_configs, "n_configs", lo=1))
+    master_seed = check_seed(master_seed, "master_seed")
     configs = [
         replace(sample_training_config(master_seed, i, batch_size=settings.batch_size), optimizer=optimizer)
         for i in range(n_configs)
@@ -602,6 +606,7 @@ def mean_std(values: list[float]) -> tuple[float, float]:
     protocol's per-run metric, summed in list order."""
     if not values:
         raise ValueError("mean_std needs at least one value")
+    values = [check_number(value, f"values[{i}]") for i, value in enumerate(values)]
     mean = sum(values) / len(values)
     if len(values) <= 1:
         return mean, 0.0

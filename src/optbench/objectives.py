@@ -12,7 +12,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .optim import ConfigError
+from .optim import ConfigError, check_number, check_range
 
 FUNCTIONS = ("convex2d", "rosenbrock")
 
@@ -38,8 +38,11 @@ class TaskConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # The numbers on their own first: one past the float range would
+        # overflow the columns.
+        _check_parameters(self.alpha, self.beta)
+        object.__setattr__(self, "x0", tuple(_point(self.x0, "x0").tolist()))
         TaskColumns.of([self]).check()
-        object.__setattr__(self, "x0", (float(self.x0[0]), float(self.x0[1])))
 
 
 class TaskColumns(NamedTuple):
@@ -77,9 +80,10 @@ class TaskColumns(NamedTuple):
 
     def check(self, path: str = "") -> None:
         """The task rules, each tested once over its whole column: the
-        function is known, alpha is finite, beta is finite and positive, x0
-        is two finite reals and iterations is an integer in
-        [1, MAX_ITERATIONS].
+        function is known, alpha is finite, beta is finite and positive, x0's
+        two coordinates are finite and iterations is an integer in
+        [1, MAX_ITERATIONS].  x0 is (N, 2): TaskConfig refuses any other
+        point, and the harness makes its columns in that shape.
 
         The error names the field under the prefix path (e.g.
         "distribution.alpha") and, when there are several tasks, the row of
@@ -87,8 +91,6 @@ class TaskColumns(NamedTuple):
         """
         if self.function not in FUNCTIONS:
             raise InvalidConfigError(f"{path}function", f"unknown function {self.function!r}")
-        if self.x0.ndim != 2 or self.x0.shape[1] != 2:
-            raise InvalidConfigError(f"{path}x0", f"must be two reals, got shape {self.x0.shape[1:]}")
         iterations = self.iterations
         budget = np.issubdtype(iterations.dtype, np.integer) and (iterations >= 1) & (iterations <= MAX_ITERATIONS)
         for name, values, ok, rule in (
@@ -98,11 +100,17 @@ class TaskColumns(NamedTuple):
             ("x0[1]", self.x0[:, 1], np.isfinite(self.x0[:, 1]), "finite"),
             ("iterations", iterations, budget, f"an integer in [1, {MAX_ITERATIONS}]"),
         ):
-            if not np.all(ok):
-                row = int(np.argmin(np.broadcast_to(ok, values.shape)))
-                where = f" (row {row})" if values.size > 1 else ""
-                # tolist, not item: an integer past int64 makes an object column.
-                raise InvalidConfigError(path + name, f"must be {rule}, got {values.tolist()[row]!r}{where}")
+            check_column(values, path + name, ok, rule)
+
+
+def check_column(values: np.ndarray, path: str, ok, rule: str) -> None:
+    """check_range over a column of task values: refuse the first row where
+    the mask ok is False, naming that row when the column has several."""
+    if not np.all(ok):
+        row = int(np.argmin(np.broadcast_to(ok, values.shape)))
+        where = f" (row {row})" if values.size > 1 else ""
+        # tolist, not item: an integer past int64 makes an object column.
+        raise InvalidConfigError(path, f"must be {rule}, got {values.tolist()[row]!r}{where}")
 
 
 @dataclass(frozen=True)
@@ -124,9 +132,27 @@ class Objective:
     minimum: tuple[float, float]
 
 
-def _check_beta(beta) -> None:
-    if not np.all(np.isfinite(beta) & (beta > 0.0)):
-        raise InvalidConfigError("beta", f"must be finite and positive, got {beta}")
+def _check_parameters(alpha, beta) -> None:
+    """The task rules for alpha and beta, numbers or (N,) columns of them,
+    refused in the words of TaskColumns.check's beta rule when not
+    positive."""
+    for value in np.ravel(alpha).tolist():
+        check_number(value, "alpha", error=InvalidConfigError)
+    for value in np.ravel(beta).tolist():
+        value = check_number(value, "beta", error=InvalidConfigError)
+        check_range(value, "beta", lambda b: b > 0.0, "finite and positive", InvalidConfigError)
+
+
+def _point(x, path: str = "x", rows: bool = False) -> np.ndarray:
+    """x as a float array of one point, shape (2,), or with rows, of
+    points along its last axis; path names x in a refusal."""
+    try:
+        point = np.asarray(x, dtype=float)
+    except OverflowError:  # an integer past the float range
+        point = None
+    if point is None or (point.shape[-1:] if rows else point.shape) != (2,):
+        raise InvalidConfigError(path, f"expected {'points' if rows else 'a point'} of two numbers, got {x!r}")
+    return point
 
 
 # The builders below are unchecked.  Each works out the gradient's
@@ -147,7 +173,7 @@ def _convex2d(alpha, beta) -> Objective:
     shift, slope = np.stack([alpha, alpha], axis=-1), np.stack([2.0 * beta, 20.0 * beta], axis=-1)
 
     def evaluate(x):
-        x = np.asarray(x, dtype=float)
+        x = _point(x)
         return float(beta * (x[0] - alpha) ** 2 + 10.0 * beta * (x[1] - alpha) ** 2)
 
     return Objective("convex2d", evaluate, partial(_convex2d_gradient, shift, slope), (alpha, alpha))
@@ -175,7 +201,7 @@ def _rosenbrock_gradient(alpha, slope, curve, x, out=None):
 
 def _rosenbrock(alpha, beta) -> Objective:
     def evaluate(x):
-        x = np.asarray(x, dtype=float)
+        x = _point(x)
         return float((alpha - x[0]) ** 2 + beta * (x[1] - x[0] ** 2) ** 2)
 
     gradient = partial(_rosenbrock_gradient, alpha, 2.0 * beta, 4.0 * beta)
@@ -184,13 +210,13 @@ def _rosenbrock(alpha, beta) -> Objective:
 
 def convex2d(alpha, beta) -> Objective:
     """beta*(x1-alpha)^2 + 10*beta*(x2-alpha)^2, minimized at (alpha, alpha)."""
-    _check_beta(beta)
+    _check_parameters(alpha, beta)
     return _convex2d(alpha, beta)
 
 
 def rosenbrock(alpha, beta) -> Objective:
     """(alpha-x1)^2 + beta*(x2-x1^2)^2, minimized at (alpha, alpha^2)."""
-    _check_beta(beta)
+    _check_parameters(alpha, beta)
     return _rosenbrock(alpha, beta)
 
 
@@ -231,15 +257,12 @@ def distance_to_minimum(x: np.ndarray, objective: Objective) -> float | np.ndarr
     x may be one point or an (N, 2) population against an objective with
     per-row parameters; a population gives an (N,) array.
     """
-    return point_distance(np.asarray(x, dtype=float), np.stack(objective.minimum, axis=-1))
+    return point_distance(_point(x, rows=True), np.stack(objective.minimum, axis=-1))
 
 
 def finite_difference_grad(objective: Objective, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
     """Central-difference gradient estimate, one coordinate at a time."""
-    if not h > 0.0:
-        raise ValueError(f"h must be positive, got {h}")
-    if h == np.inf:
-        raise ValueError(f"h must be finite, got {h}")
+    check_range(check_number(h, "h"), "h", lambda step: step > 0.0, "positive")
     x = np.asarray(x, dtype=float)
     out = np.empty_like(x)
     for i in range(x.size):

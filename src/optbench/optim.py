@@ -20,6 +20,7 @@ its own commit and stop rules.
 """
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
@@ -55,10 +56,6 @@ DEFAULT_HYBRID_RATES = {
 DEFAULT_MIX = 0.5
 
 
-class InvalidDimensionError(ValueError):
-    """Raised when a parameter dimension is not a positive integer."""
-
-
 class DimensionMismatchError(ValueError):
     """Raised when parameter, direction, and rate vectors disagree in shape."""
 
@@ -90,9 +87,56 @@ class DivergenceError(RuntimeError):
         self.iteration = iteration
 
 
+# The checks below state what a number admits, for config's readers and
+# the library alike.  Each takes (value, path), as a reader does, returns
+# the value it admits and refuses any other with error(path, reason).
+
+
+def check_range(value, path: str, ok, rule: str, error: type[ConfigError] = ConfigError):
+    """value, if ok(value); rule says in words what ok requires."""
+    if not ok(value):
+        raise error(path, f"must be {rule}, got {value!r}")
+    return value
+
+
+def _within(value, path: str, lo, hi, error: type[ConfigError]):
+    """value, if it is in [lo, hi], or >= lo when hi is None; any value when lo is."""
+    if lo is None:
+        return value
+    ok, rule = (lambda x: x >= lo, f">= {lo}") if hi is None else (lambda x: lo <= x <= hi, f"in [{lo}, {hi}]")
+    return check_range(value, path, ok, rule, error)
+
+
+def check_integer(value, path: str, lo=None, hi=None, error: type[ConfigError] = ConfigError) -> int:
+    """value as an int, if it is an integer (a bool is not one, a numpy
+    integer is) in [lo, hi] (see _within)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise error(path, f"expected an integer, got {value!r}")
+    return _within(int(value), path, lo, hi, error)
+
+
+def check_number(value, path: str, lo=None, hi=None, error: type[ConfigError] = ConfigError) -> float:
+    """value as a float, if it is a finite number (a bool is not one, a
+    numpy number is; an integer past the float range is infinite) in [lo, hi]."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise error(path, f"expected a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise error(path, f"expected a finite number, got {number}")
+    return _within(number, path, lo, hi, error)
+
+
+def check_seed(value, path: str, error: type[ConfigError] = ConfigError) -> int:
+    """value as an int, if it is an integer >= 0, as numpy's seeding takes."""
+    return check_integer(value, path, lo=0, error=error)
+
+
 def _interval(text: str):
-    """Membership test for an interval written like "[0, 1)"; None and NaN
-    are outside every interval."""
+    """Membership test for an interval written like "[0, 1)"; None is
+    outside every interval."""
     lo, hi = (float(bound) for bound in text[1:-1].split(","))
     above = operator.le if text[0] == "[" else operator.lt
     below = operator.le if text[-1] == "]" else operator.lt
@@ -113,9 +157,11 @@ _IN_RANGE = {name: _interval(text) for name, text in _RANGES.items()}
 
 
 def check_rate(name: str, value) -> None:
-    """Raise InvalidRateError unless value is admissible for the field name."""
-    if not _IN_RANGE[name](value):
-        raise InvalidRateError(name, f"must be in {_RANGES[name]}, got {value}")
+    """Raise InvalidRateError unless value is admissible for the field
+    name: a finite number in its range."""
+    if value is not None:
+        value = check_number(value, name, error=InvalidRateError)
+    check_range(value, name, _IN_RANGE[name], f"in {_RANGES[name]}", InvalidRateError)
 
 
 class _Rule:
@@ -228,9 +274,9 @@ class OptimizerState:
 
 def init_state(dim: int) -> OptimizerState:
     """Fresh state for a parameter vector of the given dimension, an
-    integer >= 1; a bool is not one, a numpy integer is."""
-    if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)) or dim < 1:
-        raise InvalidDimensionError(f"dim must be a positive integer, got {dim!r}")
+    integer >= 1."""
+    dim = check_integer(dim, "dim", lo=1)
+    check_range(dim, "dim", lambda d: d <= np.iinfo(np.intp).max, "an array length numpy can index")
     return OptimizerState(t=0, m=np.zeros(dim), v=np.zeros(dim))
 
 
@@ -595,13 +641,18 @@ class Population(OptimizerState):
             columns = {"origin": origin, **columns}
         self._per_row = ("theta", "m", "v", *columns)
         self.__dict__.update(columns)
-        # Each row's |theta - origin|**2 is at most 2 |theta|**2 + 2 |origin|**2,
-        # so while origin's squares sum below the bound, a step whose squares
-        # sum below it has every distance finite; otherwise no step passes.
+        self._set_limit()
+        self._new_block()
+
+    def _set_limit(self) -> None:
+        """The bound of step()'s dot: each row's |theta - origin|**2 is at
+        most 2 |theta|**2 + 2 |origin|**2, so while origin's squares sum
+        below it, a step whose squares do has every distance finite;
+        otherwise it is 0 and no step passes."""
+        origin = getattr(self, "origin", None)
         with np.errstate(over="ignore"):
             squares = 0.0 if origin is None else np.dot(origin.ravel(), origin.ravel())
         self._limit = _STEP_LIMIT if squares < _STEP_LIMIT else 0.0
-        self._new_block()
 
     def _new_block(self) -> None:
         block = np.empty((2, *self.theta.shape))
@@ -629,7 +680,8 @@ class Population(OptimizerState):
         rows past its end leave too), or an array of row indices, which may
         also reorder the rows; a mask or indices is one take per array.
         The rate blocks leave with their rows, and the block is made anew
-        for the rows kept."""
+        for the rows kept.  A bound of 0 is worked out again, since the rows
+        whose origins set it may have left."""
         if not isinstance(live, slice) and live.dtype == bool:
             live = np.flatnonzero(live)
         for name in self._per_row:
@@ -639,4 +691,6 @@ class Population(OptimizerState):
             setattr(update, name, _rows(getattr(update, name), live))
         if "mix" in self._rates:
             update.blend = _bind(blend_weights(update.mix))
+        if not self._limit:
+            self._set_limit()
         self._new_block()

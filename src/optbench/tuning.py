@@ -23,7 +23,7 @@ from .harness import (
     run_trials,  # noqa: F401  (kept importable: bench/tracer.py wraps tuning.run_trials)
 )
 from .objectives import TaskColumns, TaskConfig
-from .optim import DEFAULT_MIX, ConfigError, OptimizerSpec, RateColumns, UpdateRule, check_rate, make_spec
+from .optim import DEFAULT_MIX, ConfigError, OptimizerSpec, RateColumns, UpdateRule, check_number, check_rate, make_spec
 
 
 class InvalidGridError(ConfigError):
@@ -44,7 +44,7 @@ class GridSpec:
 
     def __post_init__(self):
         for name in ("lo", "hi", "log10_step"):
-            if not getattr(self, name) > 0.0:
+            if not check_number(getattr(self, name), name, error=InvalidGridError) > 0.0:
                 raise InvalidGridError(name, f"must be positive, got {getattr(self, name)}")
         if self.lo > self.hi:
             raise InvalidGridError("lo", f"must not exceed hi = {self.hi}, got {self.lo}")
@@ -80,10 +80,9 @@ def half_decade_grid(lo: float, hi: float) -> list[float]:
     """All values with mantissa 1 or 5 (1eK, 5eK, ...) inside [lo, hi].
 
     This is the grid family whose endpoints the stock tuning ranges are
-    drawn from; both bounds are included.
+    drawn from; both bounds are included.  lo and hi must make a GridSpec.
     """
-    if not 0.0 < lo <= hi < math.inf:
-        raise InvalidGridError("", f"bad grid bounds [{lo}, {hi}]")
+    GridSpec(lo, hi)
     e_lo = math.floor(math.log10(lo) + 1e-12)
     e_hi = math.ceil(math.log10(hi) + 1e-12)
     values = []

@@ -330,49 +330,61 @@ def _at_epoch(epoch):
 @pytest.mark.parametrize(
     "call, error, message",
     [
-        (lambda: xavier_init(2, 2, math.nan, np.random.default_rng(0)), ValueError, "gain must be positive, got nan"),
-        (lambda: make_dataset(8, noise=math.nan), ValueError, "noise must be non-negative, got nan"),
-        (lambda: Sampler(1.0, std=math.nan), InvalidConfigError, "std: must be non-negative, got nan"),
+        (
+            lambda: xavier_init(2, 2, math.nan, np.random.default_rng(0)),
+            ConfigError,
+            "gain: expected a finite number, got nan",
+        ),
+        (lambda: make_dataset(8, noise=math.nan), ConfigError, "noise: expected a finite number, got nan"),
+        (lambda: Sampler(1.0, std=math.nan), InvalidConfigError, "std: expected a finite number, got nan"),
         (
             lambda: finite_difference_grad(convex2d(1.0, 1.0), np.zeros(2), h=math.nan),
-            ValueError,
-            "h must be positive, got nan",
+            ConfigError,
+            "h: expected a finite number, got nan",
         ),
-        (lambda: half_decade_grid(math.nan, 1.0), InvalidGridError, "bad grid bounds [nan, 1.0]"),
-        (lambda: xavier_init(2, 2, math.inf, np.random.default_rng(0)), ValueError, "gain must be finite, got inf"),
-        (lambda: make_dataset(8, noise=math.inf), ValueError, "noise must be finite, got inf"),
-        (lambda: half_decade_grid(1.0, math.inf), InvalidGridError, "bad grid bounds [1.0, inf]"),
+        (lambda: half_decade_grid(math.nan, 1.0), InvalidGridError, "lo: expected a finite number, got nan"),
+        (
+            lambda: xavier_init(2, 2, math.inf, np.random.default_rng(0)),
+            ConfigError,
+            "gain: expected a finite number, got inf",
+        ),
+        (lambda: make_dataset(8, noise=math.inf), ConfigError, "noise: expected a finite number, got inf"),
+        (lambda: half_decade_grid(1.0, math.inf), InvalidGridError, "hi: expected a finite number, got inf"),
         (
             lambda: finite_difference_grad(convex2d(1.0, 1.0), np.zeros(2), h=math.inf),
-            ValueError,
-            "h must be finite, got inf",
+            ConfigError,
+            "h: expected a finite number, got inf",
         ),
         *(
-            (lambda n=n: _robustness(n), InvalidConfigError, f"n: must be an integer >= 1, got {n!r}")
+            (lambda n=n: _robustness(n), InvalidConfigError, f"n: expected an integer, got {n!r}")
             for n in (2.5, math.nan, True)
         ),
         *(
-            (lambda size=size: _scan(size), InvalidConfigError, f"grid_size: must be an integer >= 1, got {size!r}")
+            (lambda size=size: _scan(size), InvalidConfigError, f"grid_size: expected an integer, got {size!r}")
             for size in (2.5, math.nan, True)
         ),
-        (lambda: _robustness(100_001), InvalidConfigError, "n: runs 100001 trials, more than MAX_TRIALS = 100000"),
+        (lambda: _robustness(100_001), InvalidConfigError, "n: must be in [1, 100000], got 100001"),
         (
             lambda: _scan(317),
             InvalidConfigError,
-            "grid_size: runs 100489 trials, more than MAX_TRIALS = 100000",
+            "grid_size: must be in [1, 316], got 317",
         ),
-        *((lambda e=e: _at_epoch(e), ValueError, f"epoch must be >= 1, got {e}") for e in (0, -1)),
+        *((lambda e=e: _at_epoch(e), ConfigError, f"epoch: must be >= 1, got {e}") for e in (0, -1)),
         *(
-            (lambda e=e: _at_epoch(e), ValueError, f"epoch must be an integer, got {e!r}")
+            (lambda e=e: _at_epoch(e), ConfigError, f"epoch: expected an integer, got {e!r}")
             for e in (2.5, math.nan, True)
         ),
         *(
-            (lambda n=n: make_dataset(n), ValueError, f"n must be an integer, got {n!r}")
+            (lambda n=n: make_dataset(n), ConfigError, f"n: expected an integer, got {n!r}")
             for n in (2.5, 40.5, math.nan, True)
         ),
-        (lambda: MLP([2, 2.5, 2]), ValueError, "layer_sizes[1] must be an integer, got 2.5"),
+        (lambda: MLP([2, 2.5, 2]), ConfigError, "layer_sizes[1]: expected an integer, got 2.5"),
         *(
-            (lambda sizes=sizes: MLP(sizes), ValueError, f"layer_sizes[{i}] must be >= 1, got {sizes[i]}")
+            (
+                lambda sizes=sizes: MLP(sizes),
+                ConfigError,
+                f"layer_sizes[{i}]: must be in [1, 50000000], got {sizes[i]}",
+            )
             for sizes, i in (([2, -1, 2], 1), ([2, 3, -2], 2), ([2, 0, 2], 1))
         ),
         (lambda: mean_std([]), ValueError, "mean_std needs at least one value"),
@@ -412,14 +424,14 @@ def _at_epoch(epoch):
     ],
 )
 def test_library_checks_refuse_nan(call, error, message):
-    # Each check states what it admits, so NaN, which compares False, fails it.
-    # The checks that would admit +inf, and then return infinities or raise
-    # OverflowError, refuse it too, and a count refuses any value that is not
-    # an integer, where range and linspace raised TypeError and True ran once.
-    # The harness refuses more than MAX_TRIALS trials, as load_plan does, and
-    # at_epoch an epoch below 1, which indexed the run from its end.
-    # MLP refuses a layer size below 1, where numpy's errors named no field,
-    # and mean_std refuses an empty list, where it divided by zero.
+    # Each check is one of optim's, which load_plan's readers use too, and its
+    # message is a config refusal's "<argument>: <reason>".  A number must be
+    # finite, so NaN and +inf are refused, and a count must be an integer,
+    # where range and linspace raised TypeError and True ran once.  The
+    # harness refuses more than MAX_TRIALS trials in load_plan's words, and
+    # at_epoch an epoch below 1, which indexed the run from its end.  MLP
+    # refuses a layer size below 1, where numpy's errors named no field, and
+    # mean_std refuses an empty list, where it divided by zero.
     with pytest.raises(error) as info:
         call()
     assert type(info.value) is error

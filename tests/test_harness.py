@@ -834,6 +834,26 @@ def test_kernel_measures_distances_only_where_it_writes_them(monkeypatch):
     assert calls == [2, 2, 2, 1]
 
 
+def test_an_outlier_origin_masks_steps_only_while_its_row_is_live(monkeypatch):
+    """A minimum whose squares sum past the finiteness test's bound sets
+    the bound to 0, so every step fails the test and measures the live
+    rows' distances.  Once that row diverges and leaves, the bound is
+    worked out again, and the other rows measure theirs only at the end."""
+    calls = []
+
+    def counted(x, point):
+        calls.append(len(x))
+        return point_distance(x, point)
+
+    monkeypatch.setattr(harness, "point_distance", counted)
+    spec = make_spec("sgd", default_update_rule("sgd", "hybrid"))
+    tasks = [replace(CONVEX, alpha=1.0 + 1e-3 * i) for i in range(9)] + [replace(CONVEX, alpha=2.0**510)]
+    batch = run_batch([(task, spec) for task in tasks])
+    assert batch.diverged.tolist() == [False] * 9 + [True]
+    # The start, every step up to the one the outlier fails, and the end.
+    assert calls == [10] * (batch.iterations_run[-1] + 2) + [9]
+
+
 # ------------------------------------------------------ column draws
 
 def _scalar_draw(dist, seed, index):

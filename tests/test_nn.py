@@ -35,6 +35,7 @@ from optbench.nn import (
 from optbench.optim import (
     FAMILIES,
     UPDATE_KINDS,
+    ConfigError,
     DivergenceError,
     NonFiniteGradientError,
     Population,
@@ -367,14 +368,14 @@ def test_training_config_validation():
 @pytest.mark.parametrize(
     "field, value, message",
     [
-        ("epochs", math.nan, "epochs must be an integer, got nan"),
-        ("epochs", math.inf, "epochs must be an integer, got inf"),
-        ("epochs", 2.5, "epochs must be an integer, got 2.5"),
-        ("epochs", True, "epochs must be an integer, got True"),
-        ("gain", math.nan, "gain must be positive, got nan"),
-        ("batch_size", 2.5, "batch_size must be an integer, got 2.5"),
-        ("batch_size", math.nan, "batch_size must be an integer, got nan"),
-        ("batch_size", True, "batch_size must be an integer, got True"),
+        ("epochs", math.nan, "epochs: expected an integer, got nan"),
+        ("epochs", math.inf, "epochs: expected an integer, got inf"),
+        ("epochs", 2.5, "epochs: expected an integer, got 2.5"),
+        ("epochs", True, "epochs: expected an integer, got True"),
+        ("gain", math.nan, "gain: expected a finite number, got nan"),
+        ("batch_size", 2.5, "batch_size: expected an integer, got 2.5"),
+        ("batch_size", math.nan, "batch_size: expected an integer, got nan"),
+        ("batch_size", True, "batch_size: expected an integer, got True"),
     ],
 )
 def test_training_config_refuses_epochs_that_are_not_integers_and_a_nan_gain(field, value, message):
@@ -382,8 +383,9 @@ def test_training_config_refuses_epochs_that_are_not_integers_and_a_nan_gain(fie
     # training, and a batch size that is not an integer would fail in train
     # or train at batch size 1.
     good = dict(gain=1.0, epochs=3, batch_size=8, seed=0)
-    with pytest.raises(ValueError) as info:
+    with pytest.raises(ConfigError) as info:
         TrainingConfig(**{**good, field: value})
+    assert type(info.value) is ConfigError
     assert str(info.value) == message
 
 

@@ -51,13 +51,23 @@ def test_rosenbrock_minimum_tracks_alpha_squared():
     assert np.array_equal(obj.gradient([2.0, 4.0]), [0.0, 0.0])
 
 
-@pytest.mark.parametrize("beta", [math.inf, math.nan, 0.0, -1.0])
+@pytest.mark.parametrize(
+    "beta, reason",
+    [
+        (math.inf, "expected a finite number, got inf"),
+        (math.nan, "expected a finite number, got nan"),
+        (0.0, "must be finite and positive, got 0.0"),
+        (-1.0, "must be finite and positive, got -1.0"),
+    ],
+)
 @pytest.mark.parametrize("factory", [convex2d, rosenbrock])
-def test_beta_must_be_finite_and_positive(factory, beta):
+def test_beta_must_be_finite_and_positive(factory, beta, reason):
     # TaskConfig refuses the same values in the same words.
-    with pytest.raises(InvalidConfigError) as info:
-        factory(alpha=1.0, beta=beta)
-    assert str(info.value) == f"beta: must be finite and positive, got {beta}"
+    for build in (lambda: factory(alpha=1.0, beta=beta), lambda: TaskConfig(factory.__name__, 1.0, beta, (0, 0), 1)):
+        with pytest.raises(InvalidConfigError) as info:
+            build()
+        assert type(info.value) is InvalidConfigError
+        assert str(info.value) == f"beta: {reason}"
 
 
 def test_distance_to_minimum():

@@ -10,9 +10,9 @@ from optbench.optim import (
     DEFAULT_LR,
     DEFAULT_MULTIPLICATIVE_RATES,
     AdaptiveRule,
+    ConfigError,
     DimensionMismatchError,
     DivergenceError,
-    InvalidDimensionError,
     InvalidRateError,
     MomentumRule,
     NonFiniteGradientError,
@@ -44,10 +44,21 @@ def test_init_state_zeroed():
     assert np.array_equal(init_state(np.int64(3)).v, [0.0, 0.0, 0.0])
 
 
-@pytest.mark.parametrize("dim", [0, -1, 2.5, "3", True])
-def test_init_state_rejects_bad_dim(dim):
-    with pytest.raises(InvalidDimensionError):
+@pytest.mark.parametrize(
+    "dim, message",
+    [
+        (0, "dim: must be >= 1, got 0"),
+        (-1, "dim: must be >= 1, got -1"),
+        (2.5, "dim: expected an integer, got 2.5"),
+        ("3", "dim: expected an integer, got '3'"),
+        (True, "dim: expected an integer, got True"),
+    ],
+)
+def test_init_state_rejects_bad_dim(dim, message):
+    with pytest.raises(ConfigError) as info:
         init_state(dim)
+    assert type(info.value) is ConfigError
+    assert str(info.value) == message
 
 
 # ------------------------------------------------------------- momentum
