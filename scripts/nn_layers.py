@@ -7,7 +7,8 @@ with sgd and the hybrid update rule.  This script builds that population
 from the protocol's own draws (master seed 2024) and timeits, in
 microseconds per call:
 
-  forward     nn._forward on one (10, 32, 2) minibatch;
+  forward     nn._forward on one (10, 32, 3) minibatch: two features
+              and the ones column that the first layer's bias multiplies;
   backward    nn._backward on that minibatch's activations;
   step        optim.Population.step on the minibatch's gradient, which
               backward writes into the population's gradient buffer;
@@ -49,8 +50,8 @@ def layer_calls() -> dict:
     pop = Population(spec, theta)
     weights, biases = nn._views(theta, sizes)
     grad_w, grad_b = nn._views(pop.grad, sizes)
-    train = dataset.features[dataset.train_idx], dataset.labels[dataset.train_idx]
-    val = dataset.features[dataset.val_idx], dataset.labels[dataset.val_idx]
+    train = nn._with_ones(dataset.features[dataset.train_idx]), dataset.labels[dataset.train_idx]
+    val = nn._with_ones(dataset.features[dataset.val_idx]), dataset.labels[dataset.val_idx]
     order = np.stack([np.random.default_rng(c.seed).permutation(len(train[1])) for c in configs])
     batch = order[:, : settings.batch_size]
     x, targets = train[0][batch], nn._one_hot(train[1], sizes[-1])[batch]

@@ -221,6 +221,7 @@ class Sampler:
     std: float = 0.0
 
     def __post_init__(self):
+        check_number(self.mean, "mean", error=InvalidConfigError)
         std = check_number(self.std, "std", error=InvalidConfigError)
         check_range(std, "std", lambda s: s >= 0.0, "non-negative", InvalidConfigError)
 

@@ -15,9 +15,14 @@ No reduction runs along the class axis of the logits: the softmax head,
 the losses and the accuracies work on each class column as a whole
 (C, n) array, because numpy's inner loop over a row's two classes costs
 far more than their arithmetic.  The column forms give the same bits as
-numpy's last-axis max, sum and argmax.  The logits bias is one broadcast
-add, as every layer's is, and the batch sums of the bias gradients run
-along the batch axis, in the order numpy gives them (see _backward).
+numpy's last-axis max, sum and argmax.
+
+The first layer's bias rides in its weights: the data carries a trailing
+ones column, and the layer multiplies it by its (n_in + 1, n_out) block
+[W1; b1], so one product gives the layer's output with its bias and, in
+the backward pass, its weight and bias gradients.  Every later layer's
+bias, the logits' too, is one broadcast add, and its gradient a batch sum
+along the batch axis, in the order numpy gives it (see _backward).
 """
 from __future__ import annotations
 
@@ -58,6 +63,10 @@ MIN_BATCH_SIZE = 1
 # 60,000 samples) on 2 vCPUs.  No protocol uses a size above it, so it
 # bounds every size too: a dataset's n, a layer's width, fan_in and fan_out.
 MAX_TRAIN_WORK = 5 * 10**7
+# The most epochs a TrainingConfig admits: at the stock sizes one network
+# trains 10,000 epochs in about 5 s on 2 vCPUs.  The protocol draws about
+# 60 (see sample_training_config).
+MAX_EPOCHS = 10_000
 
 
 def xavier_init(
@@ -159,10 +168,11 @@ def _accuracies(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
 
 
 # The stacked passes below run C networks at once.  Weights are
-# (C, n_in, n_out) and biases (C, 1, n_out); activations are (C, batch,
-# width).  Stacked matmul runs the same gemm on each network's slice as a
-# 2-D product, so every network gets the bits it would get alone; writing
-# it through out= keeps those bits.  Only the head reduces over the class
+# (C, n_in, n_out), the first layer's (C, n_in + 1, n_out) with its bias
+# row, and biases (C, 1, n_out); activations are (C, batch, width).
+# Stacked matmul runs the same gemm on each network's slice as a 2-D
+# product, so every network gets the bits it would get alone; writing it
+# through out= keeps those bits.  Only the head reduces over the class
 # axis, through its column folds, and the minibatch targets are one-hot
 # rows so the backward pass subtracts them instead of indexing by label.
 
@@ -173,30 +183,44 @@ def param_count(layer_sizes: list[int]) -> int:
 
 def _views(buffer: np.ndarray, layer_sizes: list[int]) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Per-layer weight and bias views of a (C, P) buffer laid out
-    [W1, b1, W2, b2, ...]."""
+    [W1, b1, W2, b2, ...].  The first layer's weights are its whole
+    (C, n_in + 1, n_out) block [W1; b1], which multiplies an input with a
+    trailing ones column (see _with_ones); every bias is the last row of
+    its layer's block."""
     c = buffer.shape[0]
     weights, biases = [], []
     offset = 0
     for n_in, n_out in zip(layer_sizes[:-1], layer_sizes[1:]):
-        weights.append(buffer[:, offset : offset + n_in * n_out].reshape(c, n_in, n_out))
-        offset += n_in * n_out
-        biases.append(buffer[:, offset : offset + n_out].reshape(c, 1, n_out))
-        offset += n_out
+        block = buffer[:, offset : offset + (n_in + 1) * n_out].reshape(c, n_in + 1, n_out)
+        weights.append(block[:, :-1] if weights else block)
+        biases.append(block[:, -1:])
+        offset += (n_in + 1) * n_out
     return weights, biases
+
+
+def _with_ones(x: np.ndarray) -> np.ndarray:
+    """x with a trailing ones column: the input that the first layer's
+    [W1; b1] block multiplies."""
+    out = np.empty((*x.shape[:-1], x.shape[-1] + 1))
+    out[..., :-1] = x
+    out[..., -1] = 1.0
+    return out
 
 
 def _forward(
     weights: list[np.ndarray], biases: list[np.ndarray], x: np.ndarray, activation: str
 ) -> tuple[list[np.ndarray], np.ndarray]:
     """(inputs, logits): the input of every layer and the output of the
-    last, for a (C, batch, n_in) or shared (batch, n_in) input.  Each layer
-    fills one new array in place."""
+    last, for a (C, batch, n_in + 1) or shared (batch, n_in + 1) input
+    that ends in a ones column.  Each layer fills one new array in place;
+    the first layer's product adds its bias."""
     a, inputs = x, []
     last = len(weights) - 1
     for i, (w, b) in enumerate(zip(weights, biases)):
         inputs.append(a)
         a = a @ w
-        a += b
+        if i:
+            a += b
         if i < last:
             if activation == "relu":
                 np.maximum(a, 0.0, out=a)
@@ -220,16 +244,19 @@ def _backward(
 ) -> None:
     """Write the mean cross-entropy gradients of (C, batch, classes)
     one-hot targets into the grad_w/grad_b views; inputs and logits are
-    only read."""
+    only read.  The first layer's product with its ones column writes its
+    bias gradient too."""
     delta = softmax(logits)
     delta -= targets
     delta /= targets.shape[1]
     for i in range(len(weights) - 1, -1, -1):
         np.matmul(inputs[i].swapaxes(1, 2), delta, out=grad_w[i])
-        # numpy adds the batch rows left to right for widths of 2 and up,
-        # and pairwise for width 1; tests pin both orders.
-        np.add.reduce(delta, axis=1, keepdims=True, out=grad_b[i])
         if i > 0:
+            # numpy adds the batch rows left to right for widths of 2 and
+            # up, and pairwise for width 1.  The first layer's gemm adds
+            # its ones row left to right onto +0.0 for widths of 2 and up
+            # (on the BLAS that the digests record).  Tests pin all three.
+            np.add.reduce(delta, axis=1, keepdims=True, out=grad_b[i])
             delta = delta @ weights[i].swapaxes(1, 2)
             if activation == "relu":
                 # relu(z) > 0 exactly where z > 0, also for -0.0 and NaN.
@@ -264,7 +291,7 @@ class MLP:
         self.activation = activation
         self.flat = np.empty(param_count(self.layer_sizes))
         self._stacked = _views(self.flat[None], self.layer_sizes)
-        self.weights = [w[0] for w in self._stacked[0]]
+        self.weights = [w[0, :n_in] for w, n_in in zip(self._stacked[0], layer_sizes)]
         self.biases = [b[0, 0] for b in self._stacked[1]]
         for w, (n_in, n_out) in zip(self.weights, zip(layer_sizes[:-1], layer_sizes[1:])):
             w[...] = xavier_init(n_in, n_out, gain, rng, fan_mode)
@@ -286,7 +313,7 @@ class MLP:
         a = np.asarray(x, dtype=float)
         if a.ndim != 2 or a.shape[1] != self.layer_sizes[0]:
             raise ValueError(f"expected (batch, {self.layer_sizes[0]}) input, got {a.shape}")
-        cache = _forward(*self._stacked, a[None], self.activation)
+        cache = _forward(*self._stacked, _with_ones(a)[None], self.activation)
         return cache[1][0], cache
 
     def backward(self, cache: tuple, labels: np.ndarray) -> list[np.ndarray]:
@@ -299,8 +326,8 @@ class MLP:
         targets = _one_hot(labels, self.layer_sizes[-1])[None]
         _backward(self._stacked[0], inputs, logits, targets, self.activation, grad_w, grad_b)
         out = []
-        for gw, gb in zip(grad_w, grad_b):
-            out.append(gw[0])
+        for gw, gb, n_in in zip(grad_w, grad_b, self.layer_sizes):
+            out.append(gw[0, :n_in])
             out.append(gb[0, 0])
         return out
 
@@ -355,7 +382,7 @@ class TrainingConfig:
 
     def __post_init__(self):
         check_range(check_number(self.gain, "gain"), "gain", lambda g: g > 0.0, "positive")
-        check_integer(self.epochs, "epochs", lo=1)
+        check_integer(self.epochs, "epochs", 1, MAX_EPOCHS)
         check_integer(self.batch_size, "batch_size", lo=MIN_BATCH_SIZE)
         check_seed(self.seed, "seed")
 
@@ -413,7 +440,8 @@ def _evaluate(
     weights: list[np.ndarray], biases: list[np.ndarray], activation: str, train: tuple, val: tuple
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Train loss, train accuracy and validation accuracy of each network
-    on the (features, labels) of the train and validation splits."""
+    on the (features, labels) of the train and validation splits, whose
+    features end in a ones column."""
     (x, y), (x_val, y_val) = train, val
     logits = _forward(weights, biases, x, activation)[1]
     val_logits = _forward(weights, biases, x_val, activation)[1]
@@ -446,8 +474,8 @@ def train_population(
         raise ValueError("config.optimizer must be set before training")
     if any(c.optimizer != spec or c.batch_size != batch_size for c in configs):
         raise ValueError("the configs of a population must share the optimizer and batch size")
-    train = dataset.features[dataset.train_idx], dataset.labels[dataset.train_idx]
-    val = dataset.features[dataset.val_idx], dataset.labels[dataset.val_idx]
+    train = _with_ones(dataset.features[dataset.train_idx]), dataset.labels[dataset.train_idx]
+    val = _with_ones(dataset.features[dataset.val_idx]), dataset.labels[dataset.val_idx]
     x_train, y_train = train
     targets = _one_hot(y_train, layer_sizes[-1])
     n_train = len(y_train)

@@ -177,19 +177,21 @@ def test_sample_eval_config_redraws_nonpositive_beta():
         assert sample_eval_config(dist, seed=9, index=index).beta > 0.0
 
 
-@pytest.mark.parametrize(
-    "beta, shown",
-    [
-        (Sampler(-1e6, 1.0), "Sampler(mean=-1000000.0, std=1.0)"),
-        (Sampler(math.nan, 1.0), "Sampler(mean=nan, std=1.0)"),
-    ],
-    ids=["negative", "nan"],
-)
-def test_draw_refuses_a_beta_distribution_without_positive_draws(beta, shown):
-    # A NaN draw is not positive either, so it is redrawn like a negative one.
-    dist = replace(default_eval_distribution("convex2d"), beta=beta)
+@pytest.mark.parametrize("mean", [10**400, math.nan, -math.inf], ids=["10**400", "nan", "-inf"])
+def test_a_sampler_refuses_a_mean_that_is_not_a_finite_number(mean):
+    # 10**400 was admitted, and evaluate_robustness then raised OverflowError.
+    with pytest.raises(InvalidConfigError) as refusal:
+        Sampler(mean, 1.0)
+    assert refusal.value.field_path == "mean"
+    assert refusal.value.reason.startswith("expected a finite number, got ")
+
+
+def test_draw_refuses_a_beta_distribution_without_positive_draws():
+    # A finite mean far below zero: every redraw is negative.
+    dist = replace(default_eval_distribution("convex2d"), beta=Sampler(-1e6, 1.0))
     with pytest.raises(InvalidConfigError) as refusal:
         draw_tasks(dist, 2024, range(3))
+    shown = "Sampler(mean=-1000000.0, std=1.0)"
     assert str(refusal.value) == f"distribution.beta: no positive draw from {shown} in 1000 tries"
 
 

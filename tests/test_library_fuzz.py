@@ -35,6 +35,7 @@ _TASK = dict(function="convex2d", alpha=1.0, beta=20.0, x0=(50.0, 50.0), iterati
 _TINY = nn.ProtocolSettings(dataset_n=8, hidden=(2,), batch_size=4)
 _HYBRID = dict(lr=0.1, lr_inner=1.0, lr_outer=0.5, mix=0.5)
 _ONE = np.ones(1)
+_DATASET = nn.make_dataset(8)
 
 
 def _at_epoch(epoch):
@@ -133,6 +134,7 @@ CASES = {
     "sample_training_config.index": (lambda v: nn.sample_training_config(0, v), "index"),
     "sample_training_config.batch_size": (lambda v: nn.sample_training_config(0, 0, v), "batch_size"),
     "TrainResult.at_epoch": (_at_epoch, "epoch"),
+    "train.epochs": (lambda v: nn.train(nn.MLP([2, 2, 2]), _DATASET, _config(epochs=v, optimizer=_SGD)), "epochs"),
     "train_sampled_configs.n_configs": (lambda v: nn.train_sampled_configs(_TINY, _SGD, v, 0), "n_configs"),
     "train_sampled_configs.master_seed": (lambda v: nn.train_sampled_configs(_TINY, _SGD, 1, v), "master_seed"),
     "mean_std": (lambda v: nn.mean_std([v]), "values"),
@@ -173,7 +175,7 @@ def test_the_table_covers_every_public_callable_that_takes_a_number():
         "DivergenceError", "EpochMetrics", "EvalDistribution", "NonFiniteGradientError",
         "OptimizerSpec", "OptimizerState", "RateGrids", "ScoreGrid", "ScoreStats", "SyntheticDataset",
         "TrialRecord", "TuneResult", "adaptive_rate", "apply_update", "build_grid", "default_grids",
-        "default_update_rule", "make_objective", "momentum", "run_trial", "softmax", "step", "train",
+        "default_update_rule", "make_objective", "momentum", "run_trial", "softmax", "step",
         "train_population",
     }
     public = set(optbench.__all__) | {

@@ -26,7 +26,9 @@ from optbench.nn import (
     train_population,
     _accuracies,
     _backward,
+    _forward,
     _views,
+    _with_ones,
     param_count,
     _losses,
     train_sampled_configs,
@@ -272,38 +274,90 @@ def test_head_columns_match_last_axis_reductions_bitwise(shape, seed):
 
 @pytest.mark.parametrize("width", [1, 2, 3, 16])
 def test_backward_bias_gradient_sums_the_batch_in_a_pinned_order(width):
-    """_backward's bias gradient sums delta over the batch axis.  For a
-    layer of width 1 a unit's batch entries are contiguous and numpy sums
-    them pairwise, as a 1-D sum does; for widths of 2 and up it adds the
-    batch rows left to right.  A rewrite of the batch sum must keep these
-    orders to keep the bits.  The gradients are written both to arrays of
-    their own and, as train_population writes them, to the views of one
-    NaN-filled (C, P) buffer, which must hold no NaN after.  Targets are
-    random, not one-hot, so that a width-1 delta is not all zeros."""
+    """_backward's bias gradients sum delta over the batch axis, on a
+    two-layer net [fan_in, width, width].  For the later layer's batch
+    reduce, a unit's batch entries are contiguous at width 1 and numpy
+    sums them pairwise, as a 1-D sum does; for widths of 2 and up it adds
+    the batch rows left to right.  The first layer's bias gradient is the
+    ones row of its gemm, which adds the batch rows left to right onto
+    +0.0 for widths of 2 and up: the bits of the batch reduce, except that
+    a sum of only -0.0 entries (a unit that relu masks on the whole batch)
+    reads +0.0.  A width-1 first layer goes through gemv, whose order is
+    not pinned.  A rewrite of either sum must keep these orders to keep
+    the bits.  The gradients are written both to arrays of their own and,
+    as train_population writes them, to the views of one NaN-filled
+    (C, P) buffer, which must hold no NaN after.  Targets are random, not
+    one-hot, so that a width-1 delta is not all zeros."""
     rng = np.random.default_rng(width)
     differ = 0
     for _ in range(100):
         nets, batch, fan_in = (int(v) for v in rng.integers((1, 1, 1), (11, 400, 4)))
-        sizes = [fan_in, width]
-        x = rng.normal(size=(nets, batch, fan_in))
+        sizes = [fan_in, width, width]
+        x = _with_ones(rng.normal(size=(nets, batch, fan_in)))
+        hidden = np.maximum(rng.normal(size=(nets, batch, width)), 0.0)
         logits = rng.normal(0.0, 3.0, size=(nets, batch, width))
         targets = rng.uniform(size=(nets, batch, width))
-        w = rng.normal(size=(nets, fan_in, width))
-        own = [np.empty((nets, fan_in, width))], [np.empty((nets, 1, width))]
+        weights = [rng.normal(size=(nets, fan_in + 1, width)), rng.normal(size=(nets, width, width))]
+        first = np.empty((nets, fan_in + 1, width))
+        own = [first, np.empty((nets, width, width))], [first[:, -1:], np.empty((nets, 1, width))]
         buffer = np.full((nets, param_count(sizes)), np.nan)
         for grad_w, grad_b in (own, _views(buffer, sizes)):
-            _backward([w], [x], logits, targets, "relu", grad_w, grad_b)
+            _backward(weights, [x, hidden], logits, targets, "relu", grad_w, grad_b)
         assert not np.isnan(buffer).any()
+        assert _same_bits(buffer, np.concatenate([g.reshape(nets, -1) for g in (*own[0], own[1][1])], axis=1))
         delta = (softmax(logits) - targets) / batch
         sequential = functools.reduce(np.add, delta.swapaxes(0, 1))
         pairwise = np.array([[delta[k, :, j].copy().sum() for j in range(width)] for k in range(nets)])
         pinned, other = (pairwise, sequential) if width == 1 else (sequential, pairwise)
-        assert _same_bits(own[1][0][:, 0], pinned)
-        assert _same_bits(_views(buffer, sizes)[1][0][:, 0], pinned)
-        assert _same_bits(_views(buffer, sizes)[0][0], own[0][0])
+        assert _same_bits(_views(buffer, sizes)[1][1][:, 0], pinned)
         differ += not _same_bits(pinned, other)
+        if width > 1:
+            delta = delta @ weights[1].swapaxes(1, 2)
+            delta *= hidden > 0.0
+            from_zero = functools.reduce(np.add, delta.swapaxes(0, 1), np.zeros((nets, width)))
+            assert _same_bits(_views(buffer, sizes)[1][0][:, 0], from_zero)
     # The two orders give other bits for most shapes, so the test tells them apart.
     assert differ > 50
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_first_layer_fold_gives_the_two_step_bits_at_the_bundled_shapes(seed):
+    """At the bundled train-toy shapes (C = 10 networks [2, 16, 2], every
+    minibatch of 32 of an epoch, evaluation on the 320 training and 80
+    validation points) the first layer's product with the ones column
+    gives the bits of x @ W then += b, and its gradient block those of
+    x^T @ delta and of np.add.reduce(delta) over the batch.  Seed 0 takes
+    the bundled protocol's networks, the others normal draws."""
+    sizes, rng = [2, 16, 2], np.random.default_rng(seed)
+    if seed == 0:
+        configs = [sample_training_config(2024, i) for i in range(10)]
+        theta = np.stack([MLP(sizes, "relu", c.gain, np.random.default_rng(c.seed)).flat for c in configs])
+    else:
+        theta = rng.normal(0.0, 2.0, size=(10, param_count(sizes)))
+    dataset = make_dataset()
+    x_train, x_val = dataset.features[dataset.train_idx], dataset.features[dataset.val_idx]
+    weights, biases = _views(theta, sizes)
+    w, b = weights[0][:, :-1], biases[0]
+    order = np.stack([rng.permutation(len(x_train)) for _ in range(10)])
+    x_epoch = np.take(x_train, order, axis=0)
+    targets = np.take(nn._one_hot(dataset.labels[dataset.train_idx], 2), order, axis=0)
+    grad = np.full(theta.shape, np.nan)
+    grad_w, grad_b = _views(grad, sizes)
+    for x in [x_train, x_val, *(x_epoch[:, start : start + 32] for start in range(0, len(x_train), 32))]:
+        want = x @ w
+        want += b
+        assert _same_bits(_forward(weights[:1], biases[:1], _with_ones(x), "relu")[1], want)
+        if x.ndim == 3:
+            inputs, logits = _forward(weights, biases, _with_ones(x), "relu")
+            batch = targets[:, : x.shape[1]]
+            _backward(weights, inputs, logits, batch, "relu", grad_w, grad_b)
+            delta = softmax(logits)
+            delta -= batch
+            delta /= x.shape[1]
+            delta = delta @ weights[1].swapaxes(1, 2)
+            delta *= inputs[1] > 0.0
+            assert _same_bits(grad_w[0][:, :-1], x.swapaxes(1, 2) @ delta)
+            assert _same_bits(grad_b[0], np.add.reduce(delta, axis=1, keepdims=True))
 
 
 def test_make_dataset_determinism_and_split():
@@ -372,6 +426,7 @@ def test_training_config_validation():
         ("epochs", math.inf, "epochs: expected an integer, got inf"),
         ("epochs", 2.5, "epochs: expected an integer, got 2.5"),
         ("epochs", True, "epochs: expected an integer, got True"),
+        ("epochs", nn.MAX_EPOCHS + 1, "epochs: must be in [1, 10000], got 10001"),
         ("gain", math.nan, "gain: expected a finite number, got nan"),
         ("batch_size", 2.5, "batch_size: expected an integer, got 2.5"),
         ("batch_size", math.nan, "batch_size: expected an integer, got nan"),
@@ -505,7 +560,9 @@ def test_train_sampled_configs_pairs_draws_across_optimizers():
 def _reference_train(layer_sizes, activation, dataset, config, fan_mode="product"):
     """The per-tensor training loop the population trainer replaced: 2-D
     forward and backward passes and one OptimizerState and step() per
-    weight matrix and bias vector.  Returns (TrainResult, parameters)."""
+    weight matrix and bias vector.  The first layer multiplies the input
+    and a ones column by [W1; b1], as the population's does; later layers
+    add their bias.  Returns (TrainResult, parameters)."""
     rng = np.random.default_rng(config.seed)
     pairs = list(zip(layer_sizes[:-1], layer_sizes[1:]))
     weights = [xavier_init(n_in, n_out, config.gain, rng, fan_mode) for n_in, n_out in pairs]
@@ -513,9 +570,9 @@ def _reference_train(layer_sizes, activation, dataset, config, fan_mode="product
     params = [p for wb in zip(weights, biases) for p in wb]
 
     def forward(x):
-        a, inputs, pre = x, [x], []
+        a, inputs, pre = x, [np.column_stack([x, np.ones(len(x))])], []
         for i, (w, b) in enumerate(zip(weights, biases)):
-            z = a @ w + b
+            z = a @ w + b if i else inputs[0] @ np.vstack([w, b])
             pre.append(z)
             if i < len(weights) - 1:
                 a = np.maximum(z, 0.0) if activation == "relu" else np.tanh(z)
@@ -530,15 +587,15 @@ def _reference_train(layer_sizes, activation, dataset, config, fan_mode="product
         delta[np.arange(n), labels] -= 1.0
         delta /= n
         grads = [None] * len(params)
-        for i in range(len(weights) - 1, -1, -1):
+        for i in range(len(weights) - 1, 0, -1):
             grads[2 * i] = inputs[i].T @ delta
             grads[2 * i + 1] = delta.sum(axis=0)
-            if i > 0:
-                da = delta @ weights[i].T
-                if activation == "relu":
-                    delta = da * (pre[i - 1] > 0.0)
-                else:
-                    delta = da * (1.0 - inputs[i] ** 2)
+            da = delta @ weights[i].T
+            if activation == "relu":
+                delta = da * (pre[i - 1] > 0.0)
+            else:
+                delta = da * (1.0 - inputs[i] ** 2)
+        grads[0], grads[1] = np.vsplit(inputs[0].T @ delta, [-1])
         return grads
 
     def evaluate(x, labels):

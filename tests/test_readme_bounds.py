@@ -23,8 +23,9 @@ def readme_value(text: str) -> int:
     return value
 
 
-def test_the_table_names_the_four_bounds():
-    assert [name for name, _, _ in ROWS] == ["MAX_ITERATIONS", "MAX_TRIALS", "MAX_TRIAL_STEPS", "MAX_TRAIN_WORK"]
+def test_the_table_names_the_five_bounds():
+    names = ["MAX_ITERATIONS", "MAX_TRIALS", "MAX_TRIAL_STEPS", "MAX_TRAIN_WORK", "MAX_EPOCHS"]
+    assert [name for name, _, _ in ROWS] == names
 
 
 @pytest.mark.parametrize("name, module, value", ROWS, ids=[name for name, _, _ in ROWS])
